@@ -13,7 +13,7 @@
 //! This is Baum–Welch on a semi-Markov chain whose emissions are cycle
 //! costs, observed through the timer's quantization kernel.
 
-use crate::fb::{e_step, e_step_cached, EStepCache, FbError, FbParams};
+use crate::fb::{e_step_inner, EStepCache, FbError, FbParams};
 use crate::samples::DurationSamples;
 use ct_cfg::graph::{Cfg, EdgeKind};
 use ct_cfg::profile::BranchProbs;
@@ -147,8 +147,45 @@ pub fn estimate_em_cached<S: DurationSamples + ?Sized>(
     opts: EmOptions,
     cache: &mut EStepCache,
 ) -> Result<EmResult, FbError> {
+    estimate_em_counted(
+        cfg,
+        block_costs,
+        edge_costs,
+        &samples.counted(),
+        samples.cycles_per_tick(),
+        init,
+        opts,
+        cache,
+    )
+}
+
+/// [`estimate_em_cached`] over a pre-built distinct-tick histogram
+/// `counted` (ascending, as [`DurationSamples::counted`] returns it)
+/// observed at `cycles_per_tick` — everything EM reads of the samples.
+/// Callers running several EM passes over one sample set (restarts, the
+/// ladder's rungs) build the histogram once and share it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn estimate_em_counted(
+    cfg: &Cfg,
+    block_costs: &[u64],
+    edge_costs: &[u64],
+    counted: &[(u64, usize)],
+    cycles_per_tick: u64,
+    init: BranchProbs,
+    opts: EmOptions,
+    cache: &mut EStepCache,
+) -> Result<EmResult, FbError> {
     let (h0, m0) = (cache.hits(), cache.misses());
-    let result = estimate_em_loop(cfg, block_costs, edge_costs, samples, init, opts, cache);
+    let result = estimate_em_loop(
+        cfg,
+        block_costs,
+        edge_costs,
+        counted,
+        cycles_per_tick,
+        init,
+        opts,
+        cache,
+    );
     let (hits, misses) = (cache.hits() - h0, cache.misses() - m0);
     if hits + misses > 0 {
         ct_obs::Counter::new("em.cache.hit").add(hits);
@@ -166,11 +203,13 @@ pub fn estimate_em_cached<S: DurationSamples + ?Sized>(
     result
 }
 
-fn estimate_em_loop<S: DurationSamples + ?Sized>(
+#[allow(clippy::too_many_arguments)]
+fn estimate_em_loop(
     cfg: &Cfg,
     block_costs: &[u64],
     edge_costs: &[u64],
-    samples: &S,
+    counted: &[(u64, usize)],
+    cycles_per_tick: u64,
     init: BranchProbs,
     opts: EmOptions,
     cache: &mut EStepCache,
@@ -198,9 +237,18 @@ fn estimate_em_loop<S: DurationSamples + ?Sized>(
     let mut iterations = 0;
     let mut final_delta = 0.0;
 
-    if branch_blocks.is_empty() || samples.is_empty() {
+    if branch_blocks.is_empty() || counted.is_empty() {
         // Nothing to estimate; still report the likelihood once.
-        let (exp, _) = e_step(cfg, block_costs, edge_costs, &probs, samples, opts.fb)?;
+        let (exp, _) = e_step_inner(
+            cfg,
+            block_costs,
+            edge_costs,
+            &probs,
+            counted,
+            cycles_per_tick,
+            opts.fb,
+            None,
+        )?;
         return Ok(EmResult {
             probs,
             iterations: 0,
@@ -219,14 +267,15 @@ fn estimate_em_loop<S: DurationSamples + ?Sized>(
     let mut last_good: Option<(BranchProbs, f64, Vec<f64>, usize)> = None;
     for iter in 0..opts.max_iter {
         iterations = iter + 1;
-        let (exp, _) = e_step_cached(
+        let (exp, _) = e_step_inner(
             cfg,
             block_costs,
             edge_costs,
             &probs,
-            samples,
+            counted,
+            cycles_per_tick,
             opts.fb,
-            cache,
+            Some(cache),
         )?;
 
         // NaN/underflow guard: a non-finite likelihood or posterior count
@@ -554,6 +603,42 @@ mod tests {
         for (x, y) in a.edge_counts.iter().zip(&b.edge_counts) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
+    }
+
+    #[test]
+    fn em_reads_only_the_tick_histogram() {
+        // A materialized vector, the same ticks in reverse arrival order,
+        // and the streaming accumulator share one histogram but not their
+        // arrival-order-dependent moments: EM must not tell them apart.
+        let cfg = diamond_chain(3);
+        let bc = vec![10, 50, 90, 8, 120, 30, 12, 200, 70, 5];
+        let ec = vec![0; cfg.edges().len()];
+        let truth = BranchProbs::from_vec(&cfg, vec![0.9, 0.4, 0.65]);
+        let samples = synth_samples(&cfg, &bc, &ec, &truth, 1500, 8, 13);
+        let mut reversed_ticks = samples.ticks().to_vec();
+        reversed_ticks.reverse();
+        let reversed = TimingSamples::new(reversed_ticks, 8);
+        let stats = crate::stream::SuffStats::from_samples(&samples);
+        let init = BranchProbs::from_vec(&cfg, vec![0.3, 0.6, 0.5]);
+        let opts = EmOptions::default();
+        let run = |s: &dyn DurationSamples| {
+            estimate_em_from(&cfg, &bc, &ec, s, init.clone(), opts).unwrap()
+        };
+        let fingerprint = |r: &EmResult| {
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            (
+                bits(r.probs.as_slice()),
+                r.loglik.to_bits(),
+                r.iterations,
+                bits(&r.edge_counts),
+                r.unexplained,
+                r.final_delta.to_bits(),
+            )
+        };
+        let want = fingerprint(&run(&samples));
+        assert!(want.2 > 1, "EM must iterate for the pin to mean anything");
+        assert_eq!(fingerprint(&run(&stats)), want);
+        assert_eq!(fingerprint(&run(&reversed)), want);
     }
 
     #[test]

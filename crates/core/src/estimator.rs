@@ -5,7 +5,7 @@
 use crate::em::EmOptions;
 use crate::fb::FbError;
 use crate::flow_nnls::{estimate_flow, FlowError};
-use crate::gnt::{estimate_gnt, GntError, GntOptions};
+use crate::gnt::{estimate_gnt_counted, GntError, GntOptions};
 use crate::moments::{estimate_moments, MomentsError, MomentsOptions};
 use crate::samples::{DurationSamples, SampleIssue, TimingSamples, TrimPolicy};
 use ct_cfg::graph::Cfg;
@@ -173,15 +173,21 @@ pub fn estimate<S: DurationSamples + Sync + ?Sized>(
     if let Err(issue @ SampleIssue::TickOverflow { .. }) = samples.validate() {
         return Err(issue.into());
     }
+    // EM and GNT read the samples only through their distinct-tick
+    // histogram: each branch below builds it once and hands it down, so
+    // no EM restart or iteration sorts the ticks again.
     match opts.method {
         Some(Method::Em) | Some(Method::EmUnrolled) => {
-            run_em(cfg, block_costs, edge_costs, samples, opts).map_err(EstimateError::Em)
+            let counted = samples.counted();
+            run_em(cfg, block_costs, edge_costs, samples, &counted, opts).map_err(EstimateError::Em)
         }
         Some(Method::Moments) => {
             run_moments(cfg, block_costs, edge_costs, samples, opts).map_err(EstimateError::Moments)
         }
         Some(Method::Gnt) => {
-            run_gnt(cfg, block_costs, edge_costs, samples, opts).map_err(EstimateError::Gnt)
+            let counted = samples.counted();
+            run_gnt(cfg, block_costs, edge_costs, samples, &counted, opts)
+                .map_err(EstimateError::Gnt)
         }
         Some(Method::FlowMean) => {
             let r = estimate_flow(cfg, block_costs, edge_costs, samples)
@@ -196,22 +202,29 @@ pub fn estimate<S: DurationSamples + Sync + ?Sized>(
                 unexplained: 0,
             })
         }
-        None => match run_em(cfg, block_costs, edge_costs, samples, opts) {
-            Ok(e) => Ok(e),
-            Err(FbError::SupportExplosion { .. }) => {
-                run_moments(cfg, block_costs, edge_costs, samples, opts)
-                    .map_err(EstimateError::Moments)
+        None => {
+            let counted = samples.counted();
+            match run_em(cfg, block_costs, edge_costs, samples, &counted, opts) {
+                Ok(e) => Ok(e),
+                Err(FbError::SupportExplosion { .. }) => {
+                    run_moments(cfg, block_costs, edge_costs, samples, opts)
+                        .map_err(EstimateError::Moments)
+                }
+                Err(e) => Err(EstimateError::Em(e)),
             }
-            Err(e) => Err(EstimateError::Em(e)),
-        },
+        }
     }
 }
 
+/// EM from the flow warm start plus `opts.restarts` seeded probes, best
+/// answer wins; every restart reads `counted`, the samples' distinct-tick
+/// histogram.
 fn run_em<S: DurationSamples + Sync + ?Sized>(
     cfg: &Cfg,
     block_costs: &[u64],
     edge_costs: &[u64],
     samples: &S,
+    counted: &[(u64, usize)],
     opts: EstimateOptions,
 ) -> Result<Estimate, FbError> {
     // Warm-start from a cheap mean-matching flow fit: long loops at the
@@ -257,8 +270,18 @@ fn run_em<S: DurationSamples + Sync + ?Sized>(
     // serial loop it replaces for any `CT_THREADS`.
     let indexed: Vec<(usize, ct_cfg::profile::BranchProbs)> =
         inits.into_iter().enumerate().collect();
+    let cpt = samples.cycles_per_tick();
     let attempts = ct_stats::parallel::par_map(indexed, |(restart, init)| {
-        let res = crate::em::estimate_em_from(cfg, block_costs, edge_costs, samples, init, opts.em);
+        let res = crate::em::estimate_em_counted(
+            cfg,
+            block_costs,
+            edge_costs,
+            counted,
+            cpt,
+            init,
+            opts.em,
+            &mut crate::fb::EStepCache::new(),
+        );
         match &res {
             Ok(r) => {
                 // Restart 0 is the flow warm start, the rest are seeded
@@ -359,9 +382,10 @@ fn run_gnt<S: DurationSamples + ?Sized>(
     block_costs: &[u64],
     edge_costs: &[u64],
     samples: &S,
+    counted: &[(u64, usize)],
     opts: EstimateOptions,
 ) -> Result<Estimate, GntError> {
-    let r = estimate_gnt(cfg, block_costs, edge_costs, samples, opts.gnt)?;
+    let r = estimate_gnt_counted(cfg, block_costs, edge_costs, samples, counted, opts.gnt)?;
     Ok(Estimate {
         probs: r.probs,
         method: Method::Gnt,
@@ -536,6 +560,10 @@ fn run_ladder(
 ) -> RobustEstimate {
     let mut attempts = Vec::new();
     let n = samples.len();
+    // The one sort of the ticks: full EM reads this histogram, the trim
+    // fences are count-quantiles of it, and the trimmed rungs read its
+    // fenced subset.
+    let counted = samples.counted();
 
     // Rung 1: full EM on validated samples.
     if let Ok(r) = try_em_rung(
@@ -544,6 +572,7 @@ fn run_ladder(
         block_costs,
         edge_costs,
         samples,
+        &counted,
         0,
         &opts,
         &mut attempts,
@@ -557,7 +586,7 @@ fn run_ladder(
     // most of the batch), the moments rung is poisoned too: means and
     // variances of data the model cannot explain measure the corruption, not
     // the program, and a confident wrong answer is worse than the prior.
-    let (trimmed, dropped) = samples.trimmed(opts.trim);
+    let (trimmed, trimmed_counted, dropped) = samples.trimmed_counted(&counted, opts.trim);
     let trim_frac = if n == 0 {
         0.0
     } else {
@@ -582,6 +611,7 @@ fn run_ladder(
             block_costs,
             edge_costs,
             &trimmed,
+            &trimmed_counted,
             dropped,
             &opts,
             &mut attempts,
@@ -613,7 +643,14 @@ fn run_ladder(
                 .into(),
         });
     } else {
-        match estimate_gnt(cfg, block_costs, edge_costs, &trimmed, opts.base.gnt) {
+        match estimate_gnt_counted(
+            cfg,
+            block_costs,
+            edge_costs,
+            &trimmed,
+            &trimmed_counted,
+            opts.base.gnt,
+        ) {
             Ok(r) if r.confidence >= opts.min_gnt_confidence => {
                 attempts.push(RungAttempt {
                     rung: Rung::Gnt,
@@ -730,7 +767,8 @@ enum EmRejection {
     Other,
 }
 
-/// Runs one EM rung and applies its health checks; `Ok` when accepted.
+/// Runs one EM rung on `samples` and their distinct-tick histogram and
+/// applies its health checks; `Ok` when accepted.
 #[allow(clippy::too_many_arguments)]
 fn try_em_rung(
     rung: Rung,
@@ -738,6 +776,7 @@ fn try_em_rung(
     block_costs: &[u64],
     edge_costs: &[u64],
     samples: &TimingSamples,
+    counted: &[(u64, usize)],
     dropped: usize,
     opts: &RobustOptions,
     attempts: &mut Vec<RungAttempt>,
@@ -749,15 +788,14 @@ fn try_em_rung(
             detail,
         });
     };
+    // Validation also stands in for the front door's overflow gate.
     if let Err(issue) = samples.validate() {
         reject(attempts, issue.to_string());
         return Err(EmRejection::Other);
     }
-    let forced = EstimateOptions {
-        method: Some(Method::Em),
-        ..opts.base
-    };
-    match estimate(cfg, block_costs, edge_costs, samples, forced) {
+    match run_em(cfg, block_costs, edge_costs, samples, counted, opts.base)
+        .map_err(EstimateError::Em)
+    {
         Ok(est) => {
             let unex_frac = est.unexplained as f64 / samples.len().max(1) as f64;
             if !est.converged && est.final_delta > opts.max_final_delta {

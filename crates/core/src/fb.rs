@@ -493,7 +493,16 @@ pub fn e_step<S: DurationSamples + ?Sized>(
     samples: &S,
     params: FbParams,
 ) -> Result<(EdgeExpectations, FbTables), FbError> {
-    e_step_inner(cfg, block_costs, edge_costs, probs, samples, params, None)
+    e_step_inner(
+        cfg,
+        block_costs,
+        edge_costs,
+        probs,
+        &samples.counted(),
+        samples.cycles_per_tick(),
+        params,
+        None,
+    )
 }
 
 /// [`e_step`] with a live [`EStepCache`]: edges whose factor PMFs and
@@ -513,23 +522,28 @@ pub fn e_step_cached<S: DurationSamples + ?Sized>(
         block_costs,
         edge_costs,
         probs,
-        samples,
+        &samples.counted(),
+        samples.cycles_per_tick(),
         params,
         Some(cache),
     )
 }
 
-fn e_step_inner<S: DurationSamples + ?Sized>(
+/// The E-step over a pre-built distinct-tick histogram `counted` (ascending,
+/// as [`DurationSamples::counted`] returns it) observed at `cpt` cycles per
+/// tick. The histogram is all the E-step reads of the samples, so the EM
+/// loop builds it once per run instead of once per iteration.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn e_step_inner(
     cfg: &Cfg,
     block_costs: &[u64],
     edge_costs: &[u64],
     probs: &BranchProbs,
-    samples: &S,
+    counted: &[(u64, usize)],
+    cpt: u64,
     params: FbParams,
     mut cache: Option<&mut EStepCache>,
 ) -> Result<(EdgeExpectations, FbTables), FbError> {
-    let cpt = samples.cycles_per_tick();
-    let counted = samples.counted();
     // Cap the DPs at the largest observed tick's window: no table entry
     // beyond it can enter any score (see [`FbParams::time_cap`]), so this
     // changes no output bit — it only stops the DPs from expanding support
@@ -555,7 +569,7 @@ fn e_step_inner<S: DurationSamples + ?Sized>(
     // ticks — the support the per-edge convolutions are restricted to.
     let mut explained: Vec<(u64, usize, f64)> = Vec::new();
     let (mut win_lo, mut win_hi) = (u64::MAX, 0u64);
-    for (t_obs, n) in counted {
+    for &(t_obs, n) in counted {
         let z = pmf_tick_score_soa(duration, t_obs, cpt);
         if z <= 1e-300 {
             unexplained += n;

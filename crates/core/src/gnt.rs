@@ -222,6 +222,28 @@ pub fn estimate_gnt<S: DurationSamples + ?Sized>(
     samples: &S,
     opts: GntOptions,
 ) -> Result<GntResult, GntError> {
+    estimate_gnt_counted(
+        cfg,
+        block_costs,
+        edge_costs,
+        samples,
+        &samples.counted(),
+        opts,
+    )
+}
+
+/// [`estimate_gnt`] with the empirical transform read from `counted`, the
+/// samples' pre-built distinct-tick histogram (as
+/// [`DurationSamples::counted`] returns it), so a caller that already
+/// holds it does not re-sort the ticks.
+pub(crate) fn estimate_gnt_counted<S: DurationSamples + ?Sized>(
+    cfg: &Cfg,
+    block_costs: &[u64],
+    edge_costs: &[u64],
+    samples: &S,
+    counted: &[(u64, usize)],
+    opts: GntOptions,
+) -> Result<GntResult, GntError> {
     if samples.is_empty() {
         return Err(GntError::NoSamples);
     }
@@ -230,7 +252,6 @@ pub fn estimate_gnt<S: DurationSamples + ?Sized>(
     }
     let cpt = samples.cycles_per_tick() as f64;
     let n = samples.len() as f64;
-    let counted = samples.counted();
 
     // Frequency grid scaled to the sample spread: the transform carries its
     // shape information over |ω| ≲ 1/σ and pure oscillation beyond.
@@ -250,7 +271,7 @@ pub fn estimate_gnt<S: DurationSamples + ?Sized>(
         .iter()
         .map(|&w| {
             let (mut re, mut im) = (0.0, 0.0);
-            for &(tick, count) in &counted {
+            for &(tick, count) in counted {
                 let arg = w * (tick as f64) * cpt;
                 re += count as f64 * arg.cos();
                 im += count as f64 * arg.sin();

@@ -2,7 +2,7 @@
 //! estimator — plus the input hygiene (validation, robust trimming) the
 //! estimator applies before trusting samples that crossed a lossy channel.
 
-use ct_stats::descriptive::{quantile, Summary};
+use ct_stats::descriptive::Summary;
 use std::error::Error;
 use std::fmt;
 
@@ -156,7 +156,7 @@ impl DurationSamples for TimingSamples {
 }
 
 /// End-to-end timing samples of one procedure: exclusive durations in ticks
-//  of a known timer resolution.
+/// of a known timer resolution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimingSamples {
     ticks: Vec<u64>,
@@ -230,67 +230,49 @@ impl TimingSamples {
     /// that need a hard validity guarantee still re-validate afterwards
     /// (the degradation ladder does).
     pub fn trimmed(&self, policy: TrimPolicy) -> (TimingSamples, usize) {
+        let (kept, _, dropped) = self.trimmed_counted(&self.counted(), policy);
+        (kept, dropped)
+    }
+
+    /// [`TimingSamples::trimmed`] against this set's distinct-tick histogram
+    /// `counted` (as [`TimingSamples::counted`] returns it), built once by
+    /// the caller: the fences are count-quantiles of the histogram, so the
+    /// ticks are never re-sorted. Also returns the kept ticks' histogram —
+    /// what the trimmed rungs' EM and GNT read.
+    ///
+    /// The kept ticks stay in arrival order: the moments read from them
+    /// ([`TimingSamples::mean_cycles`], [`TimingSamples::variance_cycles`])
+    /// depend on it bitwise.
+    pub(crate) fn trimmed_counted(
+        &self,
+        counted: &[(u64, usize)],
+        policy: TrimPolicy,
+    ) -> (TimingSamples, Vec<(u64, usize)>, usize) {
         let overflow = |t: u64| {
             t.checked_add(1)
                 .and_then(|t1| t1.checked_mul(self.cycles_per_tick))
                 .is_none()
         };
-        let sane: Vec<u64> = self
-            .ticks
+        let sane: Vec<(u64, usize)> = counted
             .iter()
             .copied()
-            .filter(|&t| !overflow(t))
+            .filter(|&(t, _)| !overflow(t))
             .collect();
-        let pre_dropped = self.ticks.len() - sane.len();
-        if sane.is_empty() {
-            return (
-                TimingSamples {
-                    ticks: sane,
-                    cycles_per_tick: self.cycles_per_tick,
-                },
-                pre_dropped,
-            );
-        }
-        let this = TimingSamples {
-            ticks: sane,
-            cycles_per_tick: self.cycles_per_tick,
+        let window = fences(&sane, policy);
+        let inside = |t: u64| {
+            let x = t as f64;
+            !overflow(t) && window.is_some_and(|(lo, hi)| x >= lo && x <= hi)
         };
-        let (kept, fence_dropped) = this.fence_trimmed(policy);
-        (kept, pre_dropped + fence_dropped)
-    }
-
-    /// Quantile-fence trimming on an overflow-free sample set.
-    fn fence_trimmed(&self, policy: TrimPolicy) -> (TimingSamples, usize) {
-        if self.ticks.is_empty() {
-            return (self.clone(), 0);
-        }
-        let xs = self.as_f64();
-        let q_lo = quantile(&xs, policy.lo_q);
-        let q_hi = quantile(&xs, policy.hi_q);
-        // Scaled median absolute deviation: consistent with σ under
-        // normality; zero for majority-constant samples, hence the max
-        // with the quantile spread and 1 tick.
-        let med = quantile(&xs, 0.5);
-        let dev: Vec<f64> = xs.iter().map(|x| (x - med).abs()).collect();
-        let mad = 1.4826 * quantile(&dev, 0.5);
-        let spread = (q_hi - q_lo).max(mad).max(1.0);
-        let lo = q_lo - policy.k * spread;
-        let hi = q_hi + policy.k * spread;
-        let kept: Vec<u64> = self
-            .ticks
-            .iter()
-            .copied()
-            .filter(|&t| {
-                let x = t as f64;
-                x >= lo && x <= hi
-            })
-            .collect();
+        let kept_counted: Vec<(u64, usize)> =
+            sane.into_iter().filter(|&(t, _)| inside(t)).collect();
+        let kept: Vec<u64> = self.ticks.iter().copied().filter(|&t| inside(t)).collect();
         let dropped = self.ticks.len() - kept.len();
         (
             TimingSamples {
                 ticks: kept,
                 cycles_per_tick: self.cycles_per_tick,
             },
+            kept_counted,
             dropped,
         )
     }
@@ -315,14 +297,16 @@ impl TimingSamples {
         self.ticks.is_empty()
     }
 
-    /// Sample mean converted to cycles (ticks × resolution, plus half a tick
-    /// to correct the floor-quantization bias).
+    /// Sample mean converted to cycles (mean ticks × resolution). No
+    /// quantization correction is applied, because none is needed: under a
+    /// uniformly random timer phase the floor-quantized tick count of a
+    /// duration `d` has mean exactly `d / cycles_per_tick`.
     pub fn mean_cycles(&self) -> f64 {
         if self.ticks.is_empty() {
             return 0.0;
         }
         let s = Summary::of(&self.as_f64());
-        s.mean * self.cycles_per_tick as f64 + 0.0
+        s.mean * self.cycles_per_tick as f64
     }
 
     /// Sample variance in cycles².
@@ -350,9 +334,70 @@ impl TimingSamples {
     }
 }
 
+/// The trimming window `[lo, hi]` of `policy` over an overflow-free
+/// distinct-tick histogram (ascending, as [`TimingSamples::counted`]
+/// returns it); `None` when the histogram is empty.
+///
+/// The fences are `[q_lo − k·spread, q_hi + k·spread]` with
+/// `spread = max(q_hi − q_lo, scaled MAD, 1)`, every quantile a
+/// [`count_quantile`] of the histogram — bitwise equal to
+/// [`ct_stats::descriptive::quantile`] over the expanded tick vector.
+fn fences(counted: &[(u64, usize)], policy: TrimPolicy) -> Option<(f64, f64)> {
+    if counted.is_empty() {
+        return None;
+    }
+    let xs: Vec<(f64, usize)> = counted.iter().map(|&(t, n)| (t as f64, n)).collect();
+    let q_lo = count_quantile(&xs, policy.lo_q);
+    let q_hi = count_quantile(&xs, policy.hi_q);
+    // Scaled median absolute deviation: consistent with σ under
+    // normality; zero for majority-constant samples, hence the max
+    // with the quantile spread and 1 tick. The deviation histogram has
+    // one entry per distinct tick, so sorting it is cheap.
+    let med = count_quantile(&xs, 0.5);
+    let mut dev: Vec<(f64, usize)> = xs.iter().map(|&(x, n)| ((x - med).abs(), n)).collect();
+    dev.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mad = 1.4826 * count_quantile(&dev, 0.5);
+    let spread = (q_hi - q_lo).max(mad).max(1.0);
+    Some((q_lo - policy.k * spread, q_hi + policy.k * spread))
+}
+
+/// The `q`-quantile of the sample a non-empty `(value, multiplicity)`
+/// histogram (ascending by value) describes: the same order statistics and
+/// type-7 interpolation as [`ct_stats::descriptive::quantile`] over the
+/// expanded vector, hence bitwise equal to it, without materializing or
+/// sorting that vector.
+///
+/// # Panics
+///
+/// Like `quantile`, if `q` is outside `[0, 1]`.
+fn count_quantile(hist: &[(f64, usize)], q: f64) -> f64 {
+    assert!((0.0..=1.0).contains(&q), "quantile level must be in [0,1]");
+    let total: usize = hist.iter().map(|&(_, n)| n).sum();
+    let order_stat = |k: usize| {
+        let mut seen = 0;
+        hist.iter()
+            .find(|&&(_, n)| {
+                seen += n;
+                k < seen
+            })
+            .map_or(f64::NAN, |&(x, _)| x)
+    };
+    let pos = q * (total as f64 - 1.0);
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    if lo == hi {
+        order_stat(lo)
+    } else {
+        let frac = pos - lo as f64;
+        order_stat(lo) * (1.0 - frac) + order_stat(hi) * frac
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ct_stats::descriptive::quantile;
+    use proptest::prelude::*;
 
     #[test]
     fn counted_groups_duplicates() {
@@ -450,6 +495,83 @@ mod tests {
         assert_eq!(t, s);
         let empty = TimingSamples::new(vec![], 1);
         assert_eq!(empty.trimmed(TrimPolicy::default()).1, 0);
+    }
+
+    /// The fences as trimming computed them before the histogram: three
+    /// `descriptive::quantile` calls over the expanded f64 vector of the
+    /// overflow-free ticks.
+    fn expanded_fences(sane: &[u64], policy: TrimPolicy) -> Option<(f64, f64)> {
+        if sane.is_empty() {
+            return None;
+        }
+        let xs: Vec<f64> = sane.iter().map(|&t| t as f64).collect();
+        let q_lo = quantile(&xs, policy.lo_q);
+        let q_hi = quantile(&xs, policy.hi_q);
+        let med = quantile(&xs, 0.5);
+        let dev: Vec<f64> = xs.iter().map(|x| (x - med).abs()).collect();
+        let mad = 1.4826 * quantile(&dev, 0.5);
+        let spread = (q_hi - q_lo).max(mad).max(1.0);
+        Some((q_lo - policy.k * spread, q_hi + policy.k * spread))
+    }
+
+    fn bits(w: Option<(f64, f64)>) -> Option<(u64, u64)> {
+        w.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Count-quantile fences are bitwise the expanded-vector fences, and
+        /// the trimmed histogram is the histogram of the trimmed vector,
+        /// on duplicate-heavy sets, stuck-at ticks, huge ticks whose f64
+        /// images collide, single-value sets and empty sets, under wide and
+        /// narrow policies.
+        #[test]
+        fn count_quantile_fences_match_the_expanded_vector(
+            raw in prop::collection::vec((0u64..48, 0u8..8), 0..300),
+            scale in prop_oneof![Just(1u64), Just(37), Just(1u64 << 52), Just(1u64 << 58)],
+            cpt in prop_oneof![Just(1u64), Just(8), Just(244)],
+            single in any::<bool>(),
+            policy in prop_oneof![
+                Just(TrimPolicy::default()),
+                // Narrow quantile bases, where the scaled MAD can set the
+                // spread (it never outgrows the default 2%–98% range).
+                Just(TrimPolicy { lo_q: 0.25, hi_q: 0.75, k: 1.5 }),
+                Just(TrimPolicy { lo_q: 0.5, hi_q: 0.5, k: 3.0 }),
+            ],
+        ) {
+            // Kind 0 is a stuck-at counter; the rest land on a small pool
+            // of values (duplicates), collapsed to one value when `single`.
+            let ticks: Vec<u64> = raw
+                .iter()
+                .map(|&(v, kind)| match kind {
+                    0 => u64::MAX,
+                    _ if single => 115u64.saturating_mul(scale),
+                    _ => v.saturating_mul(scale),
+                })
+                .collect();
+            let s = TimingSamples::new(ticks, cpt);
+            let fits = |t: u64| t.checked_add(1).and_then(|t1| t1.checked_mul(cpt)).is_some();
+            let counted = s.counted();
+            let sane_counted: Vec<(u64, usize)> =
+                counted.iter().copied().filter(|&(t, _)| fits(t)).collect();
+            let sane: Vec<u64> = s.ticks().iter().copied().filter(|&t| fits(t)).collect();
+            let window = fences(&sane_counted, policy);
+            prop_assert_eq!(bits(window), bits(expanded_fences(&sane, policy)));
+
+            let kept_ref: Vec<u64> = sane
+                .iter()
+                .copied()
+                .filter(|&t| window.is_some_and(|(lo, hi)| (lo..=hi).contains(&(t as f64))))
+                .collect();
+            let (kept, kept_counted, dropped) = s.trimmed_counted(&counted, policy);
+            let (trimmed, trimmed_dropped) = s.trimmed(policy);
+            prop_assert_eq!(kept.ticks(), &kept_ref[..]);
+            prop_assert_eq!(&trimmed, &kept);
+            prop_assert_eq!(kept_counted, trimmed.counted());
+            prop_assert_eq!(dropped, s.len() - kept_ref.len());
+            prop_assert_eq!(trimmed_dropped, dropped);
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! share one θ, as they must — they are the same static branch).
 
 use crate::em::EmOptions;
-use crate::fb::{e_step, FbError};
+use crate::fb::{e_step_inner, FbError};
 use crate::samples::DurationSamples;
 use ct_cfg::graph::{BlockId, Cfg, EdgeKind};
 use ct_cfg::profile::BranchProbs;
@@ -99,11 +99,13 @@ pub fn estimate_unrolled<S: DurationSamples + ?Sized>(
     let mut unexplained = 0;
     let mut iterations = 0;
     let mut final_counts = vec![0.0; u_edges.len()];
+    let hist = samples.counted();
+    let cpt = samples.cycles_per_tick();
 
     for iter in 0..opts.max_iter.max(1) {
         iterations = iter + 1;
-        let (exp, _) =
-            e_step(&u.cfg, &ubc, &uec, &u_probs, samples, opts.fb).map_err(UnrolledError::Em)?;
+        let (exp, _) = e_step_inner(&u.cfg, &ubc, &uec, &u_probs, &hist, cpt, opts.fb, None)
+            .map_err(UnrolledError::Em)?;
         loglik = exp.loglik;
         unexplained = exp.unexplained;
         final_counts = exp.counts.clone();

@@ -44,6 +44,13 @@ echo "== e17 smoke sweep (per-rung estimator race incl. the GNT backend) =="
 cargo build --release -p ct-bench --bin e17_estimators
 CT_SMOKE=1 ./target/release/e17_estimators > /dev/null
 
+echo "== perfbench faults smoke (ladder trails, pass-to-pass bitwise) =="
+# The benchmark checks its own output: every ladder trail in strict descent
+# ending in one accepted rung, every pass bitwise equal to the first. Any
+# failed check exits non-zero, so a ct-core API or behaviour change cannot
+# silently break the benchmark.
+python3 perfbench/run.py --workload faults --seed 1 --seconds 3 --trace 0 > /dev/null
+
 echo "== e15 smoke grid (chaos harness: crash/duplicate/straggler recovery) =="
 # e15 enforces its own claims by exit status: checkpoint-cycled recovery is
 # bitwise exact, duplicates never change results, >= 80% coverage stays
