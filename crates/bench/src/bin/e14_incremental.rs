@@ -6,9 +6,10 @@
 //! cold restart fan-out per batch, while landing on the same optimum as the
 //! monolithic estimate.
 //!
-//! Part 1 runs the fleet-service path ([`ct_pipeline::Fleet::run_streaming`]):
-//! per-mote `SuffStats` batches, one re-estimation each. Part 2 replays a
-//! single mote's stream in radio-sized batches through
+//! Part 1 runs the fleet-service path
+//! ([`ct_pipeline::Fleet::estimate_streaming`]): per-mote `SuffStats`
+//! batches, one re-estimation each. Part 2 replays a single mote's stream
+//! in radio-sized batches through
 //! [`ct_core::IncrementalEm`] against cold re-estimation from scratch at
 //! every batch, reporting amortized µs/batch for both.
 

@@ -18,11 +18,6 @@ pub const ENV_KNOBS: &[&str] = &[
     "CT_TRACE",
     "CT_TRACE_JSON",
     "CT_MANIFEST",
-    "CT_CHECKPOINT_PATH",
-    "CT_CHECKPOINT_EVERY",
-    "CT_SHARDS",
-    "CT_QUEUE_DEPTH",
-    "CT_REDUCE_EVERY",
     "CT_METRICS_PATH",
     "CT_FLIGHT_RECORDER",
     "CT_FLIGHT_DEPTH",

@@ -36,7 +36,7 @@
 //! per-batch loop. Larger deployments run the identical logic threaded
 //! (`ct_service::EstimationService`) with K shards and bounded queues.
 
-use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy};
+use crate::checkpoint::{self, CheckpointError, CheckpointPolicy};
 use crate::config::{EstimatorChoice, RunConfig};
 use crate::error::PipelineError;
 use crate::session::Session;
@@ -46,13 +46,11 @@ use ct_cfg::profile::{BranchProbs, EdgeProfile};
 use ct_core::accuracy::compare;
 use ct_core::em::EmOptions;
 use ct_core::estimator::{estimate_robust, Estimate as CoreEstimate, EstimateError, Method};
-use ct_core::samples::DurationSamples;
 use ct_core::stream::{BatchTag, SuffStats};
 use ct_faults::{MoteFaultOutcome, MoteFaultPlan};
 use ct_ir::instr::ProcId;
 use ct_ir::program::Program;
 use ct_service::{ServiceConfig, ServiceCore};
-use std::collections::BTreeSet;
 
 /// Marker payload of a fault-injected worker panic (the
 /// [`MoteFaultKind::CrashMidRun`](ct_faults::MoteFaultKind::CrashMidRun)
@@ -80,7 +78,7 @@ pub fn quiet_injected_crashes() {
 
 /// One mote's reduced contribution to the fleet profile: everything the
 /// base station keeps after ingesting the mote's record stream.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct MoteContribution {
     stats: SuffStats,
     truth_profile: EdgeProfile,
@@ -92,8 +90,10 @@ struct MoteContribution {
 /// What one mote's collection round produced, before the coordinator's
 /// order-insensitive fold.
 struct MoteReport {
-    /// Every delivery that arrived (duplicates repeat the tag).
-    deliveries: Vec<(BatchTag, MoteContribution)>,
+    /// The delivered report, if one arrived, under its batch tag.
+    delivery: Option<(BatchTag, MoteContribution)>,
+    /// True when the report arrived twice under the same tag.
+    duplicated: bool,
     /// Attempts that crashed or whose delivery was lost.
     retries: u64,
     /// The response delay that excluded the mote, if it straggled.
@@ -150,7 +150,7 @@ pub struct FleetRun {
     pub failed: usize,
     /// Total crashed or lost attempts that were retried.
     pub retries: u64,
-    /// Duplicate deliveries dropped by the coordinator's dedup.
+    /// Duplicate deliveries in [`FleetRun::deliveries`] (folded once).
     pub dedup_dropped: u64,
 }
 
@@ -286,7 +286,8 @@ impl Fleet {
                     ],
                 );
                 return Ok(MoteReport {
-                    deliveries: Vec::new(),
+                    delivery: None,
+                    duplicated: false,
                     retries,
                     straggler: Some(outcome.straggler_delay),
                     failed: false,
@@ -359,13 +360,10 @@ impl Fleet {
                 mote: index as u64,
                 seq: 0,
             };
-            let mut deliveries = vec![(tag, contribution)];
-            if outcome.duplicate_delivery {
-                // A lost acknowledgement: the same report, same tag, twice.
-                deliveries.push(deliveries[0].clone());
-            }
             return Ok(MoteReport {
-                deliveries,
+                delivery: Some((tag, contribution)),
+                // A lost acknowledgement: the same report, same tag, twice.
+                duplicated: outcome.duplicate_delivery,
                 retries,
                 straggler: None,
                 failed: false,
@@ -380,7 +378,8 @@ impl Fleet {
             ],
         );
         Ok(MoteReport {
-            deliveries: Vec::new(),
+            delivery: None,
+            duplicated: false,
             retries,
             straggler: None,
             failed: true,
@@ -391,8 +390,9 @@ impl Fleet {
     /// override the worker count) and merges their contributions. The
     /// merge is a left fold in mote order, but [`SuffStats::merge`] is
     /// associative and commutative, so any other reduction shape would
-    /// produce the identical result. Duplicate deliveries are dropped by
-    /// tag (`fleet.dedup`), crashed attempts retry (`fleet.retry`), and
+    /// produce the identical result. A duplicated delivery joins the raw
+    /// [`FleetRun::deliveries`] stream twice but is folded once
+    /// (`fleet.dedup`), crashed attempts retry (`fleet.retry`), and
     /// stragglers and exhausted motes are excluded — a partial fleet is a
     /// result, not an error.
     ///
@@ -420,7 +420,6 @@ impl Fleet {
         // The zero-invocation statics run gives the right per-procedure
         // shape with every counter at zero — the merge identity.
         let mut pmu = statics.pmu.clone();
-        let mut seen: BTreeSet<BatchTag> = BTreeSet::new();
         let (mut delivered, mut stragglers, mut failed) = (0usize, 0usize, 0usize);
         let (mut retries, mut dedup_dropped) = (0u64, 0u64);
         for report in reports {
@@ -428,23 +427,24 @@ impl Fleet {
             retries += r.retries;
             stragglers += r.straggler.is_some() as usize;
             failed += r.failed as usize;
-            let mut contributed = false;
-            for (tag, c) in r.deliveries {
+            let Some((tag, c)) = r.delivery else {
+                continue;
+            };
+            // Tags are `(mote, 0)`, unique per report, so the only duplicate
+            // a fleet run can see is the one its own report flagged.
+            deliveries.push((tag, c.stats.clone()));
+            if r.duplicated {
                 deliveries.push((tag, c.stats.clone()));
-                if !seen.insert(tag) {
-                    ct_obs::Counter::new("fleet.dedup").incr();
-                    dedup_dropped += 1;
-                    continue;
-                }
-                stats.merge(&c.stats)?;
-                mote_stats.push(c.stats);
-                truth_profile.merge(&c.truth_profile);
-                invocations += c.invocations;
-                cycles_used += c.cycles_used;
-                pmu.merge(&c.pmu);
-                contributed = true;
+                ct_obs::Counter::new("fleet.dedup").incr();
+                dedup_dropped += 1;
             }
-            delivered += contributed as usize;
+            stats.merge(&c.stats)?;
+            mote_stats.push(c.stats);
+            truth_profile.merge(&c.truth_profile);
+            invocations += c.invocations;
+            cycles_used += c.cycles_used;
+            pmu.merge(&c.pmu);
+            delivered += 1;
         }
         let truth = truth_profile.branch_probs(statics.cfg());
         Ok(FleetRun {
@@ -534,107 +534,6 @@ impl Fleet {
         }
     }
 
-    /// Records a checkpoint rejection: the typed reason goes to the trace
-    /// stream, the counter to the manifest, and the caller falls back to a
-    /// clean start — a bad snapshot degrades a restart, never a run. When
-    /// the flight recorder is on, the rejection also cuts an incident dump
-    /// (the `warn.ckpt_rejected` event lands in the ring first, so it is
-    /// in the dump's tail).
-    fn reject_checkpoint(e: &CheckpointError) {
-        ct_obs::Counter::new("ckpt.rejected").incr();
-        ct_obs::emit("warn.ckpt_rejected", vec![("error", e.to_string().into())]);
-        ct_obs::flight::incident("ckpt_rejected");
-    }
-
-    /// Attempts to restore streaming state from the policy's snapshot into
-    /// a pinned [`ServiceCore`]. Returns `None` — after recording
-    /// `ckpt.rejected` / a `warn.ckpt_rejected` event where applicable —
-    /// when there is no snapshot, it fails to decode, it was taken under a
-    /// different configuration, or its contents are internally
-    /// inconsistent. The fleet's consistency bar is stricter than the
-    /// service's: the per-batch path records one iteration-trail entry per
-    /// ledger tag and estimates after every batch, so a snapshot without
-    /// that shape cannot have come from this loop.
-    fn try_restore(
-        &self,
-        policy: &CheckpointPolicy,
-        cfg: &Cfg,
-        fingerprint: u64,
-    ) -> Option<(ServiceCore, Vec<usize>)> {
-        let path = policy.path.as_ref()?;
-        if !path.exists() {
-            return None;
-        }
-        let ck = match Checkpoint::load(path) {
-            Ok(ck) => ck,
-            Err(e) => {
-                Fleet::reject_checkpoint(&e);
-                return None;
-            }
-        };
-        if ck.fingerprint != fingerprint {
-            Fleet::reject_checkpoint(&CheckpointError::ConfigMismatch {
-                expected: fingerprint,
-                got: ck.fingerprint,
-            });
-            return None;
-        }
-        let consistent = ck.batches == ck.ledger.len() as u64
-            && ck.batch_iterations.len() == ck.ledger.len()
-            && (ck.batches == 0) == ck.last.is_none()
-            && ck.generations == ck.batches
-            && DurationSamples::cycles_per_tick(&ck.stats) == self.config.cycles_per_tick;
-        if !consistent {
-            Fleet::reject_checkpoint(&CheckpointError::Malformed(
-                "snapshot sections disagree on batch count or resolution".into(),
-            ));
-            return None;
-        }
-        let last = match &ck.last {
-            Some(e) => match e.to_em(cfg) {
-                Ok(r) => Some(r),
-                Err(e) => {
-                    Fleet::reject_checkpoint(&e);
-                    return None;
-                }
-            },
-            None => None,
-        };
-        ct_obs::Counter::new("ckpt.restored").incr();
-        ct_obs::emit("ckpt.restored", vec![("batches", ck.batches.into())]);
-        Some((
-            ServiceCore::restore(
-                &ServiceConfig::pinned(),
-                self.config.cycles_per_tick,
-                self.em_options(),
-                ck.stats,
-                last,
-                ck.batches,
-                ck.generations,
-                ck.ledger,
-                ck.cached,
-            ),
-            ck.batch_iterations,
-        ))
-    }
-
-    /// Writes a best-effort snapshot: a failed write warns (the
-    /// `ckpt.write_failed` counter and a `warn.ckpt_write_failed` event) and
-    /// the run continues — losing checkpoint durability must never fail
-    /// ingestion.
-    fn write_checkpoint(
-        policy: &CheckpointPolicy,
-        fingerprint: u64,
-        core: &ServiceCore,
-        batch_iterations: &[usize],
-    ) {
-        let Some(path) = policy.path.as_ref() else {
-            return;
-        };
-        core.checkpoint(fingerprint, batch_iterations)
-            .save_observed(path);
-    }
-
     /// Streaming fleet estimation: feeds each delivered batch (mote order)
     /// into an [`ct_core::IncrementalEm`] and re-estimates after every batch,
     /// warm-starting from the previous optimum with a shared convolution
@@ -667,22 +566,41 @@ impl Fleet {
         let _span = ct_obs::Span::enter("fleet.stream");
         let cfg = fleet_run.cfg();
         let fingerprint = self.fingerprint();
+        // The per-batch loop records one trail entry, one estimate, and
+        // one generation per batch; a snapshot of any other shape was not
+        // cut by this loop.
+        let restart = policy
+            .load_valid(fingerprint, self.config.cycles_per_tick, cfg)
+            .filter(|(ck, last)| {
+                let per_batch = ck.batch_iterations.len() as u64 == ck.batches
+                    && ck.generations == ck.batches
+                    && (ck.batches > 0) == last.is_some();
+                if !per_batch {
+                    checkpoint::reject(&CheckpointError::Malformed(
+                        "snapshot sections disagree on batch count or resolution".into(),
+                    ));
+                }
+                per_batch
+            });
         // One shard, reduced after every batch: the pinned service shape
         // under which ingest → reduce → estimate is bitwise the monolithic
         // per-batch loop.
-        let (mut core, mut batch_iterations, restored) =
-            match self.try_restore(policy, cfg, fingerprint) {
-                Some((core, iterations)) => (core, iterations, true),
-                None => (
-                    ServiceCore::new(
-                        &ServiceConfig::pinned(),
-                        self.config.cycles_per_tick,
-                        self.em_options(),
-                    ),
-                    Vec::with_capacity(fleet_run.deliveries.len()),
-                    false,
-                ),
-            };
+        let pinned = ServiceConfig::pinned();
+        let (mut core, mut batch_iterations, restored) = match restart {
+            Some((mut ck, last)) => {
+                let trail = std::mem::take(&mut ck.batch_iterations);
+                (
+                    ServiceCore::restore(&pinned, self.em_options(), ck, last),
+                    trail,
+                    true,
+                )
+            }
+            None => (
+                ServiceCore::new(&pinned, self.config.cycles_per_tick, self.em_options()),
+                Vec::with_capacity(fleet_run.deliveries.len()),
+                false,
+            ),
+        };
 
         let mut ingested_this_run = 0u64;
         let mut halted = false;
@@ -704,7 +622,10 @@ impl Fleet {
             batch_iterations.push(r.iterations);
             ingested_this_run += 1;
             if policy.enabled() && core.batches() % policy.every == 0 {
-                Fleet::write_checkpoint(policy, fingerprint, &core, &batch_iterations);
+                if let Some(path) = &policy.path {
+                    core.checkpoint(fingerprint, &batch_iterations)
+                        .save_observed(path);
+                }
             }
             if policy.halt_after == Some(ingested_this_run) {
                 halted = true;
@@ -765,38 +686,6 @@ impl Fleet {
         fleet_run: &FleetRun,
     ) -> Result<FleetStreamReport, PipelineError> {
         self.estimate_streaming_with(fleet_run, &CheckpointPolicy::disabled())
-    }
-
-    /// Runs the fleet and estimates via the streaming per-batch path under
-    /// an explicit checkpoint policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Fleet::run`] and [`Fleet::estimate_streaming_with`]
-    /// errors.
-    pub fn run_streaming_with(
-        &self,
-        policy: &CheckpointPolicy,
-    ) -> Result<(FleetRun, FleetStreamReport), PipelineError> {
-        let fleet_run = self.run()?;
-        let report = self.estimate_streaming_with(&fleet_run, policy)?;
-        Ok((fleet_run, report))
-    }
-
-    /// Runs the fleet and estimates via the streaming per-batch path — the
-    /// default entry point for the fleet-scale service loop (use
-    /// [`Fleet::run`] + [`Fleet::estimate`] for the one-shot merged-stats
-    /// estimate, which is pinned bitwise to the monolithic front door).
-    /// Checkpointing follows the process environment:
-    /// `CT_CHECKPOINT_PATH` / `CT_CHECKPOINT_EVERY`
-    /// (see [`CheckpointPolicy::from_env`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Fleet::run`] and [`Fleet::estimate_streaming_with`]
-    /// errors.
-    pub fn run_streaming(&self) -> Result<(FleetRun, FleetStreamReport), PipelineError> {
-        self.run_streaming_with(&CheckpointPolicy::from_env())
     }
 }
 
@@ -879,7 +768,8 @@ mod tests {
     fn streaming_estimation_is_deterministic_and_hits_the_cache() {
         let config = RunConfig::new("sense").invocations(400).seeded(13);
         let fleet = Fleet::new(config, 4);
-        let (fr, a) = fleet.run_streaming().unwrap();
+        let fr = fleet.run().unwrap();
+        let a = fleet.estimate_streaming(&fr).unwrap();
         let b = fleet.estimate_streaming(&fr).unwrap();
         assert_eq!(a.batches, 4);
         assert_eq!(a.batch_iterations, b.batch_iterations);
@@ -908,15 +798,17 @@ mod tests {
             refold.merge(s).unwrap();
         }
         assert_eq!(refold, fr.stats);
-        // So does the raw delivery stream under tag dedup.
-        let mut seen = BTreeSet::new();
-        let mut dedup_fold = SuffStats::new(fleet.config().cycles_per_tick);
+        // So does the raw delivery stream under the service's tag dedup.
+        let mut core = ServiceCore::new(
+            &ServiceConfig::pinned(),
+            fleet.config().cycles_per_tick,
+            EmOptions::default(),
+        );
         for (tag, s) in &fr.deliveries {
-            if seen.insert(*tag) {
-                dedup_fold.merge(s).unwrap();
-            }
+            core.ingest(*tag, s).unwrap();
         }
-        assert_eq!(dedup_fold, fr.stats);
+        core.reduce().unwrap();
+        assert_eq!(core.stats(), &fr.stats);
     }
 
     #[test]

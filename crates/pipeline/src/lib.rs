@@ -26,8 +26,10 @@
 //! the sharded estimation service: the fleet client drives a
 //! single-shard, reduce-per-batch `ct_service::ServiceCore`, which pins it
 //! bitwise to the pre-service per-batch loop while sharing all ingest,
-//! dedup, reduction, and snapshot logic with the threaded
-//! `ct_service::EstimationService`.
+//! dedup, reduction, snapshot, and restore logic with the threaded
+//! `ct_service::EstimationService`. Checkpointing is configured in code:
+//! pass [`CheckpointPolicy::to`] to [`Fleet::estimate_streaming_with`];
+//! restores go through [`CheckpointPolicy::load_valid`].
 //!
 //! ## Example
 //!

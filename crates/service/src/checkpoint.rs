@@ -1,5 +1,6 @@
 //! Checkpoint/restore for streaming ingestion — the fleet loop and the
-//! sharded estimation service share one snapshot format.
+//! sharded estimation service share one snapshot format and one restore
+//! path ([`CheckpointPolicy::load_valid`], refusals through [`reject`]).
 //!
 //! A [`Checkpoint`] is a versioned, checksummed binary snapshot of
 //! everything a streaming ingestion loop needs to resume after a process
@@ -13,7 +14,7 @@
 //!   at-least-once delivery, restore-then-redeliver is indistinguishable
 //!   from a duplicate delivery, so the same idempotence that kills
 //!   duplicates replays the stream past the crash point;
-//! - the last [`EmResult`](ct_core::em::EmResult) (the next warm start) and
+//! - the last [`EmResult`] (the next warm start) and
 //!   the per-batch iteration trail, so a resumed run's report equals the
 //!   uninterrupted one;
 //! - the reduce-tier **generation** count, so a restored service resumes
@@ -40,6 +41,8 @@
 //! snapshot must *never* panic the service; callers fall back to a clean
 //! start.
 
+use ct_cfg::graph::Cfg;
+use ct_core::em::EmResult;
 use ct_core::samples::DurationSamples;
 use ct_core::stream::{BatchTag, SuffStats};
 use std::error::Error;
@@ -126,7 +129,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// A serialized EM estimate: [`EmResult`](ct_core::em::EmResult) with the
+/// A serialized EM estimate: [`EmResult`] with the
 /// probabilities flattened to raw `f64`s, so decoding needs no CFG and the
 /// range/shape validation happens explicitly at restore time
 /// ([`CheckpointEstimate::to_em`]) instead of inside a panicking
@@ -153,7 +156,7 @@ pub struct CheckpointEstimate {
 
 impl CheckpointEstimate {
     /// Flattens an estimate for serialization.
-    pub fn from_em(r: &ct_core::em::EmResult) -> CheckpointEstimate {
+    pub fn from_em(r: &EmResult) -> CheckpointEstimate {
         CheckpointEstimate {
             probs: r.probs.as_slice().to_vec(),
             iterations: r.iterations,
@@ -167,7 +170,7 @@ impl CheckpointEstimate {
     }
 
     /// Revalidates the estimate against `cfg` and rebuilds the
-    /// [`EmResult`](ct_core::em::EmResult).
+    /// [`EmResult`].
     ///
     /// # Errors
     ///
@@ -176,10 +179,7 @@ impl CheckpointEstimate {
     /// non-finite, or the edge-count vector has the wrong arity — the
     /// checks that keep a hostile payload from reaching the panicking
     /// [`BranchProbs::from_vec`](ct_cfg::profile::BranchProbs::from_vec).
-    pub fn to_em(
-        &self,
-        cfg: &ct_cfg::graph::Cfg,
-    ) -> Result<ct_core::em::EmResult, CheckpointError> {
+    pub fn to_em(&self, cfg: &Cfg) -> Result<EmResult, CheckpointError> {
         let arity = ct_cfg::profile::BranchProbs::uniform(cfg, 0.5)
             .as_slice()
             .len();
@@ -205,7 +205,7 @@ impl CheckpointEstimate {
                 cfg.edges().len()
             )));
         }
-        Ok(ct_core::em::EmResult {
+        Ok(EmResult {
             probs: ct_cfg::profile::BranchProbs::from_vec(cfg, self.probs.clone()),
             iterations: self.iterations,
             loglik: self.loglik,
@@ -404,17 +404,21 @@ impl Checkpoint {
         }
         let mut l = [0u8; 8];
         l.copy_from_slice(&bytes[8..16]);
-        let payload_len = u64::from_le_bytes(l);
-        let expected = (payload_len as u128 + 24) as usize;
-        if payload_len > usize::MAX as u64 || bytes.len() < expected {
+        // Header + payload + checksum; a length no buffer can hold
+        // saturates, so it reads as truncated instead of wrapping.
+        let expected = usize::try_from(u64::from_le_bytes(l))
+            .ok()
+            .and_then(|n| n.checked_add(24))
+            .unwrap_or(usize::MAX);
+        if bytes.len() < expected {
             return Err(CheckpointError::Truncated {
                 expected,
                 got: bytes.len(),
             });
         }
-        let payload = &bytes[16..16 + payload_len as usize];
+        let payload = &bytes[16..expected - 8];
         let mut c = [0u8; 8];
-        c.copy_from_slice(&bytes[16 + payload_len as usize..expected]);
+        c.copy_from_slice(&bytes[expected - 8..expected]);
         let recorded = u64::from_le_bytes(c);
         let computed = fnv1a64(payload);
         if recorded != computed {
@@ -614,26 +618,74 @@ impl CheckpointPolicy {
         self
     }
 
-    /// Reads `CT_CHECKPOINT_PATH` / `CT_CHECKPOINT_EVERY` from the process
-    /// environment: no path means checkpointing stays disabled; an unset or
-    /// unparsable cadence defaults to every batch.
-    pub fn from_env() -> CheckpointPolicy {
-        match std::env::var("CT_CHECKPOINT_PATH") {
-            Ok(path) if !path.is_empty() => {
-                let every = std::env::var("CT_CHECKPOINT_EVERY")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(1);
-                CheckpointPolicy::to(path).every(every)
-            }
-            _ => CheckpointPolicy::disabled(),
-        }
-    }
-
     /// True when snapshots will actually be written.
     pub fn enabled(&self) -> bool {
         self.path.is_some() && self.every > 0
     }
+
+    /// Loads the policy's snapshot for a restart and validates it against
+    /// the running configuration. Returns the checkpoint with its warm
+    /// start revalidated against `cfg`, or `None` for a clean start: there
+    /// is no snapshot, or it was refused through [`reject`]. A snapshot is
+    /// refused when it does not decode, was taken under another
+    /// `fingerprint`, disagrees with itself (`batches` vs the ledger,
+    /// `generations > batches`, a resolution other than
+    /// `cycles_per_tick`), or carries a warm start that fails
+    /// [`CheckpointEstimate::to_em`]. A loop with a stricter shape checks
+    /// it on the returned checkpoint and refuses through [`reject`] too.
+    pub fn load_valid(
+        &self,
+        fingerprint: u64,
+        cycles_per_tick: u64,
+        cfg: &Cfg,
+    ) -> Option<(Checkpoint, Option<EmResult>)> {
+        let path = self.path.as_ref().filter(|p| p.exists())?;
+        match validate(path, fingerprint, cycles_per_tick, cfg) {
+            Ok(restored) => Some(restored),
+            Err(e) => {
+                reject(&e);
+                None
+            }
+        }
+    }
+}
+
+fn validate(
+    path: &Path,
+    fingerprint: u64,
+    cycles_per_tick: u64,
+    cfg: &Cfg,
+) -> Result<(Checkpoint, Option<EmResult>), CheckpointError> {
+    let ck = Checkpoint::load(path)?;
+    if ck.fingerprint != fingerprint {
+        return Err(CheckpointError::ConfigMismatch {
+            expected: fingerprint,
+            got: ck.fingerprint,
+        });
+    }
+    // On-demand estimation may leave no warm start at `batches > 0`, and
+    // several batches may share one generation.
+    let consistent = ck.batches == ck.ledger.len() as u64
+        && ck.generations <= ck.batches
+        && DurationSamples::cycles_per_tick(&ck.stats) == cycles_per_tick;
+    if !consistent {
+        return Err(CheckpointError::Malformed(
+            "snapshot sections disagree on batch count or resolution".into(),
+        ));
+    }
+    let last = ck.last.as_ref().map(|e| e.to_em(cfg)).transpose()?;
+    Ok((ck, last))
+}
+
+/// Records a refused snapshot: the `ckpt.rejected` counter, a
+/// `warn.ckpt_rejected` event with the typed reason, and — with the flight
+/// recorder on — a `ckpt_rejected` incident dump. The caller then starts
+/// clean: a bad snapshot degrades a restart, never a run.
+pub fn reject(e: &CheckpointError) {
+    ct_obs::Counter::new("ckpt.rejected").incr();
+    ct_obs::emit("warn.ckpt_rejected", vec![("error", e.to_string().into())]);
+    // After the emit, so the dump's tail contains the warning itself.
+    ct_obs::flight::incident("ckpt_rejected");
 }
 
 #[cfg(test)]
@@ -761,6 +813,19 @@ mod tests {
             Checkpoint::decode(&bytes[..bytes.len() - 3]).unwrap_err(),
             CheckpointError::Truncated { .. }
         ));
+        // Length fields whose header + payload + checksum total overflows
+        // must read as truncated, not wrap and panic while slicing.
+        for len in [u64::MAX, u64::MAX - 23, u64::MAX - 24] {
+            let mut hostile = bytes[..32].to_vec();
+            hostile[8..16].copy_from_slice(&len.to_le_bytes());
+            assert!(
+                matches!(
+                    Checkpoint::decode(&hostile).unwrap_err(),
+                    CheckpointError::Truncated { got: 32, .. }
+                ),
+                "length {len:#x}"
+            );
+        }
         let mut corrupt = bytes.clone();
         let mid = 16 + 4; // inside the payload
         corrupt[mid] ^= 0xFF;
@@ -827,7 +892,7 @@ mod tests {
     }
 
     #[test]
-    fn policy_from_env_shape() {
+    fn policy_builders_shape() {
         let off = CheckpointPolicy::disabled();
         assert!(!off.enabled());
         let on = CheckpointPolicy::to("/tmp/x.ckpt").every(4).halt_after(2);

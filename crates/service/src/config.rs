@@ -1,11 +1,11 @@
-//! Service topology knobs: shard count, queue depth, reduce cadence.
+//! Service topology: shard count and queue depth.
 
-/// How the estimation service is laid out: how many shard accumulators,
-/// how deep each bounded ingest queue is, and how often the reduce tier
-/// folds shard deltas into the global statistics.
+/// How the estimation service is laid out: how many shard accumulators
+/// and how deep each bounded ingest queue is. The reduce cadence is not a
+/// setting: the caller decides when to reduce.
 ///
-/// None of these knobs can change *what* is estimated — the reduce tier's
-/// tree reduction is bitwise shard-count- and cadence-invariant (see
+/// None of these knobs can change *what* is estimated — the reduce
+/// tier's tree reduction is bitwise shard-count- and cadence-invariant (see
 /// [`SuffStats::tree_reduce`](ct_core::stream::SuffStats::tree_reduce)) —
 /// they only trade memory, latency, and contention.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,10 +18,6 @@ pub struct ServiceConfig {
     /// in non-blocking mode) — explicit backpressure instead of unbounded
     /// buffering. At least 1.
     pub queue_depth: usize,
-    /// Reduce cadence hint, in accepted batches: coordinators that poll
-    /// [`EstimationService::reduce`](crate::EstimationService::reduce)
-    /// use it to decide how often to harvest. At least 1.
-    pub reduce_every: u64,
     /// Test/bench-only: microseconds each shard worker sleeps per batch,
     /// to force backpressure deterministically in small experiments. 0 in
     /// production.
@@ -33,27 +29,24 @@ impl Default for ServiceConfig {
         ServiceConfig {
             shards: 4,
             queue_depth: 1024,
-            reduce_every: 256,
             ingest_stall_us: 0,
         }
     }
 }
 
 impl ServiceConfig {
-    /// The default topology: 4 shards, 1024-deep queues, reduce every 256
-    /// batches.
+    /// The default topology: 4 shards, 1024-deep queues.
     pub fn new() -> ServiceConfig {
         ServiceConfig::default()
     }
 
-    /// The topology the pinned `Fleet` streaming client uses: one shard,
-    /// reduced after every batch — the shape under which the service is
-    /// bitwise the pre-service monolithic loop.
+    /// The topology the pinned `Fleet` streaming client uses: one shard
+    /// (which the client reduces after every batch) — the shape under
+    /// which the service is bitwise the pre-service monolithic loop.
     pub fn pinned() -> ServiceConfig {
         ServiceConfig {
             shards: 1,
             queue_depth: 1,
-            reduce_every: 1,
             ingest_stall_us: 0,
         }
     }
@@ -71,33 +64,10 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the reduce cadence in batches (builder style; clamped to at
-    /// least 1).
-    pub fn reduce_every(mut self, batches: u64) -> ServiceConfig {
-        self.reduce_every = batches.max(1);
-        self
-    }
-
     /// Sets the per-batch worker stall (builder style; test/bench only).
     pub fn ingest_stall_us(mut self, us: u64) -> ServiceConfig {
         self.ingest_stall_us = us;
         self
-    }
-
-    /// Reads `CT_SHARDS` / `CT_QUEUE_DEPTH` / `CT_REDUCE_EVERY` from the
-    /// process environment, defaulting each unset or unparsable knob.
-    pub fn from_env() -> ServiceConfig {
-        fn knob<T: std::str::FromStr>(name: &str, default: T) -> T {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        }
-        let d = ServiceConfig::default();
-        ServiceConfig::new()
-            .shards(knob("CT_SHARDS", d.shards))
-            .queue_depth(knob("CT_QUEUE_DEPTH", d.queue_depth))
-            .reduce_every(knob("CT_REDUCE_EVERY", d.reduce_every))
     }
 }
 
@@ -107,19 +77,15 @@ mod tests {
 
     #[test]
     fn builders_clamp_degenerate_values() {
-        let c = ServiceConfig::new()
-            .shards(0)
-            .queue_depth(0)
-            .reduce_every(0);
+        let c = ServiceConfig::new().shards(0).queue_depth(0);
         assert_eq!(c.shards, 1);
         assert_eq!(c.queue_depth, 1);
-        assert_eq!(c.reduce_every, 1);
     }
 
     #[test]
-    fn pinned_shape_is_one_shard_per_batch_reduction() {
+    fn pinned_shape_is_one_shard() {
         let p = ServiceConfig::pinned();
-        assert_eq!((p.shards, p.queue_depth, p.reduce_every), (1, 1, 1));
+        assert_eq!((p.shards, p.queue_depth), (1, 1));
         assert_eq!(p.ingest_stall_us, 0);
     }
 }

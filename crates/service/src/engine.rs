@@ -45,44 +45,27 @@ impl ServiceCore {
         }
     }
 
-    /// Rebuilds a service from checkpointed state: the reduce tier resumes
-    /// the accumulator, warm start, batch count, and generation; every
-    /// ledger tag is seeded into its routing shard so at-least-once replay
-    /// drops everything the snapshot already folded in. `cached` marks the
-    /// warm start as a current serve-cache entry for the restored
-    /// generation (pass the snapshot's [`Checkpoint::cached`] flag).
-    #[allow(clippy::too_many_arguments)]
+    /// Rebuilds a service from a validated checkpoint and its revalidated
+    /// warm start (see [`ReduceTier::restore`]): the reduce tier resumes
+    /// the accumulator, warm start, batch count, generation, and serve
+    /// cache; every ledger tag is seeded into its routing shard so
+    /// at-least-once replay drops everything the snapshot already folded
+    /// in.
     pub fn restore(
         config: &ServiceConfig,
-        cycles_per_tick: u64,
         opts: EmOptions,
-        stats: SuffStats,
+        ck: Checkpoint,
         last: Option<EmResult>,
-        batches: u64,
-        generation: u64,
-        ledger: Vec<BatchTag>,
-        cached: bool,
     ) -> ServiceCore {
+        let reduce = ReduceTier::restore(opts, ck, last);
         let shard_count = config.shards.max(1);
         let mut shards: Vec<Shard> = (0..shard_count)
-            .map(|i| Shard::new(i, cycles_per_tick))
+            .map(|i| Shard::new(i, reduce.cycles_per_tick()))
             .collect();
-        for &tag in &ledger {
+        for &tag in reduce.ledger() {
             shards[route(tag, shard_count)].seed_ledger([tag]);
         }
-        ServiceCore {
-            shards,
-            reduce: ReduceTier::restore(
-                cycles_per_tick,
-                opts,
-                stats,
-                last,
-                batches,
-                generation,
-                ledger,
-                cached,
-            ),
-        }
+        ServiceCore { shards, reduce }
     }
 
     /// Ingests one tagged batch into its routing shard. Returns `Ok(true)`
@@ -277,17 +260,9 @@ mod tests {
         a.estimate(&cfg, &bc, &ec).unwrap();
         let ck = a.checkpoint(9, &[]);
 
-        let mut b = ServiceCore::restore(
-            &config,
-            1,
-            EmOptions::default(),
-            ck.stats.clone(),
-            ck.last.as_ref().map(|e| e.to_em(&cfg).unwrap()),
-            ck.batches,
-            ck.generations,
-            ck.ledger.clone(),
-            ck.cached,
-        );
+        let generations = ck.generations;
+        let last = ck.last.as_ref().map(|e| e.to_em(&cfg).unwrap());
+        let mut b = ServiceCore::restore(&config, EmOptions::default(), ck, last);
         // Replaying the whole stream dedups everything already folded in.
         for m in 0..4u64 {
             assert!(!b.ingest(tag(m, 0), &delta_of(&[115, 215])).unwrap());
@@ -295,7 +270,7 @@ mod tests {
         assert!(b.ingest(tag(4, 0), &delta_of(&[115])).unwrap());
         b.reduce().unwrap();
         assert_eq!(b.batches(), 5);
-        assert_eq!(b.generation(), ck.generations + 1);
+        assert_eq!(b.generation(), generations + 1);
     }
 
     #[test]

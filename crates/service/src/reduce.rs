@@ -51,30 +51,24 @@ impl ReduceTier {
         }
     }
 
-    /// Rebuilds a tier from checkpointed state. The warm-start estimate
-    /// (`last`) seeds the incremental EM either way; it is treated as a
-    /// cached response for the restored generation only when `cached` says
-    /// it was current when the snapshot was cut — a stale warm start (the
-    /// snapshot absorbed generations after the last serve) must trigger a
-    /// re-estimate on the first serve, exactly as it would have in the
-    /// interrupted process.
-    #[allow(clippy::too_many_arguments)]
-    pub fn restore(
-        cycles_per_tick: u64,
-        opts: EmOptions,
-        stats: SuffStats,
-        last: Option<EmResult>,
-        batches: u64,
-        generation: u64,
-        ledger: impl IntoIterator<Item = BatchTag>,
-        cached: bool,
-    ) -> ReduceTier {
-        let cached_generation = (cached && last.is_some()).then_some(generation);
+    /// Rebuilds a tier from a validated checkpoint (see
+    /// [`CheckpointPolicy::load_valid`](crate::CheckpointPolicy::load_valid))
+    /// and its revalidated warm start `last`, and counts the restore under
+    /// `ckpt.restored`. The warm start seeds the incremental EM either way;
+    /// it is treated as a cached response for the restored generation only
+    /// when [`Checkpoint::cached`] says it was current when the snapshot
+    /// was cut — a stale warm start (the snapshot absorbed generations
+    /// after the last serve) must trigger a re-estimate on the first
+    /// serve, exactly as it would have in the interrupted process.
+    pub fn restore(opts: EmOptions, ck: Checkpoint, last: Option<EmResult>) -> ReduceTier {
+        ct_obs::Counter::new("ckpt.restored").incr();
+        ct_obs::emit("ckpt.restored", vec![("batches", ck.batches.into())]);
+        let cached_generation = (ck.cached && last.is_some()).then_some(ck.generations);
         ReduceTier {
-            cycles_per_tick,
-            inc: IncrementalEm::restore(stats, last, batches, opts),
-            ledger: ledger.into_iter().collect(),
-            generation,
+            cycles_per_tick: DurationSamples::cycles_per_tick(&ck.stats),
+            inc: IncrementalEm::restore(ck.stats, last, ck.batches, opts),
+            ledger: ck.ledger.into_iter().collect(),
+            generation: ck.generations,
             cached_generation,
         }
     }
@@ -360,16 +354,8 @@ mod tests {
         let ck = tier.checkpoint(7, &[]);
         assert_eq!(ck.generations, 1);
         assert!(ck.cached, "serve cache was current at the snapshot");
-        let mut back = ReduceTier::restore(
-            1,
-            EmOptions::default(),
-            ck.stats.clone(),
-            ck.last.as_ref().map(|e| e.to_em(&cfg).unwrap()),
-            ck.batches,
-            ck.generations,
-            ck.ledger.iter().copied(),
-            ck.cached,
-        );
+        let last = ck.last.as_ref().map(|e| e.to_em(&cfg).unwrap());
+        let mut back = ReduceTier::restore(EmOptions::default(), ck, last);
         assert_eq!(back.generation(), 1);
         assert_eq!(back.batches(), 1);
         let replay = back
@@ -409,16 +395,8 @@ mod tests {
             !ck.cached,
             "warm start predates the snapshot generation; it must not be marked cached"
         );
-        let mut back = ReduceTier::restore(
-            1,
-            EmOptions::default(),
-            ck.stats.clone(),
-            ck.last.as_ref().map(|e| e.to_em(&cfg).unwrap()),
-            ck.batches,
-            ck.generations,
-            ck.ledger.iter().copied(),
-            ck.cached,
-        );
+        let last = ck.last.as_ref().map(|e| e.to_em(&cfg).unwrap());
+        let mut back = ReduceTier::restore(EmOptions::default(), ck, last);
         let fresh = back
             .serve(&EstimateRequest::latest("d"), &cfg, &bc, &ec, 0)
             .unwrap();

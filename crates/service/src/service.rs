@@ -35,13 +35,12 @@
 //! workspace.
 
 use crate::api::{EstimateRequest, EstimateResponse, IngestError, ServiceError};
-use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy};
+use crate::checkpoint::{Checkpoint, CheckpointPolicy};
 use crate::config::ServiceConfig;
 use crate::reduce::ReduceTier;
 use crate::shard::{route, Shard, ShardHarvest};
 use ct_cfg::graph::Cfg;
 use ct_core::em::EmOptions;
-use ct_core::samples::DurationSamples;
 use ct_core::stream::{BatchTag, SuffStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
@@ -252,9 +251,7 @@ impl EstimationService {
     ) -> EstimationService {
         EstimationService::launch(
             config,
-            cycles_per_tick,
             ReduceTier::new(cycles_per_tick, opts),
-            Vec::new(),
             CheckpointPolicy::disabled(),
             0,
             false,
@@ -262,12 +259,11 @@ impl EstimationService {
     }
 
     /// Starts the shard workers under a checkpoint policy, restoring from
-    /// the policy's snapshot when one exists, decodes, matches
-    /// `fingerprint`, and is internally consistent. A missing snapshot
-    /// starts clean; a bad one is rejected (`ckpt.rejected` +
-    /// `warn.ckpt_rejected`) and *also* starts clean — a snapshot can
-    /// degrade a restart, never a run. `cfg` revalidates the snapshot's
-    /// warm-start estimate.
+    /// the policy's snapshot when [`CheckpointPolicy::load_valid`] accepts
+    /// it. A missing snapshot starts clean; a bad one is rejected
+    /// (`ckpt.rejected` + `warn.ckpt_rejected`) and *also* starts clean — a
+    /// snapshot can degrade a restart, never a run. `cfg` revalidates the
+    /// snapshot's warm-start estimate.
     pub fn start_with_checkpoints(
         config: &ServiceConfig,
         cycles_per_tick: u64,
@@ -276,110 +272,24 @@ impl EstimationService {
         policy: CheckpointPolicy,
         fingerprint: u64,
     ) -> EstimationService {
-        match EstimationService::try_restore(&policy, cycles_per_tick, opts, cfg, fingerprint) {
-            Some(tier) => {
-                let ledger: Vec<BatchTag> = tier.ledger().iter().copied().collect();
-                EstimationService::launch(
-                    config,
-                    cycles_per_tick,
-                    tier,
-                    ledger,
-                    policy,
-                    fingerprint,
-                    true,
-                )
-            }
-            None => EstimationService::launch(
-                config,
-                cycles_per_tick,
-                ReduceTier::new(cycles_per_tick, opts),
-                Vec::new(),
-                policy,
-                fingerprint,
-                false,
-            ),
-        }
-    }
-
-    fn reject(e: &CheckpointError) {
-        ct_obs::Counter::new("ckpt.rejected").incr();
-        ct_obs::emit("warn.ckpt_rejected", vec![("error", e.to_string().into())]);
-        // After the emit, so the dump's tail contains the warning itself.
-        ct_obs::flight::incident("ckpt_rejected");
-    }
-
-    fn try_restore(
-        policy: &CheckpointPolicy,
-        cycles_per_tick: u64,
-        opts: EmOptions,
-        cfg: &Cfg,
-        fingerprint: u64,
-    ) -> Option<ReduceTier> {
-        let path = policy.path.as_ref()?;
-        if !path.exists() {
-            return None;
-        }
-        let ck = match Checkpoint::load(path) {
-            Ok(ck) => ck,
-            Err(e) => {
-                EstimationService::reject(&e);
-                return None;
-            }
+        let (tier, restored) = match policy.load_valid(fingerprint, cycles_per_tick, cfg) {
+            Some((ck, last)) => (ReduceTier::restore(opts, ck, last), true),
+            None => (ReduceTier::new(cycles_per_tick, opts), false),
         };
-        if ck.fingerprint != fingerprint {
-            EstimationService::reject(&CheckpointError::ConfigMismatch {
-                expected: fingerprint,
-                got: ck.fingerprint,
-            });
-            return None;
-        }
-        // Service snapshots estimate on demand, so (unlike the fleet's
-        // per-batch trail) an empty estimate with batches > 0 is legal.
-        let consistent = ck.batches == ck.ledger.len() as u64
-            && ck.generations <= ck.batches
-            && DurationSamples::cycles_per_tick(&ck.stats) == cycles_per_tick;
-        if !consistent {
-            EstimationService::reject(&CheckpointError::Malformed(
-                "snapshot sections disagree on batch count or resolution".into(),
-            ));
-            return None;
-        }
-        let last = match &ck.last {
-            Some(e) => match e.to_em(cfg) {
-                Ok(r) => Some(r),
-                Err(e) => {
-                    EstimationService::reject(&e);
-                    return None;
-                }
-            },
-            None => None,
-        };
-        ct_obs::Counter::new("ckpt.restored").incr();
-        ct_obs::emit("ckpt.restored", vec![("batches", ck.batches.into())]);
-        Some(ReduceTier::restore(
-            cycles_per_tick,
-            opts,
-            ck.stats,
-            last,
-            ck.batches,
-            ck.generations,
-            ck.ledger,
-            ck.cached,
-        ))
+        EstimationService::launch(config, tier, policy, fingerprint, restored)
     }
 
     fn launch(
         config: &ServiceConfig,
-        cycles_per_tick: u64,
         tier: ReduceTier,
-        ledger: Vec<BatchTag>,
         policy: CheckpointPolicy,
         fingerprint: u64,
         restored: bool,
     ) -> EstimationService {
         let shards = config.shards.max(1);
+        let cycles_per_tick = tier.cycles_per_tick();
         let mut seeded: Vec<Vec<BatchTag>> = vec![Vec::new(); shards];
-        for tag in ledger {
+        for &tag in tier.ledger() {
             seeded[route(tag, shards)].push(tag);
         }
         let mut senders = Vec::with_capacity(shards);

@@ -33,6 +33,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet \
 echo "== merge property tests (streaming ingestion fast path) =="
 cargo test --release -p ct-pipeline --test merge_props --quiet
 
+echo "== service unit tests + checkpoint restore (the one restore path) =="
+cargo test --release -p ct-service --quiet
+cargo test --release -p ct-pipeline --test checkpoint_restore --quiet
+
 echo "== e13 smoke sweep (fault-injection pipeline end to end) =="
 cargo build --release -p ct-bench --bin e13_faults
 E13_SMOKE=1 ./target/release/e13_faults > /dev/null
