@@ -1,8 +1,7 @@
 //! E14 — Streaming re-estimation at batch granularity (Table, extension).
 //!
-//! Claim evaluated: with warm-started incremental EM and the per-edge
-//! convolution cache, re-estimating after **every** arriving batch costs an
-//! amortized handful of sweeps — affordable at fleet cadence — instead of a
+//! Claim evaluated: with warm-started incremental EM, re-estimating after
+//! **every** arriving batch costs an amortized handful of sweeps — affordable at fleet cadence — instead of a
 //! cold restart fan-out per batch, while landing on the same optimum as the
 //! monolithic estimate.
 //!
@@ -35,7 +34,6 @@ fn main() {
         "total ms",
         "us/batch",
         "iters/batch",
-        "cache hit rate",
         "mae",
     ]);
 
@@ -48,10 +46,6 @@ fn main() {
         .estimate_streaming(&fleet_run)
         .expect("streaming estimation succeeds");
     let elapsed = start.elapsed();
-    assert!(
-        report.cache_hits > 0,
-        "streaming fleet estimation produced no convolution-cache hits"
-    );
     let total_iters: usize = report.batch_iterations.iter().sum();
     table.row(vec![
         "fleet streaming".to_string(),
@@ -60,12 +54,11 @@ fn main() {
         f2(elapsed.as_secs_f64() * 1e3),
         f2(elapsed.as_secs_f64() * 1e6 / report.batches as f64),
         f2(total_iters as f64 / report.batches as f64),
-        f4(report.cache_hits as f64 / (report.cache_hits + report.cache_misses).max(1) as f64),
         f4(report.estimated.accuracy.mae),
     ]);
 
     // Part 2: one mote's stream replayed in radio-sized batches —
-    // incremental (warm + cached) vs cold re-estimation per batch.
+    // incremental (warm-started) vs cold re-estimation per batch.
     let session = Session::new(RunConfig::new("sense").invocations(n).seeded(seed));
     let run = session.collect().expect("runs clean");
     let cfg = run.cfg().clone();
@@ -96,10 +89,6 @@ fn main() {
     }
     let inc_elapsed = start.elapsed();
     let inc_result = inc.last().expect("estimated").clone();
-    assert!(
-        inc.cache_hits() > 0,
-        "incremental replay produced no convolution-cache hits"
-    );
     let inc_acc = ct_core::accuracy::compare(
         &cfg,
         &inc_result.probs,
@@ -108,13 +97,12 @@ fn main() {
         run.invocations,
     );
     table.row(vec![
-        "incremental (warm+cache)".to_string(),
+        "incremental (warm)".to_string(),
         deltas.len().to_string(),
         ticks.len().to_string(),
         f2(inc_elapsed.as_secs_f64() * 1e3),
         f2(inc_elapsed.as_secs_f64() * 1e6 / deltas.len() as f64),
         f2(inc_iters as f64 / deltas.len() as f64),
-        f4(inc.cache_hits() as f64 / (inc.cache_hits() + inc.cache_misses()).max(1) as f64),
         f4(inc_acc.mae),
     ]);
 
@@ -145,7 +133,6 @@ fn main() {
         f2(cold_elapsed.as_secs_f64() * 1e3),
         f2(cold_elapsed.as_secs_f64() * 1e6 / deltas.len() as f64),
         f2(cold_iters as f64 / deltas.len() as f64),
-        "0.0000".to_string(),
         f4(cold_acc.mae),
     ]);
 
@@ -167,8 +154,8 @@ fn main() {
     let out = format!(
         "# E14 — Streaming re-estimation at batch granularity\n\n\
          `sense`, {motes} motes / {batches} replay batches, seed {seed}. Incremental EM\n\
-         warm-starts each re-estimation from the previous optimum and reuses cached\n\
-         windowed convolutions across batches; cold EM restarts from scratch each time.\n\
+         warm-starts each re-estimation from the previous optimum; cold EM restarts\n\
+         from scratch each time.\n\
          Incremental replay speedup over cold: {speedup:.1}x.\n\
          {}\n\n{}",
         env.banner(),

@@ -13,9 +13,9 @@
 //! This is Baum–Welch on a semi-Markov chain whose emissions are cycle
 //! costs, observed through the timer's quantization kernel.
 
-use crate::fb::{e_step_inner, EStepCache, FbError, FbParams};
+use crate::fb::{e_step_planned, FbError, FbParams, FbPlan, FbScratch};
 use crate::samples::DurationSamples;
-use ct_cfg::graph::{Cfg, EdgeKind};
+use ct_cfg::graph::Cfg;
 use ct_cfg::profile::BranchProbs;
 
 /// EM configuration.
@@ -99,10 +99,6 @@ pub fn estimate_em<S: DurationSamples + ?Sized>(
 /// Estimates branch probabilities by EM from an explicit starting point
 /// (used for restarts and warm starts).
 ///
-/// Runs with a fresh per-run [`EStepCache`]: within the run, edges whose
-/// forward/backward factors did not change between iterations reuse their
-/// windowed convolution. Results are bit-identical to an uncached run.
-///
 /// # Errors
 ///
 /// Propagates [`FbError`] from the dynamic programs.
@@ -114,39 +110,6 @@ pub fn estimate_em_from<S: DurationSamples + ?Sized>(
     init: BranchProbs,
     opts: EmOptions,
 ) -> Result<EmResult, FbError> {
-    let mut cache = EStepCache::new();
-    estimate_em_cached(
-        cfg,
-        block_costs,
-        edge_costs,
-        samples,
-        init,
-        opts,
-        &mut cache,
-    )
-}
-
-/// [`estimate_em_from`] against a caller-owned [`EStepCache`], so the cache
-/// survives across calls — the incremental path re-estimates each
-/// [`crate::stream::SuffStats`] batch with the previous batch's cache, and
-/// the warm start makes the first E-step's tables bitwise-identical to the
-/// previous optimum's, turning its convolutions into pure cache hits.
-///
-/// Emits `em.cache.hit` / `em.cache.miss` counter deltas and one `em.cache`
-/// event per run (deterministic content; thread-count-insensitive).
-///
-/// # Errors
-///
-/// Propagates [`FbError`] from the dynamic programs.
-pub fn estimate_em_cached<S: DurationSamples + ?Sized>(
-    cfg: &Cfg,
-    block_costs: &[u64],
-    edge_costs: &[u64],
-    samples: &S,
-    init: BranchProbs,
-    opts: EmOptions,
-    cache: &mut EStepCache,
-) -> Result<EmResult, FbError> {
     estimate_em_counted(
         cfg,
         block_costs,
@@ -155,16 +118,14 @@ pub fn estimate_em_cached<S: DurationSamples + ?Sized>(
         samples.cycles_per_tick(),
         init,
         opts,
-        cache,
     )
 }
 
-/// [`estimate_em_cached`] over a pre-built distinct-tick histogram
+/// [`estimate_em_from`] over a pre-built distinct-tick histogram
 /// `counted` (ascending, as [`DurationSamples::counted`] returns it)
 /// observed at `cycles_per_tick` — everything EM reads of the samples.
 /// Callers running several EM passes over one sample set (restarts, the
 /// ladder's rungs) build the histogram once and share it.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn estimate_em_counted(
     cfg: &Cfg,
     block_costs: &[u64],
@@ -173,181 +134,127 @@ pub(crate) fn estimate_em_counted(
     cycles_per_tick: u64,
     init: BranchProbs,
     opts: EmOptions,
-    cache: &mut EStepCache,
 ) -> Result<EmResult, FbError> {
-    let (h0, m0) = (cache.hits(), cache.misses());
-    let result = estimate_em_loop(
-        cfg,
+    estimate_em_planned(
+        &FbPlan::new(cfg),
+        &mut FbScratch::new(),
         block_costs,
         edge_costs,
         counted,
         cycles_per_tick,
         init,
         opts,
-        cache,
-    );
-    let (hits, misses) = (cache.hits() - h0, cache.misses() - m0);
-    if hits + misses > 0 {
-        ct_obs::Counter::new("em.cache.hit").add(hits);
-        ct_obs::Counter::new("em.cache.miss").add(misses);
-        ct_obs::emit(
-            "em.cache",
-            vec![
-                ("hits", hits.into()),
-                ("misses", misses.into()),
-                ("hit_rate", (hits as f64 / (hits + misses) as f64).into()),
-                ("enabled", cache.cache_enabled().into()),
-            ],
-        );
-    }
-    result
+    )
 }
 
+/// The EM loop on a caller-owned plan and scratch: every iteration's E-step
+/// refills `scratch` in place, and the M-step writes the next iterate over
+/// the one before last, so an iteration allocates nothing.
 #[allow(clippy::too_many_arguments)]
-fn estimate_em_loop(
-    cfg: &Cfg,
+pub(crate) fn estimate_em_planned(
+    plan: &FbPlan,
+    scratch: &mut FbScratch,
     block_costs: &[u64],
     edge_costs: &[u64],
     counted: &[(u64, usize)],
     cycles_per_tick: u64,
     init: BranchProbs,
     opts: EmOptions,
-    cache: &mut EStepCache,
 ) -> Result<EmResult, FbError> {
-    let edges = cfg.edges();
-    let branch_blocks = cfg.branch_blocks();
-    // Per branch block: (true edge index, false edge index). A branch block
-    // missing either arm is a malformed CFG — a data error, not a bug here.
-    let mut branch_edges: Vec<(usize, usize)> = Vec::with_capacity(branch_blocks.len());
-    for &bb in &branch_blocks {
-        let arm = |kind: EdgeKind| {
-            edges
-                .iter()
-                .find(|e| e.from == bb && e.kind == kind)
-                .map(|e| e.index)
-                .ok_or_else(|| FbError::Shape(format!("branch block {bb} lacks a {kind:?} edge")))
-        };
-        branch_edges.push((arm(EdgeKind::BranchTrue)?, arm(EdgeKind::BranchFalse)?));
-    }
-
-    let mut probs = init;
-    let mut loglik = f64::NEG_INFINITY;
-    let mut unexplained = 0;
-    let mut converged = false;
-    let mut iterations = 0;
-    let mut final_delta = 0.0;
-
-    if branch_blocks.is_empty() || counted.is_empty() {
-        // Nothing to estimate; still report the likelihood once.
-        let (exp, _) = e_step_inner(
-            cfg,
+    let e_step = |scratch: &mut FbScratch, probs: &BranchProbs| {
+        e_step_planned(
+            plan,
+            scratch,
             block_costs,
             edge_costs,
-            &probs,
+            probs,
             counted,
             cycles_per_tick,
             opts.fb,
-            None,
-        )?;
+        )
+    };
+    if plan.branch_blocks().is_empty() || counted.is_empty() {
+        // Nothing to estimate; still report the likelihood once.
+        let (loglik, unexplained) = e_step(scratch, &init)?;
         return Ok(EmResult {
-            probs,
+            probs: init,
             iterations: 0,
-            loglik: exp.loglik,
+            loglik,
             converged: true,
             final_delta: 0.0,
-            unexplained: exp.unexplained,
-            edge_counts: exp.counts,
+            unexplained,
+            edge_counts: scratch.counts().to_vec(),
             rewound: false,
         });
     }
 
-    let mut edge_counts = vec![0.0; edges.len()];
-    // Watchdog state: the last iterate whose likelihood was finite and
-    // respected EM's ascent guarantee.
-    let mut last_good: Option<(BranchProbs, f64, Vec<f64>, usize)> = None;
+    let mut probs = init;
+    // The iterate whose E-step produced `loglik`/`edge_counts` — the
+    // watchdog's rewind target once `probs` has moved past it.
+    let mut good = probs.clone();
+    let mut loglik = f64::NEG_INFINITY;
+    let mut unexplained = 0;
+    let mut edge_counts = vec![0.0; plan.edge_count()];
+    let mut converged = false;
+    let mut iterations = 0;
+    let mut final_delta = 0.0;
     for iter in 0..opts.max_iter {
         iterations = iter + 1;
-        let (exp, _) = e_step_inner(
-            cfg,
-            block_costs,
-            edge_costs,
-            &probs,
-            counted,
-            cycles_per_tick,
-            opts.fb,
-            Some(cache),
-        )?;
+        let (ll, unex) = e_step(scratch, &probs)?;
 
         // NaN/underflow guard: a non-finite likelihood or posterior count
         // means the DP degenerated; refuse to iterate on garbage.
-        if exp.loglik.is_nan() || exp.counts.iter().any(|c| !c.is_finite()) {
-            match last_good.take() {
-                Some((p, ll, counts, unex)) => {
-                    // Rewind to the last good iterate and stop.
-                    return Ok(EmResult {
-                        probs: p,
-                        iterations,
-                        loglik: ll,
-                        converged: false,
-                        final_delta,
-                        unexplained: unex,
-                        edge_counts: counts,
-                        rewound: true,
-                    });
-                }
-                None => {
-                    return Err(FbError::NonFinite {
-                        iteration: iterations,
-                    })
-                }
-            }
-        }
-
         // Likelihood-monotonicity watchdog: EM guarantees ascent on the
         // explained set; a material decrease signals numerical breakdown
         // (e.g. pruning interacting with near-zero mass). Rewind rather
         // than diverge. Only comparable while the explained set is stable.
+        let broken = ll.is_nan() || scratch.counts().iter().any(|c| !c.is_finite());
         let ascent_floor = loglik - 1e-6 * loglik.abs().max(1.0);
-        if iter > 0 && exp.unexplained == unexplained && exp.loglik < ascent_floor {
-            if let Some((p, ll, counts, unex)) = last_good.take() {
-                return Ok(EmResult {
-                    probs: p,
-                    iterations,
-                    loglik: ll,
-                    converged: false,
-                    final_delta,
-                    unexplained: unex,
-                    edge_counts: counts,
-                    rewound: true,
+        let descended = iter > 0 && unex == unexplained && ll < ascent_floor;
+        if broken || descended {
+            if iter == 0 {
+                // Only a breakdown can stop the first iteration.
+                return Err(FbError::NonFinite {
+                    iteration: iterations,
                 });
             }
+            // Rewind to the last good iterate and stop.
+            return Ok(EmResult {
+                probs: good,
+                iterations,
+                loglik,
+                converged: false,
+                final_delta,
+                unexplained,
+                edge_counts,
+                rewound: true,
+            });
         }
 
-        loglik = exp.loglik;
-        unexplained = exp.unexplained;
-        edge_counts = exp.counts.clone();
-        last_good = Some((probs.clone(), loglik, edge_counts.clone(), unexplained));
+        loglik = ll;
+        unexplained = unex;
+        edge_counts.copy_from_slice(scratch.counts());
+        std::mem::swap(&mut good, &mut probs);
 
         let mut max_delta: f64 = 0.0;
-        let mut next = probs.clone();
-        for (i, &bb) in branch_blocks.iter().enumerate() {
-            let (ti, fi) = branch_edges[i];
+        for (&bb, &(ti, fi)) in plan.branch_blocks().iter().zip(plan.arms()) {
+            // `bb` came from the CFG's branch blocks, so `prob_true` is Some.
+            let old = good.prob_true(bb).unwrap_or(0.5);
             // MAP with a symmetric Beta(1+a, 1+a) prior: add `a` pseudo-counts
             // to each side (a = 0 recovers plain maximum likelihood).
             let a = opts.prior_strength.max(0.0);
             let nt = edge_counts[ti] + a;
             let nf = edge_counts[fi] + a;
             let total = nt + nf;
-            if total <= 0.0 {
-                continue; // branch unreachable under current data
-            }
-            let theta = (nt / total).clamp(opts.min_prob, 1.0 - opts.min_prob);
-            // `bb` came from `branch_blocks`, so `prob_true` is always Some.
-            let old = probs.prob_true(bb).unwrap_or(0.5);
-            max_delta = max_delta.max((theta - old).abs());
-            next.set_prob_true(bb, theta);
+            let theta = if total <= 0.0 {
+                old // branch unreachable under current data
+            } else {
+                let theta = (nt / total).clamp(opts.min_prob, 1.0 - opts.min_prob);
+                max_delta = max_delta.max((theta - old).abs());
+                theta
+            };
+            probs.set_prob_true(bb, theta);
         }
-        probs = next;
         final_delta = max_delta;
         if max_delta < opts.tol {
             converged = true;
@@ -565,47 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_em_is_bitwise_identical_to_uncached() {
-        let cfg = diamond_chain(3);
-        let bc = vec![10, 50, 90, 8, 120, 30, 12, 200, 70, 5];
-        let ec = vec![0; cfg.edges().len()];
-        let truth = BranchProbs::from_vec(&cfg, vec![0.9, 0.4, 0.65]);
-        let samples = synth_samples(&cfg, &bc, &ec, &truth, 1000, 1, 11);
-        let init = BranchProbs::uniform(&cfg, 0.5);
-        let mut on = EStepCache::with_cache_enabled(true);
-        let mut off = EStepCache::with_cache_enabled(false);
-        let a = estimate_em_cached(
-            &cfg,
-            &bc,
-            &ec,
-            &samples,
-            init.clone(),
-            EmOptions::default(),
-            &mut on,
-        )
-        .unwrap();
-        let b = estimate_em_cached(
-            &cfg,
-            &bc,
-            &ec,
-            &samples,
-            init,
-            EmOptions::default(),
-            &mut off,
-        )
-        .unwrap();
-        assert_eq!(off.hits(), 0);
-        for (x, y) in a.probs.as_slice().iter().zip(b.probs.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(a.loglik.to_bits(), b.loglik.to_bits());
-        assert_eq!(a.iterations, b.iterations);
-        for (x, y) in a.edge_counts.iter().zip(&b.edge_counts) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
     fn em_reads_only_the_tick_histogram() {
         // A materialized vector, the same ticks in reverse arrival order,
         // and the streaming accumulator share one histogram but not their
@@ -642,37 +508,23 @@ mod tests {
     }
 
     #[test]
-    fn warm_started_rerun_hits_the_cache() {
-        // Re-estimating from the previous optimum rebuilds bitwise-identical
-        // tables, so the first E-step's convolutions are all cache hits.
+    fn warm_started_rerun_stays_at_the_optimum() {
+        // Re-estimating from the previous optimum lands where it started.
         let cfg = diamond();
         let bc = vec![10, 100, 200, 5];
         let ec = vec![0; 4];
         let truth = BranchProbs::from_vec(&cfg, vec![0.8]);
         let samples = synth_samples(&cfg, &bc, &ec, &truth, 800, 1, 12);
-        let mut cache = EStepCache::with_cache_enabled(true);
-        let first = estimate_em_cached(
-            &cfg,
-            &bc,
-            &ec,
-            &samples,
-            BranchProbs::uniform(&cfg, 0.5),
-            EmOptions::default(),
-            &mut cache,
-        )
-        .unwrap();
-        let h0 = cache.hits();
-        let again = estimate_em_cached(
+        let first = estimate_em(&cfg, &bc, &ec, &samples, EmOptions::default()).unwrap();
+        let again = estimate_em_from(
             &cfg,
             &bc,
             &ec,
             &samples,
             first.probs.clone(),
             EmOptions::default(),
-            &mut cache,
         )
         .unwrap();
-        assert!(cache.hits() > h0, "warm rerun produced no cache hits");
         for (x, y) in first.probs.as_slice().iter().zip(again.probs.as_slice()) {
             assert!((x - y).abs() < 1e-6);
         }

@@ -280,7 +280,6 @@ fn run_em<S: DurationSamples + Sync + ?Sized>(
             cpt,
             init,
             opts.em,
-            &mut crate::fb::EStepCache::new(),
         );
         match &res {
             Ok(r) => {

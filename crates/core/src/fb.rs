@@ -17,11 +17,12 @@
 //!
 //! ## Engine layout
 //!
-//! Both tables are computed by frontier propagation with flat sorted-vec
-//! PMFs (`ct_stats::pmf`) instead of `BTreeMap` frontiers:
+//! Both tables are computed by one frontier-propagation routine over flat
+//! sorted-vec PMFs (`ct_stats::pmf`) instead of `BTreeMap` frontiers:
 //!
-//! - the forward table by one propagation from the entry block;
-//! - **all** backward tables by one propagation over the *reversed* graph,
+//! - the forward table by a propagation from the entry block over the
+//!   out-edges;
+//! - **all** backward tables by the same propagation over the in-edges,
 //!   seeded at the Return blocks — `g(u)` receives `p_e · (c_u + c_e ⊕ g(v))`
 //!   along each edge `u → v`, so every block's remaining-duration PMF
 //!   materializes in a single pass (the first generation ran an independent
@@ -30,12 +31,17 @@
 //!   `h_e(d) = Σ_t f(u,t) · g(v, d − t − c_u − c_e)` per edge and scores all
 //!   observed ticks against it, instead of rescanning the `f ⊗ g` product
 //!   for every `(sample, edge)` pair.
+//!
+//! What an EM run does not change — edges, adjacency, return blocks, branch
+//! slots — is an [`FbPlan`], built once per run. Everything an E-step
+//! writes lives in an [`FbScratch`] that every iteration refills in place,
+//! so a warm E-step allocates nothing. [`compute_tables`] and [`e_step`]
+//! build both for a single call.
 
 use crate::quantize::{duration_window, pmf_tick_score_soa};
 use crate::samples::DurationSamples;
-use ct_cfg::graph::{Cfg, Terminator};
+use ct_cfg::graph::{BlockId, Cfg, EdgeKind, Terminator};
 use ct_cfg::profile::BranchProbs;
-use ct_stats::cache::{ConvCache, ConvKey};
 use ct_stats::pmf::{self, Pmf};
 use std::error::Error;
 use std::fmt;
@@ -121,7 +127,7 @@ pub type SparsePmf = Vec<(u64, f64)>;
 /// Tables are stored structure-of-arrays ([`Pmf`]): the E-step's convolution
 /// and scoring inner loops run over contiguous mass slices, and
 /// contiguous-support blocks skip binary-search windowing.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FbTables {
     /// `forward[b]`: arrival distribution at block `b`.
     pub forward: Vec<Pmf>,
@@ -138,7 +144,151 @@ impl FbTables {
     }
 }
 
-/// Computes forward and backward tables.
+/// What never changes while EM iterates on one CFG: its edges, in/out
+/// adjacency, return blocks and branch slots. Built once per EM run and
+/// shared by every E-step of the run.
+#[derive(Debug, Clone)]
+pub struct FbPlan {
+    /// Per block: its terminator (see [`FbPlan::fits`]).
+    terms: Vec<Terminator>,
+    entry: usize,
+    /// `(from, to)` per edge, by edge index.
+    edges: Vec<(usize, usize)>,
+    /// Per block: `(edge, target)` of its out-edges.
+    out_edges: Vec<Vec<(usize, usize)>>,
+    /// Per block: `(edge, source)` of its in-edges.
+    in_edges: Vec<Vec<(usize, usize)>>,
+    branch_blocks: Vec<BlockId>,
+    /// Per branch slot (the [`BranchProbs`] order): `(true edge, false edge)`.
+    arms: Vec<(usize, usize)>,
+}
+
+impl FbPlan {
+    /// The plan of `cfg`.
+    pub fn new(cfg: &Cfg) -> FbPlan {
+        let n = cfg.len();
+        let mut plan = FbPlan {
+            terms: cfg.iter().map(|(_, b)| b.term).collect(),
+            entry: cfg.entry().index(),
+            edges: Vec::new(),
+            out_edges: vec![Vec::new(); n],
+            in_edges: vec![Vec::new(); n],
+            branch_blocks: cfg.branch_blocks(),
+            arms: Vec::new(),
+        };
+        for e in cfg.edges() {
+            let (u, v) = (e.from.index(), e.to.index());
+            plan.edges.push((u, v));
+            plan.out_edges[u].push((e.index, v));
+            plan.in_edges[v].push((e.index, u));
+            if e.kind == EdgeKind::BranchTrue {
+                // `Cfg::edges` emits a branch's false edge right after its
+                // true edge, and branch blocks in index order.
+                plan.arms.push((e.index, e.index + 1));
+            }
+        }
+        plan
+    }
+
+    /// True when `cfg` has the block structure this plan was built from.
+    pub(crate) fn fits(&self, cfg: &Cfg) -> bool {
+        cfg.len() == self.terms.len()
+            && cfg.entry().index() == self.entry
+            && cfg.iter().zip(&self.terms).all(|((_, b), t)| b.term == *t)
+    }
+
+    /// Number of edges.
+    pub(crate) fn edge_count(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// The branch blocks, in [`BranchProbs`] slot order.
+    pub(crate) fn branch_blocks(&self) -> &[BlockId] {
+        &self.branch_blocks
+    }
+
+    /// `(true edge, false edge)` of every branch slot.
+    pub(crate) fn arms(&self) -> &[(usize, usize)] {
+        &self.arms
+    }
+
+    /// Per-edge traversal probabilities, as [`BranchProbs::edge_probs`]
+    /// computes them, written into `out`.
+    fn fill_edge_probs(&self, probs: &BranchProbs, out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(self.edges.len(), 1.0);
+        let aligned = probs.blocks() == self.branch_blocks.as_slice();
+        for (slot, &(t, f)) in self.arms.iter().enumerate() {
+            let p = if aligned {
+                probs.as_slice()[slot]
+            } else {
+                probs.prob_true(self.branch_blocks[slot]).unwrap_or(0.5)
+            };
+            out[t] = p;
+            out[f] = 1.0 - p;
+        }
+    }
+}
+
+/// Everything an E-step writes: frontiers, tables, edge probabilities, the
+/// convolution buffers, the explained ticks and the counts. Held across the
+/// iterations of an EM run, it is refilled in place, so a warm E-step
+/// allocates nothing — except that the standard library's stable sort in
+/// `coalesce` takes heap scratch for lists of more than 256 entries. Any
+/// leftover state — including a pass cut short by
+/// an error — is cleared before it is read.
+#[derive(Debug, Clone, Default)]
+pub struct FbScratch {
+    tables: FbTables,
+    cur: Vec<SparsePmf>,
+    next: Vec<SparsePmf>,
+    acc: Vec<SparsePmf>,
+    edge_probs: Vec<f64>,
+    /// Per edge: source block cost + edge cost.
+    step: Vec<u64>,
+    conv: Pmf,
+    conv_buf: Vec<f64>,
+    conv_terms: Vec<pmf::Entry>,
+    /// `(tick, multiplicity, normalizer)` of every explained distinct tick.
+    explained: Vec<(u64, usize, f64)>,
+    counts: Vec<f64>,
+}
+
+impl FbScratch {
+    /// Empty scratch; the first E-step sizes it.
+    pub fn new() -> FbScratch {
+        FbScratch::default()
+    }
+
+    /// The tables the last call filled (partly stale after an error).
+    pub fn tables(&self) -> &FbTables {
+        &self.tables
+    }
+
+    /// The expected edge counts of the last successful [`e_step_planned`].
+    pub fn counts(&self) -> &[f64] {
+        &self.counts
+    }
+
+    /// Empties the frontiers and accumulators, sized for `n` blocks.
+    fn reset_frontiers(&mut self, n: usize) {
+        for v in [&mut self.cur, &mut self.next, &mut self.acc] {
+            v.resize_with(n, Vec::new);
+            v.iter_mut().for_each(Vec::clear);
+        }
+    }
+
+    /// Coalesces every accumulator into `tables[b]`.
+    fn finish(acc: &mut [SparsePmf], tables: &mut Vec<Pmf>) {
+        tables.resize_with(acc.len(), Pmf::new);
+        for (a, t) in acc.iter_mut().zip(tables.iter_mut()) {
+            pmf::coalesce(a);
+            t.refill_sorted(a);
+        }
+    }
+}
+
+/// Computes forward and backward tables (a one-call plan and scratch).
 ///
 /// # Errors
 ///
@@ -151,92 +301,100 @@ pub fn compute_tables(
     probs: &BranchProbs,
     params: FbParams,
 ) -> Result<FbTables, FbError> {
-    let edges = cfg.edges();
-    if block_costs.len() != cfg.len() {
+    let mut scratch = FbScratch::new();
+    fill_tables(
+        &FbPlan::new(cfg),
+        &mut scratch,
+        block_costs,
+        edge_costs,
+        probs,
+        params,
+    )?;
+    Ok(scratch.tables)
+}
+
+/// Fills `s.tables` for `probs`:
+///
+/// - the forward table by one propagation from the entry block;
+/// - all backward tables by one propagation over the reversed graph, seeded
+///   at the Return blocks with `g(r) = {(c_r, 1.0)}`.
+fn fill_tables(
+    plan: &FbPlan,
+    s: &mut FbScratch,
+    block_costs: &[u64],
+    edge_costs: &[u64],
+    probs: &BranchProbs,
+    params: FbParams,
+) -> Result<(), FbError> {
+    let n = plan.terms.len();
+    if block_costs.len() != n {
         return Err(FbError::Shape(format!(
-            "expected {} block costs, got {}",
-            cfg.len(),
+            "expected {n} block costs, got {}",
             block_costs.len()
         )));
     }
-    if edge_costs.len() != edges.len() {
+    if edge_costs.len() != plan.edges.len() {
         return Err(FbError::Shape(format!(
             "expected {} edge costs, got {}",
-            edges.len(),
+            plan.edges.len(),
             edge_costs.len()
         )));
     }
-    let edge_probs = probs.edge_probs(cfg);
-    let is_return: Vec<bool> = cfg
-        .iter()
-        .map(|(_, b)| matches!(b.term, Terminator::Return))
-        .collect();
-    let mut out_edges = vec![Vec::new(); cfg.len()];
-    let mut in_edges = vec![Vec::new(); cfg.len()];
-    for e in &edges {
-        out_edges[e.from.index()].push((e.index, e.to.index()));
-        in_edges[e.to.index()].push((e.index, e.from.index()));
-    }
+    plan.fill_edge_probs(probs, &mut s.edge_probs);
+    s.step.clear();
+    s.step.extend(
+        plan.edges
+            .iter()
+            .zip(edge_costs)
+            .map(|(&(u, _), &c_e)| block_costs[u] + c_e),
+    );
+    s.tables.truncated = 0.0;
 
-    let mut truncated = 0.0;
-    let forward = forward_table(
-        cfg,
-        block_costs,
-        edge_costs,
-        &edge_probs,
-        &out_edges,
-        &is_return,
-        params,
-        &mut truncated,
-    )?;
-    let backward = backward_tables(
-        block_costs,
-        edge_costs,
-        &edge_probs,
-        &in_edges,
-        &is_return,
-        params,
-        &mut truncated,
-    )?;
-    Ok(FbTables {
-        forward,
-        backward,
-        truncated,
-    })
+    s.reset_frontiers(n);
+    s.cur[plan.entry].push((0, 1.0));
+    s.acc[plan.entry].push((0, 1.0));
+    propagate(&plan.out_edges, s, params)?;
+    FbScratch::finish(&mut s.acc, &mut s.tables.forward);
+
+    s.reset_frontiers(n);
+    for b in (0..n).filter(|&b| plan.terms[b] == Terminator::Return) {
+        let c = block_costs[b];
+        if c > params.time_cap {
+            continue; // past the observation horizon: unreachable by any score
+        }
+        s.cur[b].push((c, 1.0));
+        s.acc[b].push((c, 1.0));
+    }
+    propagate(&plan.in_edges, s, params)?;
+    FbScratch::finish(&mut s.acc, &mut s.tables.backward);
+    Ok(())
 }
 
-/// Forward propagation from the entry block with per-block flat frontiers.
+/// Frontier propagation over `adj` (`(edge, neighbor)` lists per block)
+/// from the seeded `cur`/`acc`, accumulating every arrival into `acc`.
+///
+/// Over the out-edges this is the forward table: arrival at `v` at
+/// `t + c_u + c_e`; Return blocks have no out-edges, so mass is absorbed
+/// there once its arrival is recorded. Over the in-edges it is every backward table at once:
+/// when `g(v)` gains mass `m` at remaining time `t`, each in-edge `u → v`
+/// contributes `(t + c_u + c_e, m·p)` to `g(u)` — the same step, walked
+/// against the edges — so every path suffix is walked once instead of once
+/// per starting block. Mass in cycles decays by the branch probabilities
+/// each lap and is pruned at `mass_eps`.
 ///
 /// Blocks are visited in index order and frontier entries in ascending time,
 /// and merged masses are summed in contribution order — the same enumeration
-/// and summation order as the reference `BTreeMap` engine, so results match
-/// it bit-for-bit.
-#[allow(clippy::too_many_arguments)]
-fn forward_table(
-    cfg: &Cfg,
-    block_costs: &[u64],
-    edge_costs: &[u64],
-    edge_probs: &[f64],
-    out_edges: &[Vec<(usize, usize)>],
-    is_return: &[bool],
+/// and summation order as the reference `BTreeMap` engine.
+fn propagate(
+    adj: &[Vec<(usize, usize)>],
+    s: &mut FbScratch,
     params: FbParams,
-    truncated: &mut f64,
-) -> Result<Vec<Pmf>, FbError> {
-    let n = cfg.len();
-    // Raw (uncoalesced) arrival contributions per block, coalesced at the end.
-    let mut acc: Vec<Vec<(u64, f64)>> = vec![Vec::new(); n];
-    // Current frontier per block, coalesced; and next-round staging.
-    let mut cur: Vec<SparsePmf> = vec![Vec::new(); n];
-    let mut next: Vec<Vec<(u64, f64)>> = vec![Vec::new(); n];
-    let entry = cfg.entry().index();
-    cur[entry].push((0, 1.0));
-    acc[entry].push((0, 1.0));
+) -> Result<(), FbError> {
     let mut processed: usize = 0;
-
     loop {
-        let frontier_len: usize = cur.iter().map(Vec::len).sum();
+        let frontier_len: usize = s.cur.iter().map(Vec::len).sum();
         if frontier_len == 0 {
-            break;
+            return Ok(());
         }
         processed += frontier_len;
         if processed > params.max_entries {
@@ -244,138 +402,35 @@ fn forward_table(
                 max_entries: params.max_entries,
             });
         }
-        for b in 0..n {
-            if cur[b].is_empty() {
-                continue;
-            }
-            if is_return[b] {
-                cur[b].clear(); // absorbed; arrival already recorded
-                continue;
-            }
-            let c_b = block_costs[b];
-            for &(t, mass) in &cur[b] {
-                for &(ei, v) in &out_edges[b] {
-                    let p = edge_probs[ei];
+        for (b, edges) in adj.iter().enumerate() {
+            for &(t, mass) in &s.cur[b] {
+                for &(ei, v) in edges {
+                    let p = s.edge_probs[ei];
                     if p <= 0.0 {
                         continue;
                     }
                     let m = mass * p;
                     if m < params.mass_eps {
-                        *truncated += m;
+                        s.tables.truncated += m;
                         continue;
                     }
-                    let t2 = t + c_b + edge_costs[ei];
+                    let t2 = t + s.step[ei];
                     if t2 > params.time_cap {
                         continue; // past the observation horizon: unreachable by any score
                     }
-                    next[v].push((t2, m));
-                    acc[v].push((t2, m));
+                    s.next[v].push((t2, m));
+                    s.acc[v].push((t2, m));
                 }
             }
-            cur[b].clear();
+            s.cur[b].clear();
         }
-        for b in 0..n {
-            if !next[b].is_empty() {
-                std::mem::swap(&mut cur[b], &mut next[b]);
-                pmf::coalesce(&mut cur[b]);
+        for (cur, next) in s.cur.iter_mut().zip(s.next.iter_mut()) {
+            if !next.is_empty() {
+                std::mem::swap(cur, next);
+                pmf::coalesce(cur);
             }
         }
     }
-    Ok(acc
-        .into_iter()
-        .map(|mut v| {
-            pmf::coalesce(&mut v);
-            Pmf::from_sorted(v)
-        })
-        .collect())
-}
-
-/// All blocks' remaining-duration PMFs in **one** propagation over the
-/// reversed graph.
-///
-/// Seed: each Return block `r` holds `g(r) = {(c_r, 1.0)}`. Propagation:
-/// when `g(v)` gains mass `m` at remaining time `t`, every in-edge
-/// `u → v` (probability `p`, cost `c_e`) contributes
-/// `(t + c_e + c_u, m·p)` to `g(u)` — both into the result and back into
-/// the frontier for `u`'s own predecessors. Mass in cycles decays by the
-/// branch probabilities each lap and is pruned at `mass_eps`, exactly like
-/// the per-block DPs this replaces; the difference is that every path
-/// suffix is walked once instead of once per starting block.
-fn backward_tables(
-    block_costs: &[u64],
-    edge_costs: &[u64],
-    edge_probs: &[f64],
-    in_edges: &[Vec<(usize, usize)>],
-    is_return: &[bool],
-    params: FbParams,
-    truncated: &mut f64,
-) -> Result<Vec<Pmf>, FbError> {
-    let n = block_costs.len();
-    let mut result: Vec<Vec<(u64, f64)>> = vec![Vec::new(); n];
-    let mut cur: Vec<SparsePmf> = vec![Vec::new(); n];
-    let mut next: Vec<Vec<(u64, f64)>> = vec![Vec::new(); n];
-    for b in 0..n {
-        if is_return[b] {
-            let c = block_costs[b];
-            if c > params.time_cap {
-                continue; // past the observation horizon: unreachable by any score
-            }
-            cur[b].push((c, 1.0));
-            result[b].push((c, 1.0));
-        }
-    }
-    let mut processed: usize = 0;
-
-    loop {
-        let frontier_len: usize = cur.iter().map(Vec::len).sum();
-        if frontier_len == 0 {
-            break;
-        }
-        processed += frontier_len;
-        if processed > params.max_entries {
-            return Err(FbError::SupportExplosion {
-                max_entries: params.max_entries,
-            });
-        }
-        for v in 0..n {
-            if cur[v].is_empty() {
-                continue;
-            }
-            for &(t, mass) in &cur[v] {
-                for &(ei, u) in &in_edges[v] {
-                    let p = edge_probs[ei];
-                    if p <= 0.0 {
-                        continue;
-                    }
-                    let m = mass * p;
-                    if m < params.mass_eps {
-                        *truncated += m;
-                        continue;
-                    }
-                    let t2 = t + edge_costs[ei] + block_costs[u];
-                    if t2 > params.time_cap {
-                        continue; // past the observation horizon: unreachable by any score
-                    }
-                    next[u].push((t2, m));
-                    result[u].push((t2, m));
-                }
-            }
-            cur[v].clear();
-        }
-        for b in 0..n {
-            if !next[b].is_empty() {
-                std::mem::swap(&mut cur[b], &mut next[b]);
-                pmf::coalesce(&mut cur[b]);
-            }
-        }
-    }
-    Ok(result
-        .into_iter()
-        .map(|mut v| {
-            pmf::coalesce(&mut v);
-            Pmf::from_sorted(v)
-        })
-        .collect())
 }
 
 /// Posterior expected edge-traversal counts aggregated over a sample set.
@@ -390,101 +445,9 @@ pub struct EdgeExpectations {
     pub unexplained: usize,
 }
 
-/// Iteration-to-iteration E-step state: version stamps for every block's
-/// forward/backward PMF plus the per-edge convolution cache they key.
-///
-/// After each table build the cache compares every block's PMF against the
-/// previous iteration **bitwise** ([`Pmf::bits_eq`]) and bumps the block's
-/// version stamp only on change. An edge whose source-arrival version,
-/// target-remaining version, shift, and scoring window all match the cached
-/// entry reuses the previous windowed convolution — bit-identical to
-/// recomputation, so cached and uncached runs are indistinguishable.
-///
-/// The cache is intentionally long-lived: held across EM iterations it
-/// skips convolutions for blocks untouched by a parameter move; held across
-/// batches (incremental estimation) it skips the *entire* first E-step's
-/// convolutions whenever the warm start reproduces the previous optimum's
-/// tables and the observed-tick window is unchanged.
-#[derive(Debug, Clone)]
-pub struct EStepCache {
-    conv: ConvCache,
-    f_version: Vec<u64>,
-    g_version: Vec<u64>,
-    prev_forward: Vec<Pmf>,
-    prev_backward: Vec<Pmf>,
-}
-
-impl Default for EStepCache {
-    fn default() -> Self {
-        EStepCache::new()
-    }
-}
-
-impl EStepCache {
-    /// An empty cache honoring the `CT_CONV_CACHE` environment knob.
-    pub fn new() -> EStepCache {
-        EStepCache::with_cache_enabled(ct_stats::cache::cache_enabled_from_env())
-    }
-
-    /// An empty cache with the enable switch forced (for A/B tests).
-    pub fn with_cache_enabled(enabled: bool) -> EStepCache {
-        EStepCache {
-            conv: ConvCache::with_enabled(0, enabled),
-            f_version: Vec::new(),
-            g_version: Vec::new(),
-            prev_forward: Vec::new(),
-            prev_backward: Vec::new(),
-        }
-    }
-
-    /// Version-stamps freshly built tables: bumps a block's stamp iff its
-    /// PMF changed bitwise since the previous call.
-    fn observe(&mut self, tables: &FbTables) {
-        let n = tables.forward.len();
-        if self.prev_forward.len() != n {
-            // First build (or a different CFG shape): stamp everything.
-            self.prev_forward = tables.forward.clone();
-            self.prev_backward = tables.backward.clone();
-            self.f_version = vec![1; n];
-            self.g_version = vec![1; n];
-            return;
-        }
-        for b in 0..n {
-            if !tables.forward[b].bits_eq(&self.prev_forward[b]) {
-                self.f_version[b] += 1;
-                self.prev_forward[b] = tables.forward[b].clone();
-            }
-            if !tables.backward[b].bits_eq(&self.prev_backward[b]) {
-                self.g_version[b] += 1;
-                self.prev_backward[b] = tables.backward[b].clone();
-            }
-        }
-    }
-
-    /// Convolutions answered from the cache.
-    pub fn hits(&self) -> u64 {
-        self.conv.hits()
-    }
-
-    /// Convolutions recomputed.
-    pub fn misses(&self) -> u64 {
-        self.conv.misses()
-    }
-
-    /// Whether cached results may be returned.
-    pub fn cache_enabled(&self) -> bool {
-        self.conv.enabled()
-    }
-}
-
 /// Runs one E-step: builds tables for `probs` and computes posterior expected
-/// edge-traversal counts for `samples` (the entry point the EM loop uses).
-///
-/// Per edge `e = (u → v)` this convolves `f(u) ⊗ g(v)` **once** over the
-/// union of the observed ticks' duration windows,
-/// `h_e(d) = Σ_t f(u,t) · g(v, d − t − c_u − c_e)`, then scores every
-/// distinct tick against `h_e` — instead of rescanning the product per
-/// `(sample, edge)` pair.
+/// edge-traversal counts for `samples` (a one-call plan and scratch; EM
+/// runs [`e_step_planned`]).
 pub fn e_step<S: DurationSamples + ?Sized>(
     cfg: &Cfg,
     block_costs: &[u64],
@@ -493,57 +456,51 @@ pub fn e_step<S: DurationSamples + ?Sized>(
     samples: &S,
     params: FbParams,
 ) -> Result<(EdgeExpectations, FbTables), FbError> {
-    e_step_inner(
-        cfg,
+    let mut scratch = FbScratch::new();
+    let (loglik, unexplained) = e_step_planned(
+        &FbPlan::new(cfg),
+        &mut scratch,
         block_costs,
         edge_costs,
         probs,
         &samples.counted(),
         samples.cycles_per_tick(),
         params,
-        None,
-    )
+    )?;
+    let expectations = EdgeExpectations {
+        counts: scratch.counts,
+        loglik,
+        unexplained,
+    };
+    Ok((expectations, scratch.tables))
 }
 
-/// [`e_step`] with a live [`EStepCache`]: edges whose factor PMFs and
-/// scoring window are unchanged since the previous call reuse their windowed
-/// convolution. Results are bit-identical to the uncached path.
-pub fn e_step_cached<S: DurationSamples + ?Sized>(
-    cfg: &Cfg,
-    block_costs: &[u64],
-    edge_costs: &[u64],
-    probs: &BranchProbs,
-    samples: &S,
-    params: FbParams,
-    cache: &mut EStepCache,
-) -> Result<(EdgeExpectations, FbTables), FbError> {
-    e_step_inner(
-        cfg,
-        block_costs,
-        edge_costs,
-        probs,
-        &samples.counted(),
-        samples.cycles_per_tick(),
-        params,
-        Some(cache),
-    )
-}
-
-/// The E-step over a pre-built distinct-tick histogram `counted` (ascending,
-/// as [`DurationSamples::counted`] returns it) observed at `cpt` cycles per
-/// tick. The histogram is all the E-step reads of the samples, so the EM
-/// loop builds it once per run instead of once per iteration.
+/// The E-step of an EM iteration over a pre-built distinct-tick histogram
+/// `counted` (ascending, as [`DurationSamples::counted`] returns it)
+/// observed at `cpt` cycles per tick. Returns the log-likelihood and the
+/// unexplained sample count; the counts and tables stay in `scratch`
+/// ([`FbScratch::counts`], [`FbScratch::tables`]).
+///
+/// Per edge `e = (u → v)` this convolves `f(u) ⊗ g(v)` **once** over the
+/// union of the explained ticks' duration windows,
+/// `h_e(d) = Σ_t f(u,t) · g(v, d − t − c_u − c_e)`, then scores every
+/// distinct tick against `h_e` — instead of rescanning the product per
+/// `(sample, edge)` pair.
+///
+/// # Errors
+///
+/// As [`compute_tables`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn e_step_inner(
-    cfg: &Cfg,
+pub fn e_step_planned(
+    plan: &FbPlan,
+    scratch: &mut FbScratch,
     block_costs: &[u64],
     edge_costs: &[u64],
     probs: &BranchProbs,
     counted: &[(u64, usize)],
     cpt: u64,
     params: FbParams,
-    mut cache: Option<&mut EStepCache>,
-) -> Result<(EdgeExpectations, FbTables), FbError> {
+) -> Result<(f64, usize), FbError> {
     // Cap the DPs at the largest observed tick's window: no table entry
     // beyond it can enter any score (see [`FbParams::time_cap`]), so this
     // changes no output bit — it only stops the DPs from expanding support
@@ -554,20 +511,27 @@ pub(crate) fn e_step_inner(
             params.time_cap = params.time_cap.min(hi);
         }
     }
-    let tables = compute_tables(cfg, block_costs, edge_costs, probs, params)?;
-    if let Some(c) = cache.as_deref_mut() {
-        c.observe(&tables);
-    }
-    let edges = cfg.edges();
-    let edge_probs = probs.edge_probs(cfg);
-    let duration = tables.duration_pmf(cfg);
-    let mut counts = vec![0.0; edges.len()];
+    fill_tables(plan, scratch, block_costs, edge_costs, probs, params)?;
+    let FbScratch {
+        tables,
+        edge_probs,
+        step,
+        conv,
+        conv_buf,
+        conv_terms,
+        explained,
+        counts,
+        ..
+    } = scratch;
+    let duration = &tables.backward[plan.entry];
+    counts.clear();
+    counts.resize(plan.edges.len(), 0.0);
     let mut loglik = 0.0;
     let mut unexplained = 0;
 
     // Normalizers per distinct tick, plus the union window over explained
     // ticks — the support the per-edge convolutions are restricted to.
-    let mut explained: Vec<(u64, usize, f64)> = Vec::new();
+    explained.clear();
     let (mut win_lo, mut win_hi) = (u64::MAX, 0u64);
     for &(t_obs, n) in counted {
         let z = pmf_tick_score_soa(duration, t_obs, cpt);
@@ -581,73 +545,45 @@ pub(crate) fn e_step_inner(
         win_hi = win_hi.max(hi);
         explained.push((t_obs, n, z));
     }
-
-    if !explained.is_empty() {
-        for e in edges.iter() {
-            let p_e = edge_probs[e.index];
-            if p_e <= 0.0 {
-                continue;
-            }
-            let delta = block_costs[e.from.index()] + edge_costs[e.index];
-            let f_u = &tables.forward[e.from.index()];
-            let g_v = &tables.backward[e.to.index()];
-            if f_u.is_empty() || g_v.is_empty() {
-                continue;
-            }
-            // Tighten the union window to this edge's achievable support:
-            // no term of `f ⊗ g` shifted by `delta` lands outside
-            // [f.min + g.min + δ, f.max + g.max + δ], so clipping changes
-            // no output bit — it only shrinks the dense path's buffer from
-            // the full observed-duration range to the edge's own span.
-            let win_lo = win_lo.max(
-                f_u.keys()[0]
-                    .saturating_add(g_v.keys()[0])
-                    .saturating_add(delta),
-            );
-            let win_hi = win_hi.min(
-                f_u.keys()[f_u.len() - 1]
-                    .saturating_add(g_v.keys()[g_v.len() - 1])
-                    .saturating_add(delta),
-            );
-            if win_lo > win_hi {
-                continue;
-            }
-            let score = |h: &Pmf, counts: &mut [f64]| {
-                for &(t_obs, n, z) in &explained {
-                    let acc = pmf_tick_score_soa(h, t_obs, cpt);
-                    counts[e.index] += n as f64 * p_e * acc / z;
-                }
-            };
-            match cache.as_deref_mut() {
-                Some(c) => {
-                    let key = ConvKey {
-                        f_version: c.f_version[e.from.index()],
-                        g_version: c.g_version[e.to.index()],
-                        shift: delta,
-                        lo: win_lo,
-                        hi: win_hi,
-                    };
-                    let h = c.conv.get_or_compute(e.index, key, || {
-                        pmf::convolve_window_pmf(f_u, g_v, delta, win_lo, win_hi)
-                    });
-                    score(h, &mut counts);
-                }
-                None => {
-                    let h = pmf::convolve_window_pmf(f_u, g_v, delta, win_lo, win_hi);
-                    score(&h, &mut counts);
-                }
-            }
-        }
+    if explained.is_empty() {
+        return Ok((loglik, unexplained));
     }
 
-    Ok((
-        EdgeExpectations {
-            counts,
-            loglik,
-            unexplained,
-        },
-        tables,
-    ))
+    for (ei, &(u, v)) in plan.edges.iter().enumerate() {
+        let p_e = edge_probs[ei];
+        if p_e <= 0.0 {
+            continue;
+        }
+        let delta = step[ei];
+        let (f_u, g_v) = (&tables.forward[u], &tables.backward[v]);
+        if f_u.is_empty() || g_v.is_empty() {
+            continue;
+        }
+        // Tighten the union window to this edge's achievable support:
+        // no term of `f ⊗ g` shifted by `delta` lands outside
+        // [f.min + g.min + δ, f.max + g.max + δ], so clipping changes
+        // no output bit — it only shrinks the dense path's buffer from
+        // the full observed-duration range to the edge's own span.
+        let win_lo = win_lo.max(
+            f_u.keys()[0]
+                .saturating_add(g_v.keys()[0])
+                .saturating_add(delta),
+        );
+        let win_hi = win_hi.min(
+            f_u.keys()[f_u.len() - 1]
+                .saturating_add(g_v.keys()[g_v.len() - 1])
+                .saturating_add(delta),
+        );
+        if win_lo > win_hi {
+            continue;
+        }
+        pmf::convolve_window_into(conv, conv_buf, conv_terms, f_u, g_v, delta, win_lo, win_hi);
+        for &(t_obs, n, z) in explained.iter() {
+            let acc = pmf_tick_score_soa(conv, t_obs, cpt);
+            counts[ei] += n as f64 * p_e * acc / z;
+        }
+    }
+    Ok((loglik, unexplained))
 }
 
 #[cfg(test)]

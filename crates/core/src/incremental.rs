@@ -9,9 +9,9 @@
 //!   merge — see [`crate::stream`]);
 //! - **warm-starts** each re-estimation from the previous optimum, so EM
 //!   converges in a handful of sweeps per batch instead of a full run; and
-//! - carries one [`EStepCache`] across batches: the warm start rebuilds the
-//!   previous forward/backward tables bitwise, so the edges whose observation
-//!   windows did not change turn their windowed convolutions into cache hits.
+//! - keeps one [`FbPlan`] and one [`FbScratch`] across batches, so a
+//!   re-estimation neither rebuilds the CFG's adjacency nor reallocates the
+//!   E-step's tables.
 //!
 //! ## Convergence contract
 //!
@@ -20,11 +20,13 @@
 //! warm start changes the starting point, never the objective, so every
 //! per-batch estimate is a genuine EM fixed point (up to `tol`) for its
 //! cumulative sample set. The sequence of estimates is deterministic given
-//! the batch sequence, independent of `CT_THREADS`, and identical with the
-//! convolution cache on or off.
+//! the batch sequence, independent of `CT_THREADS`, and identical to a
+//! fresh [`crate::em::estimate_em_from`] run from the same warm start: the
+//! kept plan and scratch carry no state into the next E-step.
 
-use crate::em::{estimate_em_cached, EmOptions, EmResult};
-use crate::fb::{EStepCache, FbError};
+use crate::em::{estimate_em_planned, EmOptions, EmResult};
+use crate::fb::{FbError, FbPlan, FbScratch};
+use crate::samples::DurationSamples;
 use crate::stream::SuffStats;
 use ct_cfg::graph::Cfg;
 use ct_cfg::profile::BranchProbs;
@@ -37,7 +39,9 @@ use ct_cfg::profile::BranchProbs;
 pub struct IncrementalEm {
     stats: SuffStats,
     last: Option<EmResult>,
-    cache: EStepCache,
+    /// Built by the first re-estimation; rebuilt if the CFG changes.
+    plan: Option<FbPlan>,
+    scratch: FbScratch,
     opts: EmOptions,
     batches: u64,
 }
@@ -48,7 +52,8 @@ impl IncrementalEm {
         IncrementalEm {
             stats: SuffStats::new(cycles_per_tick),
             last: None,
-            cache: EStepCache::new(),
+            plan: None,
+            scratch: FbScratch::new(),
             opts,
             batches: 0,
         }
@@ -58,9 +63,7 @@ impl IncrementalEm {
     /// statistics, the estimate the interrupted run last produced (the next
     /// warm start), and the ingested-batch count.
     ///
-    /// The convolution cache intentionally starts empty — it is a pure
-    /// performance artifact (cache on/off is bitwise identical), so a
-    /// restored accumulator's subsequent re-estimations are bitwise
+    /// A restored accumulator's subsequent re-estimations are bitwise
     /// identical to the uninterrupted run's: same statistics, same warm
     /// start, same objective.
     pub fn restore(
@@ -72,7 +75,8 @@ impl IncrementalEm {
         IncrementalEm {
             stats,
             last,
-            cache: EStepCache::new(),
+            plan: None,
+            scratch: FbScratch::new(),
             opts,
             batches,
         }
@@ -113,8 +117,7 @@ impl IncrementalEm {
     /// previous optimum (uniform ½ on the first call).
     ///
     /// Emits one `em.incremental` event per call and bumps the
-    /// `em.incremental.batches` counter; cache effectiveness is reported by
-    /// the underlying [`estimate_em_cached`] run (`em.cache.*`).
+    /// `em.incremental.batches` counter.
     ///
     /// # Errors
     ///
@@ -130,33 +133,33 @@ impl IncrementalEm {
             Some(r) => r.probs.clone(),
             None => BranchProbs::uniform(cfg, 0.5),
         };
-        let r = estimate_em_cached(
-            cfg,
+        if !self.plan.as_ref().is_some_and(|p| p.fits(cfg)) {
+            self.plan = None;
+        }
+        let plan = self.plan.get_or_insert_with(|| FbPlan::new(cfg));
+        let r = estimate_em_planned(
+            plan,
+            &mut self.scratch,
             block_costs,
             edge_costs,
-            &self.stats,
+            &self.stats.counted(),
+            self.stats.cycles_per_tick(),
             init,
             self.opts,
-            &mut self.cache,
         )?;
         ct_obs::Counter::new("em.incremental.batches").incr();
         ct_obs::emit(
             "em.incremental",
             vec![
                 ("batches", self.batches.into()),
-                (
-                    "samples",
-                    (crate::samples::DurationSamples::len(&self.stats)).into(),
-                ),
+                ("samples", self.stats.len().into()),
                 ("iterations", r.iterations.into()),
                 ("converged", r.converged.into()),
                 ("loglik", r.loglik.into()),
                 ("warm", warm.into()),
             ],
         );
-        self.last = Some(r);
-        // Just assigned above.
-        Ok(self.last.as_ref().expect("estimate stored"))
+        Ok(self.last.insert(r))
     }
 
     /// The cumulative statistics of every ingested batch.
@@ -173,24 +176,14 @@ impl IncrementalEm {
     pub fn batches(&self) -> u64 {
         self.batches
     }
-
-    /// Convolution-cache hits accumulated across all re-estimations.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache.hits()
-    }
-
-    /// Convolution-cache misses accumulated across all re-estimations.
-    pub fn cache_misses(&self) -> u64 {
-        self.cache.misses()
-    }
 }
 
 /// Folds a sequence of [`SuffStats`] batches through an [`IncrementalEm`],
 /// re-estimating after every batch, and returns the final estimate.
 ///
 /// This is the batch-granularity streaming path the fleet service uses: the
-/// amortized per-batch cost is a few warm EM sweeps plus the cache-missed
-/// convolutions, not a cold restart fan-out.
+/// amortized per-batch cost is a few warm EM sweeps, not a cold restart
+/// fan-out.
 ///
 /// # Errors
 ///
@@ -206,10 +199,7 @@ pub fn estimate_em_incremental(
     let first = batches
         .first()
         .ok_or_else(|| FbError::Shape("no batches to estimate from".into()))?;
-    let mut inc = IncrementalEm::new(
-        crate::samples::DurationSamples::cycles_per_tick(first),
-        opts,
-    );
+    let mut inc = IncrementalEm::new(first.cycles_per_tick(), opts);
     for b in batches {
         inc.ingest(b)?;
         inc.reestimate(cfg, block_costs, edge_costs)?;
@@ -282,7 +272,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_reestimation_converges_faster_and_hits_the_cache() {
+    fn warm_reestimation_converges_faster() {
         let cfg = diamond();
         let bc = [10u64, 100, 200, 5];
         let ec = [0u64; 4];
@@ -290,15 +280,13 @@ mod tests {
         inc.ingest(&batch_of(&mixture_ticks(400, 150))).unwrap();
         let cold_iters = inc.reestimate(&cfg, &bc, &ec).unwrap().iterations;
         // A small delta barely moves the optimum: the warm start lands near
-        // the fixed point and the rebuilt tables replay cached convolutions.
+        // the fixed point.
         inc.ingest(&batch_of(&mixture_ticks(8, 3))).unwrap();
-        let h0 = inc.cache_hits();
         let warm_iters = inc.reestimate(&cfg, &bc, &ec).unwrap().iterations;
         assert!(
             warm_iters <= cold_iters,
             "warm {warm_iters} vs cold {cold_iters}"
         );
-        assert!(inc.cache_hits() > h0, "warm re-estimation missed the cache");
         assert_eq!(inc.batches(), 2);
     }
 

@@ -71,12 +71,14 @@ pub mod stream;
 pub mod unrolled;
 
 pub use accuracy::{compare, compare_unweighted, AccuracyReport};
-pub use em::{estimate_em, estimate_em_cached, estimate_em_from, EmOptions, EmResult};
+pub use em::{estimate_em, estimate_em_from, EmOptions, EmResult};
 pub use estimator::{
     estimate, estimate_robust, Estimate, EstimateError, EstimateOptions, Method, RobustEstimate,
     RobustOptions, Rung, RungAttempt,
 };
-pub use fb::{compute_tables, e_step, e_step_cached, EStepCache, FbError, FbParams, FbTables};
+pub use fb::{
+    compute_tables, e_step, e_step_planned, FbError, FbParams, FbPlan, FbScratch, FbTables,
+};
 pub use flow_nnls::{estimate_flow, estimate_flow_many, FlowResult};
 pub use gnt::{estimate_gnt, model_cf, GntError, GntOptions, GntResult};
 pub use incremental::{estimate_em_incremental, IncrementalEm};

@@ -10,9 +10,9 @@
 //! share one θ, as they must — they are the same static branch).
 
 use crate::em::EmOptions;
-use crate::fb::{e_step_inner, FbError};
+use crate::fb::{e_step_planned, FbError, FbPlan, FbScratch};
 use crate::samples::DurationSamples;
-use ct_cfg::graph::{BlockId, Cfg, EdgeKind};
+use ct_cfg::graph::{BlockId, Cfg};
 use ct_cfg::profile::BranchProbs;
 use ct_cfg::unroll::{unroll, UnrollError};
 use std::collections::HashMap;
@@ -76,70 +76,65 @@ pub fn estimate_unrolled<S: DurationSamples + ?Sized>(
     let ubc = u.map_block_values(block_costs);
     let uec = u.map_edge_values(edge_costs);
 
-    // Group unrolled branch blocks by their original branch block.
-    let u_edges = u.cfg.edges();
-    let mut groups: HashMap<BlockId, Vec<(usize, usize)>> = HashMap::new();
-    for ub in u.cfg.branch_blocks() {
+    // Group unrolled branch slots by their original branch block.
+    let plan = FbPlan::new(&u.cfg);
+    let mut groups: HashMap<BlockId, Vec<(BlockId, usize, usize)>> = HashMap::new();
+    for (&ub, &(t, f)) in plan.branch_blocks().iter().zip(plan.arms()) {
         let orig = u.orig_block[ub.index()];
-        let t = u_edges
-            .iter()
-            .find(|e| e.from == ub && e.kind == EdgeKind::BranchTrue)
-            .expect("true edge")
-            .index;
-        let f = u_edges
-            .iter()
-            .find(|e| e.from == ub && e.kind == EdgeKind::BranchFalse)
-            .expect("false edge")
-            .index;
-        groups.entry(orig).or_default().push((t, f));
+        groups.entry(orig).or_default().push((ub, t, f));
     }
 
+    let mut scratch = FbScratch::new();
     let mut u_probs = BranchProbs::uniform(&u.cfg, 0.5);
+    let mut prev = u_probs.clone();
     let mut loglik = f64::NEG_INFINITY;
     let mut unexplained = 0;
     let mut iterations = 0;
-    let mut final_counts = vec![0.0; u_edges.len()];
     let hist = samples.counted();
     let cpt = samples.cycles_per_tick();
 
     for iter in 0..opts.max_iter.max(1) {
         iterations = iter + 1;
-        let (exp, _) = e_step_inner(&u.cfg, &ubc, &uec, &u_probs, &hist, cpt, opts.fb, None)
-            .map_err(UnrolledError::Em)?;
-        loglik = exp.loglik;
-        unexplained = exp.unexplained;
-        final_counts = exp.counts.clone();
+        (loglik, unexplained) = e_step_planned(
+            &plan,
+            &mut scratch,
+            &ubc,
+            &uec,
+            &u_probs,
+            &hist,
+            cpt,
+            opts.fb,
+        )
+        .map_err(UnrolledError::Em)?;
+        let counts = scratch.counts();
+        std::mem::swap(&mut prev, &mut u_probs);
 
         let mut max_delta: f64 = 0.0;
-        let mut next = u_probs.clone();
-        for pairs in groups.values() {
+        for copies in groups.values() {
             // Tie: pool counts over all copies of the original branch, with
             // the same symmetric pseudo-count prior as the plain EM M-step.
             let a = opts.prior_strength.max(0.0);
-            let nt: f64 = pairs.iter().map(|&(t, _)| exp.counts[t]).sum::<f64>() + a;
-            let nf: f64 = pairs.iter().map(|&(_, f)| exp.counts[f]).sum::<f64>() + a;
-            if nt + nf <= 0.0 {
-                continue;
-            }
-            let theta = (nt / (nt + nf)).clamp(opts.min_prob, 1.0 - opts.min_prob);
-            for &(t, _) in pairs {
-                let ub = u_edges[t].from;
-                let old = u_probs.prob_true(ub).expect("branch");
+            let nt: f64 = copies.iter().map(|&(_, t, _)| counts[t]).sum::<f64>() + a;
+            let nf: f64 = copies.iter().map(|&(_, _, f)| counts[f]).sum::<f64>() + a;
+            let tied =
+                (nt + nf > 0.0).then(|| (nt / (nt + nf)).clamp(opts.min_prob, 1.0 - opts.min_prob));
+            for &(ub, _, _) in copies {
+                let old = prev.prob_true(ub).expect("branch");
+                let theta = tied.unwrap_or(old);
                 max_delta = max_delta.max((theta - old).abs());
-                next.set_prob_true(ub, theta);
+                u_probs.set_prob_true(ub, theta);
             }
         }
-        u_probs = next;
         if max_delta < opts.tol {
             break;
         }
     }
+    let final_counts = scratch.counts();
 
     // Express the estimate on the original CFG.
     let mut probs = BranchProbs::uniform(cfg, 0.5);
-    for (&orig, pairs) in &groups {
-        let ub = u_edges[pairs[0].0].from;
-        let theta = u_probs.prob_true(ub).expect("branch");
+    for (&orig, copies) in &groups {
+        let theta = u_probs.prob_true(copies[0].0).expect("branch");
         probs.set_prob_true(orig, theta);
     }
     for &(header, trips) in counted {
@@ -161,7 +156,7 @@ pub fn estimate_unrolled<S: DurationSamples + ?Sized>(
 
     // Per-invocation edge counts: fold and normalize by sample count.
     let n = samples.len().max(1) as f64;
-    let folded = u.fold_edge_counts(&final_counts, cfg.edges().len());
+    let folded = u.fold_edge_counts(final_counts, cfg.edges().len());
     let edge_counts: Vec<f64> = folded.iter().map(|c| c / n).collect();
 
     Ok(UnrolledEstimate {

@@ -1,14 +1,80 @@
 //! Property-based tests of the estimation engine: consistency of the
 //! forward–backward tables, EM recovery, and estimator agreement.
 
-use ct_cfg::builder::{diamond, while_loop};
+use ct_cfg::builder::{diamond, diamond_chain, while_loop};
+use ct_cfg::graph::Cfg;
 use ct_cfg::profile::BranchProbs;
-use ct_core::fb::{compute_tables, FbParams};
+use ct_core::fb::{compute_tables, e_step_planned, FbError, FbParams, FbPlan, FbScratch};
 use ct_core::quantize::{duration_window, tick_likelihood};
 use ct_core::samples::TimingSamples;
 use ct_core::unrolled::estimate_unrolled;
 use ct_core::{estimate, EstimateOptions};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
+
+/// A CFG with its block and edge costs.
+type Problem = (Cfg, Vec<u64>, Vec<u64>);
+
+/// Registry target procedures with their real static costs, except the two
+/// apps whose E-steps take seconds.
+fn registry() -> &'static [Problem] {
+    static REGISTRY: OnceLock<Vec<Problem>> = OnceLock::new();
+    REGISTRY.get_or_init(|| {
+        ct_apps::all_apps()
+            .iter()
+            .filter(|app| !["crc", "sort"].contains(&app.name))
+            .map(|app| {
+                let mote = app.boot(Box::new(ct_mote::cost::AvrCost));
+                let pid = app.target_id(mote.program());
+                let cfg = mote.program().procs[pid.index()].cfg.clone();
+                let bc = mote.static_block_costs(pid).to_vec();
+                (cfg, bc, mote.static_edge_costs(pid).to_vec())
+            })
+            .collect()
+    })
+}
+
+/// Problem `shape` (diamond chains, a while loop, then the registry) with
+/// costs, probabilities and a tick histogram drawn from `seed`: ticks of
+/// durations the model can produce, plus one it cannot.
+fn scratch_problem(shape: usize, seed: u64, cpt: u64) -> (Problem, BranchProbs, Vec<(u64, usize)>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (cfg, bc, ec) = match shape {
+        0..=3 => {
+            let cfg = diamond_chain(shape + 1);
+            let bc = (0..cfg.len()).map(|_| rng.gen_range(1u64..200)).collect();
+            let ec = (0..cfg.edges().len())
+                .map(|_| rng.gen_range(0u64..4))
+                .collect();
+            (cfg, bc, ec)
+        }
+        4 => (while_loop(), vec![2, 3, 10, 1], vec![0; 4]),
+        _ => registry()[(shape - 5) % registry().len()].clone(),
+    };
+    let p = (0..cfg.branch_blocks().len())
+        .map(|_| rng.gen_range(0.05..0.9))
+        .collect();
+    let probs = BranchProbs::from_vec(&cfg, p);
+    let duration = compute_tables(&cfg, &bc, &ec, &probs, FbParams::default())
+        .unwrap()
+        .duration_pmf(&cfg)
+        .keys()
+        .to_vec();
+    let mut ticks: Vec<(u64, usize)> = (0..rng.gen_range(1..12))
+        .map(|_| {
+            (
+                duration[rng.gen_range(0..duration.len())] / cpt,
+                rng.gen_range(1..5),
+            )
+        })
+        .collect();
+    ticks.push((duration[duration.len() - 1] / cpt + 1000, 1));
+    ticks.sort_unstable();
+    ticks.dedup_by_key(|t| t.0);
+    ((cfg, bc, ec), probs, ticks)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -95,5 +161,47 @@ proptest! {
         let want = trips as f64 / (trips as f64 + 1.0);
         prop_assert!((q - want).abs() < 1e-9);
         prop_assert_eq!(r.unexplained, 0);
+    }
+
+    /// One scratch reused across a random sequence of problems answers
+    /// every call bitwise like a fresh scratch — including the call after
+    /// one that a `SupportExplosion` cut short.
+    #[test]
+    fn reused_scratch_matches_fresh_scratch(
+        calls in prop::collection::vec((0usize..11, any::<u64>(), 0usize..3, 0u8..6), 1..8),
+    ) {
+        let mut reused = FbScratch::new();
+        for (shape, seed, cpt, explode) in calls {
+            let cpt = [1u64, 8, 244][cpt];
+            let ((cfg, bc, ec), probs, ticks) = scratch_problem(shape, seed, cpt);
+            let params = if explode == 0 {
+                FbParams { max_entries: 1, ..FbParams::default() }
+            } else {
+                FbParams::default()
+            };
+            let plan = FbPlan::new(&cfg);
+            let mut fresh = FbScratch::new();
+            let run = |s: &mut FbScratch| {
+                e_step_planned(&plan, s, &bc, &ec, &probs, &ticks, cpt, params)
+            };
+            let (want, got) = (run(&mut fresh), run(&mut reused));
+            if explode == 0 {
+                let exploded = matches!(want, Err(FbError::SupportExplosion { .. }));
+                prop_assert!(exploded);
+                prop_assert_eq!(got, want);
+                continue;
+            }
+            let ((ll_w, unex_w), (ll_g, unex_g)) = (want.unwrap(), got.unwrap());
+            prop_assert_eq!(ll_g.to_bits(), ll_w.to_bits());
+            prop_assert_eq!(unex_g, unex_w);
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(reused.counts()), bits(fresh.counts()));
+            let (tw, tg) = (fresh.tables(), reused.tables());
+            prop_assert_eq!(tg.truncated.to_bits(), tw.truncated.to_bits());
+            prop_assert_eq!(tg.forward.len(), tw.forward.len());
+            for (g, w) in tg.forward.iter().chain(&tg.backward).zip(tw.forward.iter().chain(&tw.backward)) {
+                prop_assert!(g.bits_eq(w));
+            }
+        }
     }
 }

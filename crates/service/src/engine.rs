@@ -175,16 +175,6 @@ impl ServiceCore {
     pub fn ledger(&self) -> &BTreeSet<BatchTag> {
         self.reduce.ledger()
     }
-
-    /// Convolution-cache hits across this process's re-estimations.
-    pub fn cache_hits(&self) -> u64 {
-        self.reduce.cache_hits()
-    }
-
-    /// Convolution-cache misses across this process's re-estimations.
-    pub fn cache_misses(&self) -> u64 {
-        self.reduce.cache_misses()
-    }
 }
 
 #[cfg(test)]

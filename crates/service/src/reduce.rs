@@ -249,16 +249,6 @@ impl ReduceTier {
         &self.ledger
     }
 
-    /// Convolution-cache hits across this process's re-estimations.
-    pub fn cache_hits(&self) -> u64 {
-        self.inc.cache_hits()
-    }
-
-    /// Convolution-cache misses across this process's re-estimations.
-    pub fn cache_misses(&self) -> u64 {
-        self.inc.cache_misses()
-    }
-
     /// The tier's timer resolution.
     pub fn cycles_per_tick(&self) -> u64 {
         self.cycles_per_tick

@@ -28,7 +28,6 @@
 //! # }
 //! ```
 
-pub mod cache;
 pub mod descriptive;
 pub mod dist;
 pub mod hist;
@@ -39,7 +38,6 @@ pub mod parallel;
 pub mod pmf;
 pub mod solve;
 
-pub use cache::{ConvCache, ConvKey};
 pub use descriptive::Summary;
 pub use hist::Histogram;
 pub use matrix::Matrix;

@@ -111,14 +111,19 @@ impl Pmf {
     /// Builds from entries already sorted with strictly increasing keys
     /// (the invariant `coalesce` establishes).
     pub fn from_sorted(entries: Vec<Entry>) -> Pmf {
+        let mut p = Pmf::new();
+        p.refill_sorted(&entries);
+        p
+    }
+
+    /// Replaces the contents with `entries` (sorted with strictly increasing
+    /// keys, as for [`Pmf::from_sorted`]), reusing the allocations.
+    pub fn refill_sorted(&mut self, entries: &[Entry]) {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        let mut keys = Vec::with_capacity(entries.len());
-        let mut mass = Vec::with_capacity(entries.len());
-        for (d, m) in entries {
-            keys.push(d);
-            mass.push(m);
-        }
-        Pmf { keys, mass }
+        self.keys.clear();
+        self.mass.clear();
+        self.keys.extend(entries.iter().map(|&(d, _)| d));
+        self.mass.extend(entries.iter().map(|&(_, m)| m));
     }
 
     /// Builds from an arbitrary contribution list, coalescing duplicates
@@ -199,9 +204,7 @@ impl Pmf {
         (start, end)
     }
 
-    /// Bitwise equality: same keys, same mass bit patterns. This is the
-    /// invalidation predicate of the per-edge convolution cache — reused
-    /// factors must be indistinguishable from recomputed ones.
+    /// Bitwise equality: same keys, same mass bit patterns.
     pub fn bits_eq(&self, other: &Pmf) -> bool {
         self.keys == other.keys
             && self.mass.len() == other.mass.len()
@@ -292,42 +295,73 @@ pub fn convolve_sparse(f: &[Entry], g: &[Entry], shift: u64, lo: u64, hi: u64) -
 
 /// SoA windowed convolution: [`convolve_window`] over [`Pmf`] operands,
 /// bit-identical results (same path selection, same enumeration and
-/// summation order), with two layout advantages on the dense path:
+/// summation order). A one-call wrapper of [`convolve_window_into`].
+pub fn convolve_window_pmf(f: &Pmf, g: &Pmf, shift: u64, lo: u64, hi: u64) -> Pmf {
+    let mut out = Pmf::new();
+    convolve_window_into(
+        &mut out,
+        &mut Vec::new(),
+        &mut Vec::new(),
+        f,
+        g,
+        shift,
+        lo,
+        hi,
+    );
+    out
+}
+
+/// [`convolve_window_pmf`] into caller-owned storage: the result replaces
+/// `out`, and `buf` (the dense path's window) and `terms` (the sparse
+/// path's term list) are working space. Reused across calls, none of the
+/// three reallocates once it has grown to the largest window seen.
+///
+/// Over the tuple kernel the dense path has two layout advantages:
 ///
 /// - the inner accumulation reads the mass array contiguously; and
 /// - when the in-window slice of `g` is one contiguous run, the destination
 ///   offsets advance by 1 per term, so the loop is a pure
 ///   `buf[off + j] += fm * gm[j]` sweep with no per-term index computation.
-pub fn convolve_window_pmf(f: &Pmf, g: &Pmf, shift: u64, lo: u64, hi: u64) -> Pmf {
+#[allow(clippy::too_many_arguments)]
+pub fn convolve_window_into(
+    out: &mut Pmf,
+    buf: &mut Vec<f64>,
+    terms: &mut Vec<Entry>,
+    f: &Pmf,
+    g: &Pmf,
+    shift: u64,
+    lo: u64,
+    hi: u64,
+) {
+    out.keys.clear();
+    out.mass.clear();
     if lo > hi || f.is_empty() || g.is_empty() {
-        return Pmf::new();
+        return;
     }
     let width = (hi - lo + 1) as usize;
     let pairs = f.len().saturating_mul(g.len());
-    if width <= pairs.saturating_mul(4).max(1024) && width <= (1 << 22) {
-        convolve_dense_pmf(f, g, shift, lo, hi, width)
+    let dense = width <= pairs.saturating_mul(4).max(1024) && width <= (1 << 22);
+    if dense {
+        buf.clear();
+        buf.resize(width, 0.0);
     } else {
-        convolve_sparse_pmf(f, g, shift, lo, hi)
+        terms.clear();
     }
-}
-
-fn convolve_dense_pmf(f: &Pmf, g: &Pmf, shift: u64, lo: u64, hi: u64, width: usize) -> Pmf {
-    let mut buf = vec![0.0f64; width];
     for (i, &t) in f.keys.iter().enumerate() {
         let base = t + shift;
         if base > hi {
             continue;
         }
         let fm = f.mass[i];
-        let s_lo = lo.saturating_sub(base);
-        let s_hi = hi - base;
-        let (a, b) = g.window(s_lo, s_hi);
+        let (a, b) = g.window(lo.saturating_sub(base), hi - base);
         if a == b {
             continue;
         }
         let gk = &g.keys[a..b];
         let gm = &g.mass[a..b];
-        if gk[gk.len() - 1] - gk[0] + 1 == gk.len() as u64 {
+        if !dense {
+            terms.extend(gk.iter().zip(gm).map(|(&s, &m)| (base + s, fm * m)));
+        } else if gk[gk.len() - 1] - gk[0] + 1 == gk.len() as u64 {
             // Contiguous run: destination indices advance by one per term.
             let off = (base + gk[0] - lo) as usize;
             for (j, &m) in gm.iter().enumerate() {
@@ -339,34 +373,17 @@ fn convolve_dense_pmf(f: &Pmf, g: &Pmf, shift: u64, lo: u64, hi: u64, width: usi
             }
         }
     }
-    let mut keys = Vec::new();
-    let mut mass = Vec::new();
-    for (i, &m) in buf.iter().enumerate() {
-        if m > 0.0 {
-            keys.push(lo + i as u64);
-            mass.push(m);
+    if dense {
+        for (i, &m) in buf.iter().enumerate() {
+            if m > 0.0 {
+                out.keys.push(lo + i as u64);
+                out.mass.push(m);
+            }
         }
+    } else {
+        coalesce(terms);
+        out.refill_sorted(terms);
     }
-    Pmf { keys, mass }
-}
-
-fn convolve_sparse_pmf(f: &Pmf, g: &Pmf, shift: u64, lo: u64, hi: u64) -> Pmf {
-    let mut terms: Vec<Entry> = Vec::new();
-    for (i, &t) in f.keys.iter().enumerate() {
-        let base = t + shift;
-        if base > hi {
-            continue;
-        }
-        let fm = f.mass[i];
-        let s_lo = lo.saturating_sub(base);
-        let s_hi = hi - base;
-        let (a, b) = g.window(s_lo, s_hi);
-        for j in a..b {
-            terms.push((base + g.keys[j], fm * g.mass[j]));
-        }
-    }
-    coalesce(&mut terms);
-    Pmf::from_sorted(terms)
 }
 
 #[cfg(test)]

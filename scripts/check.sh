@@ -12,7 +12,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo clippy (unwrap audit: every library crate) =="
 # Estimation, fault-injection, observability, mote-interpreter, numeric
-# substrate (convolution cache), pipeline (checkpoint decode, fleet
+# substrate (PMF kernels, solvers), pipeline (checkpoint decode, fleet
 # ingestion), app corpus, NLC front end, the sharded estimation service,
 # and the graph/profiling substrate (CFG, Markov chains, placement,
 # profilers) must not panic on data: surface any unwrap()/expect() as
@@ -33,7 +33,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet \
 echo "== merge property tests (streaming ingestion fast path) =="
 cargo test --release -p ct-pipeline --test merge_props --quiet
 
-echo "== service unit tests + checkpoint restore (the one restore path) =="
+echo "== core + service unit tests, checkpoint restore (the one restore path) =="
+# ct-core's unit and property tests hold the E-step, EM and incremental
+# contracts (planned E-step == fresh scratch, bitwise).
+cargo test --release -p ct-core --quiet
 cargo test --release -p ct-service --quiet
 cargo test --release -p ct-pipeline --test checkpoint_restore --quiet
 
@@ -54,6 +57,12 @@ echo "== perfbench faults smoke (ladder trails, pass-to-pass bitwise) =="
 # failed check exits non-zero, so a ct-core API or behaviour change cannot
 # silently break the benchmark.
 python3 perfbench/run.py --workload faults --seed 1 --seconds 3 --trace 0 > /dev/null
+
+echo "== perfbench service smoke (served bits, dedup, drained staleness) =="
+# Every pass checks its served bits against a monolithic IncrementalEm
+# fold, the dedup count against the injected duplicates, and that the
+# drained service reports zero staleness; any failed check exits non-zero.
+python3 perfbench/run.py --workload service --seed 1 --seconds 3 --trace 0 > /dev/null
 
 echo "== e15 smoke grid (chaos harness: crash/duplicate/straggler recovery) =="
 # e15 enforces its own claims by exit status: checkpoint-cycled recovery is
