@@ -40,15 +40,7 @@ fn estimate_with_model_error(run: &AppRun, delta: f64) -> Option<(Estimate, f64)
             Default::default(),
         )
         .ok()?;
-        Estimate {
-            probs: u.probs,
-            method: Method::EmUnrolled,
-            iterations: u.iterations,
-            converged: true,
-            final_delta: 0.0,
-            loglik: Some(u.loglik),
-            unexplained: u.unexplained,
-        }
+        Estimate::from_em(u, Method::EmUnrolled)
     };
     let acc = compare(
         run.cfg(),

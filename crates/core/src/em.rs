@@ -64,8 +64,9 @@ pub struct EmResult {
     pub final_delta: f64,
     /// Samples the model could not explain at the final parameters.
     pub unexplained: usize,
-    /// Posterior expected traversal counts per edge at the final E-step
-    /// (summed over samples; used to fold unrolled-CFG estimates back).
+    /// Posterior expected traversal counts per edge at the final E-step,
+    /// summed over samples (an unrolled estimate folds them back onto the
+    /// original CFG's edges).
     pub edge_counts: Vec<f64>,
     /// Whether the likelihood watchdog rewound to an earlier iterate after
     /// detecting a material likelihood decrease (numerical trouble; the
@@ -149,7 +150,9 @@ pub(crate) fn estimate_em_counted(
 
 /// The EM loop on a caller-owned plan and scratch: every iteration's E-step
 /// refills `scratch` in place, and the M-step writes the next iterate over
-/// the one before last, so an iteration allocates nothing.
+/// the one before last, so an iteration allocates nothing. The M-step
+/// estimates one θ per parameter group of the plan ([`FbPlan::tied`]), so
+/// the same loop, with the same health checks, runs untied and tied EM.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn estimate_em_planned(
     plan: &FbPlan,
@@ -236,24 +239,32 @@ pub(crate) fn estimate_em_planned(
         edge_counts.copy_from_slice(scratch.counts());
         std::mem::swap(&mut good, &mut probs);
 
+        // MAP with a symmetric Beta(1+a, 1+a) prior: add `a` pseudo-counts
+        // to each side (a = 0 recovers plain maximum likelihood).
+        let a = opts.prior_strength.max(0.0);
         let mut max_delta: f64 = 0.0;
-        for (&bb, &(ti, fi)) in plan.branch_blocks().iter().zip(plan.arms()) {
-            // `bb` came from the CFG's branch blocks, so `prob_true` is Some.
-            let old = good.prob_true(bb).unwrap_or(0.5);
-            // MAP with a symmetric Beta(1+a, 1+a) prior: add `a` pseudo-counts
-            // to each side (a = 0 recovers plain maximum likelihood).
-            let a = opts.prior_strength.max(0.0);
-            let nt = edge_counts[ti] + a;
-            let nf = edge_counts[fi] + a;
+        for group in plan.groups() {
+            // Tied slots are one parameter: pool their counts in slot order,
+            // then add the prior once.
+            let (mut nt, mut nf) = (0.0, 0.0);
+            for &(_, slot) in group {
+                let (t, f) = plan.arms()[slot];
+                nt += edge_counts[t];
+                nf += edge_counts[f];
+            }
+            let (nt, nf) = (nt + a, nf + a);
             let total = nt + nf;
-            let theta = if total <= 0.0 {
-                old // branch unreachable under current data
-            } else {
-                let theta = (nt / total).clamp(opts.min_prob, 1.0 - opts.min_prob);
+            // A branch unreachable under the current data keeps its θ.
+            let theta =
+                (total > 0.0).then(|| (nt / total).clamp(opts.min_prob, 1.0 - opts.min_prob));
+            for &(_, slot) in group {
+                let bb = plan.branch_blocks()[slot];
+                // `bb` came from the CFG's branch blocks, so `prob_true` is Some.
+                let old = good.prob_true(bb).unwrap_or(0.5);
+                let theta = theta.unwrap_or(old);
                 max_delta = max_delta.max((theta - old).abs());
-                theta
-            };
-            probs.set_prob_true(bb, theta);
+                probs.set_prob_true(bb, theta);
+            }
         }
         final_delta = max_delta;
         if max_delta < opts.tol {

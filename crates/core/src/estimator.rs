@@ -2,7 +2,7 @@
 //! the graceful-degradation ladder for samples that crossed a faulty
 //! measurement channel.
 
-use crate::em::EmOptions;
+use crate::em::{EmOptions, EmResult};
 use crate::fb::FbError;
 use crate::flow_nnls::{estimate_flow, FlowError};
 use crate::gnt::{estimate_gnt_counted, GntError, GntOptions};
@@ -93,6 +93,22 @@ pub struct Estimate {
     pub loglik: Option<f64>,
     /// Samples the model could not explain (EM only).
     pub unexplained: usize,
+}
+
+impl Estimate {
+    /// An EM run's outcome as an estimate by `method` (plain or unrolled
+    /// EM), carrying the run's own convergence report.
+    pub fn from_em(r: EmResult, method: Method) -> Estimate {
+        Estimate {
+            probs: r.probs,
+            method,
+            iterations: r.iterations,
+            converged: r.converged,
+            final_delta: r.final_delta,
+            loglik: Some(r.loglik),
+            unexplained: r.unexplained,
+        }
+    }
 }
 
 /// Estimation failure.
@@ -344,15 +360,7 @@ fn run_em<S: DurationSamples + Sync + ?Sized>(
             return Err(last_err.unwrap_or(FbError::Shape("no EM attempt ran".into())));
         }
     };
-    Ok(Estimate {
-        probs: r.probs,
-        method: Method::Em,
-        iterations: r.iterations,
-        converged: r.converged,
-        final_delta: r.final_delta,
-        loglik: Some(r.loglik),
-        unexplained: r.unexplained,
-    })
+    Ok(Estimate::from_em(r, Method::Em))
 }
 
 fn run_moments<S: DurationSamples + ?Sized>(

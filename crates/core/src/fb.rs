@@ -33,16 +33,17 @@
 //!   for every `(sample, edge)` pair.
 //!
 //! What an EM run does not change — edges, adjacency, return blocks, branch
-//! slots — is an [`FbPlan`], built once per run. Everything an E-step
-//! writes lives in an [`FbScratch`] that every iteration refills in place,
-//! so a warm E-step allocates nothing. [`compute_tables`] and [`e_step`]
-//! build both for a single call.
+//! slots and the parameter each slot shares — is an [`FbPlan`], built once
+//! per run. Everything an E-step writes lives in an [`FbScratch`] that every
+//! iteration refills in place, so a warm E-step allocates nothing.
+//! [`compute_tables`] and [`e_step`] build both for a single call.
 
 use crate::quantize::{duration_window, pmf_tick_score_soa};
 use crate::samples::DurationSamples;
 use ct_cfg::graph::{BlockId, Cfg, EdgeKind, Terminator};
 use ct_cfg::profile::BranchProbs;
 use ct_stats::pmf::{self, Pmf};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -145,8 +146,8 @@ impl FbTables {
 }
 
 /// What never changes while EM iterates on one CFG: its edges, in/out
-/// adjacency, return blocks and branch slots. Built once per EM run and
-/// shared by every E-step of the run.
+/// adjacency, return blocks, branch slots and which slots share one
+/// parameter. Built once per EM run and shared by every E-step of the run.
 #[derive(Debug, Clone)]
 pub struct FbPlan {
     /// Per block: its terminator (see [`FbPlan::fits`]).
@@ -161,6 +162,11 @@ pub struct FbPlan {
     branch_blocks: Vec<BlockId>,
     /// Per branch slot (the [`BranchProbs`] order): `(true edge, false edge)`.
     arms: Vec<(usize, usize)>,
+    /// Every branch slot as `(group, slot)`, sorted: a group is named by
+    /// its first slot and holds the slots that share one parameter — just
+    /// that slot unless [`FbPlan::tied`] merged them. One flat array, so the
+    /// M-step chases no heap pointer per group.
+    ties: Vec<(usize, usize)>,
 }
 
 impl FbPlan {
@@ -175,6 +181,7 @@ impl FbPlan {
             in_edges: vec![Vec::new(); n],
             branch_blocks: cfg.branch_blocks(),
             arms: Vec::new(),
+            ties: Vec::new(),
         };
         for e in cfg.edges() {
             let (u, v) = (e.from.index(), e.to.index());
@@ -187,7 +194,21 @@ impl FbPlan {
                 plan.arms.push((e.index, e.index + 1));
             }
         }
+        plan.ties = (0..plan.arms.len()).map(|slot| (slot, slot)).collect();
         plan
+    }
+
+    /// This plan with every branch slot whose block `param` maps to the same
+    /// block sharing one parameter: EM's M-step pools the group's expected
+    /// counts and writes one θ to all of its slots. Groups are ordered by
+    /// their first slot.
+    pub(crate) fn tied(mut self, param: impl Fn(BlockId) -> BlockId) -> FbPlan {
+        let mut first_slot = BTreeMap::new();
+        for (slot, &b) in self.branch_blocks.iter().enumerate() {
+            self.ties[slot] = (*first_slot.entry(param(b)).or_insert(slot), slot);
+        }
+        self.ties.sort_unstable();
+        self
     }
 
     /// True when `cfg` has the block structure this plan was built from.
@@ -210,6 +231,12 @@ impl FbPlan {
     /// `(true edge, false edge)` of every branch slot.
     pub(crate) fn arms(&self) -> &[(usize, usize)] {
         &self.arms
+    }
+
+    /// The `(group, slot)` runs of the branch slots that share one
+    /// parameter, in group order.
+    pub(crate) fn groups(&self) -> impl Iterator<Item = &[(usize, usize)]> {
+        self.ties.chunk_by(|a, b| a.0 == b.0)
     }
 
     /// Per-edge traversal probabilities, as [`BranchProbs::edge_probs`]

@@ -178,36 +178,6 @@ impl IncrementalEm {
     }
 }
 
-/// Folds a sequence of [`SuffStats`] batches through an [`IncrementalEm`],
-/// re-estimating after every batch, and returns the final estimate.
-///
-/// This is the batch-granularity streaming path the fleet service uses: the
-/// amortized per-batch cost is a few warm EM sweeps, not a cold restart
-/// fan-out.
-///
-/// # Errors
-///
-/// [`FbError::Shape`] for an empty batch list or mismatched resolutions;
-/// otherwise propagates [`FbError`] from the dynamic programs.
-pub fn estimate_em_incremental(
-    cfg: &Cfg,
-    block_costs: &[u64],
-    edge_costs: &[u64],
-    batches: &[SuffStats],
-    opts: EmOptions,
-) -> Result<EmResult, FbError> {
-    let first = batches
-        .first()
-        .ok_or_else(|| FbError::Shape("no batches to estimate from".into()))?;
-    let mut inc = IncrementalEm::new(first.cycles_per_tick(), opts);
-    for b in batches {
-        inc.ingest(b)?;
-        inc.reestimate(cfg, block_costs, edge_costs)?;
-    }
-    // The loop ran at least once (batches is non-empty), so `last` is set.
-    Ok(inc.last.expect("at least one re-estimation ran"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,6 +199,16 @@ mod tests {
         s
     }
 
+    /// Ingests and re-estimates every batch in turn; the last estimate.
+    fn fold_batches(cfg: &Cfg, bc: &[u64], ec: &[u64], batches: &[SuffStats]) -> Option<EmResult> {
+        let mut inc = IncrementalEm::new(1, EmOptions::default());
+        for b in batches {
+            inc.ingest(b).unwrap();
+            inc.reestimate(cfg, bc, ec).unwrap();
+        }
+        inc.last().cloned()
+    }
+
     #[test]
     fn incremental_matches_monolithic_estimate() {
         let cfg = diamond();
@@ -236,7 +216,7 @@ mod tests {
         let ec = [0u64; 4];
         let ticks = mixture_ticks(700, 300);
         let batches: Vec<SuffStats> = ticks.chunks(100).map(batch_of).collect();
-        let inc = estimate_em_incremental(&cfg, &bc, &ec, &batches, EmOptions::default()).unwrap();
+        let inc = fold_batches(&cfg, &bc, &ec, &batches).unwrap();
         let mono = estimate_em(
             &cfg,
             &bc,
@@ -261,8 +241,8 @@ mod tests {
         let ec = [0u64; 4];
         let ticks = mixture_ticks(90, 60);
         let batches: Vec<SuffStats> = ticks.chunks(30).map(batch_of).collect();
-        let a = estimate_em_incremental(&cfg, &bc, &ec, &batches, EmOptions::default()).unwrap();
-        let b = estimate_em_incremental(&cfg, &bc, &ec, &batches, EmOptions::default()).unwrap();
+        let a = fold_batches(&cfg, &bc, &ec, &batches).unwrap();
+        let b = fold_batches(&cfg, &bc, &ec, &batches).unwrap();
         assert_eq!(
             a.probs.as_slice()[0].to_bits(),
             b.probs.as_slice()[0].to_bits()
@@ -378,9 +358,6 @@ mod tests {
             inc.ingest(&SuffStats::new(8)),
             Err(FbError::Shape(_))
         ));
-        assert!(matches!(
-            estimate_em_incremental(&cfg, &bc, &ec, &[], EmOptions::default()),
-            Err(FbError::Shape(_))
-        ));
+        assert!(fold_batches(&cfg, &bc, &ec, &[]).is_none());
     }
 }

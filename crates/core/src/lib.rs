@@ -81,11 +81,11 @@ pub use fb::{
 };
 pub use flow_nnls::{estimate_flow, estimate_flow_many, FlowResult};
 pub use gnt::{estimate_gnt, model_cf, GntError, GntOptions, GntResult};
-pub use incremental::{estimate_em_incremental, IncrementalEm};
+pub use incremental::IncrementalEm;
 pub use moments::{estimate_moments, model_moments, MomentsError, MomentsOptions, MomentsResult};
 pub use quantize::{
     duration_window, pmf_tick_score_soa, tick_likelihood, try_duration_window, WindowError,
 };
 pub use samples::{DurationSamples, SampleIssue, TimingSamples, TrimPolicy};
 pub use stream::{BatchTag, ResolutionMismatch, SampleBatch, SuffStats};
-pub use unrolled::{estimate_unrolled, UnrolledError, UnrolledEstimate};
+pub use unrolled::{estimate_unrolled, UnrolledError};

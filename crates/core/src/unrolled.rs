@@ -1,23 +1,18 @@
 //! Compiler-assisted estimation: EM on a counted-loop-unrolled model.
 //!
-//! When the compiler proves a loop's trip count (see `ct_ir::tripcount`),
-//! the Markov model's geometric approximation of that loop is pure noise:
-//! it widens the duration support and lets EM trade loop iterations against
-//! data-dependent branches (the crc failure mode in EXPERIMENTS.md).
-//! Unrolling counted loops in the *model* (`ct_cfg::unroll`) makes them
-//! deterministic; the remaining branches are estimated by EM with their
-//! parameters **tied across copies** (all copies of one original branch
-//! share one θ, as they must — they are the same static branch).
+//! A counted loop (trip count proved by `ct_ir::tripcount`) is deterministic,
+//! but a geometric Markov loop lets EM trade iterations against data branches.
+//! Unrolling it in the model (`ct_cfg::unroll`) removes that noise; the copies
+//! of one static branch share one θ through a tied EM plan (`FbPlan::tied`).
 
-use crate::em::EmOptions;
-use crate::fb::{e_step_planned, FbError, FbPlan, FbScratch};
+use crate::em::{estimate_em_planned, EmOptions, EmResult};
+use crate::fb::{FbError, FbPlan, FbScratch};
 use crate::samples::DurationSamples;
-use ct_cfg::graph::{BlockId, Cfg};
+use ct_cfg::graph::{BlockId, Cfg, Terminator};
+use ct_cfg::loops::LoopForest;
 use ct_cfg::profile::BranchProbs;
 use ct_cfg::unroll::{unroll, UnrollError};
-use std::collections::HashMap;
-use std::error::Error;
-use std::fmt;
+use std::{error::Error, fmt};
 
 /// Failure of unrolled estimation.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,26 +34,10 @@ impl fmt::Display for UnrolledError {
 
 impl Error for UnrolledError {}
 
-/// Result of unrolled estimation, expressed on the **original** CFG.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UnrolledEstimate {
-    /// Branch probabilities on the original CFG. Counted-loop headers get
-    /// `trips/(trips+1)` — the probability that reproduces their exact
-    /// expected visit counts under the Markov semantics.
-    pub probs: BranchProbs,
-    /// EM iterations.
-    pub iterations: usize,
-    /// Final log-likelihood.
-    pub loglik: f64,
-    /// Samples unexplained at the final parameters.
-    pub unexplained: usize,
-    /// Expected per-invocation edge traversal counts on the original CFG
-    /// (folded from the unrolled model; exact for counted loops).
-    pub edge_counts: Vec<f64>,
-}
-
-/// Estimates branch probabilities with counted loops unrolled and copy
-/// parameters tied.
+/// EM with counted loops unrolled and copy parameters tied, from the uniform
+/// start, reported on the **original** CFG: each branch gets its copies' θ,
+/// each counted header `trips/(trips+1)` (its exact expected visits), and the
+/// edge counts are folded back onto the original edges.
 ///
 /// # Errors
 ///
@@ -71,100 +50,36 @@ pub fn estimate_unrolled<S: DurationSamples + ?Sized>(
     edge_costs: &[u64],
     samples: &S,
     opts: EmOptions,
-) -> Result<UnrolledEstimate, UnrolledError> {
+) -> Result<EmResult, UnrolledError> {
     let u = unroll(cfg, counted).map_err(UnrolledError::Unroll)?;
-    let ubc = u.map_block_values(block_costs);
-    let uec = u.map_edge_values(edge_costs);
-
-    // Group unrolled branch slots by their original branch block.
-    let plan = FbPlan::new(&u.cfg);
-    let mut groups: HashMap<BlockId, Vec<(BlockId, usize, usize)>> = HashMap::new();
-    for (&ub, &(t, f)) in plan.branch_blocks().iter().zip(plan.arms()) {
-        let orig = u.orig_block[ub.index()];
-        groups.entry(orig).or_default().push((ub, t, f));
-    }
-
-    let mut scratch = FbScratch::new();
-    let mut u_probs = BranchProbs::uniform(&u.cfg, 0.5);
-    let mut prev = u_probs.clone();
-    let mut loglik = f64::NEG_INFINITY;
-    let mut unexplained = 0;
-    let mut iterations = 0;
-    let hist = samples.counted();
-    let cpt = samples.cycles_per_tick();
-
-    for iter in 0..opts.max_iter.max(1) {
-        iterations = iter + 1;
-        (loglik, unexplained) = e_step_planned(
-            &plan,
-            &mut scratch,
-            &ubc,
-            &uec,
-            &u_probs,
-            &hist,
-            cpt,
-            opts.fb,
-        )
-        .map_err(UnrolledError::Em)?;
-        let counts = scratch.counts();
-        std::mem::swap(&mut prev, &mut u_probs);
-
-        let mut max_delta: f64 = 0.0;
-        for copies in groups.values() {
-            // Tie: pool counts over all copies of the original branch, with
-            // the same symmetric pseudo-count prior as the plain EM M-step.
-            let a = opts.prior_strength.max(0.0);
-            let nt: f64 = copies.iter().map(|&(_, t, _)| counts[t]).sum::<f64>() + a;
-            let nf: f64 = copies.iter().map(|&(_, _, f)| counts[f]).sum::<f64>() + a;
-            let tied =
-                (nt + nf > 0.0).then(|| (nt / (nt + nf)).clamp(opts.min_prob, 1.0 - opts.min_prob));
-            for &(ub, _, _) in copies {
-                let old = prev.prob_true(ub).expect("branch");
-                let theta = tied.unwrap_or(old);
-                max_delta = max_delta.max((theta - old).abs());
-                u_probs.set_prob_true(ub, theta);
-            }
-        }
-        if max_delta < opts.tol {
-            break;
-        }
-    }
-    let final_counts = scratch.counts();
-
-    // Express the estimate on the original CFG.
+    let r = estimate_em_planned(
+        &FbPlan::new(&u.cfg).tied(|b| u.orig_block[b.index()]),
+        &mut FbScratch::new(),
+        &u.map_block_values(block_costs),
+        &u.map_edge_values(edge_costs),
+        &samples.counted(),
+        samples.cycles_per_tick(),
+        BranchProbs::uniform(&u.cfg, 0.5),
+        opts,
+    )
+    .map_err(UnrolledError::Em)?;
     let mut probs = BranchProbs::uniform(cfg, 0.5);
-    for (&orig, copies) in &groups {
-        let theta = u_probs.prob_true(copies[0].0).expect("branch");
-        probs.set_prob_true(orig, theta);
+    for (&ub, &theta) in r.probs.blocks().iter().zip(r.probs.as_slice()) {
+        probs.set_prob_true(u.orig_block[ub.index()], theta);
     }
+    let forest = LoopForest::compute(cfg);
     for &(header, trips) in counted {
-        // The geometric parameter matching the exact expected visits.
         let q = trips as f64 / (trips as f64 + 1.0);
-        // Orient: does the original header continue on true or false?
-        if let ct_cfg::graph::Terminator::Branch { on_true, .. } = cfg.block(header).term {
-            // The loop body successor is the one inside the loop.
-            let forest = ct_cfg::loops::LoopForest::compute(cfg);
-            let l = forest
-                .loops()
-                .iter()
-                .find(|l| l.header == header)
-                .expect("counted header heads a loop");
-            let continue_on_true = l.contains(on_true);
-            probs.set_prob_true(header, if continue_on_true { q } else { 1.0 - q });
+        if let Terminator::Branch { on_true, .. } = cfg.block(header).term {
+            let mut loops = forest.loops().iter();
+            let body_on_true = loops.any(|l| l.header == header && l.contains(on_true));
+            probs.set_prob_true(header, if body_on_true { q } else { 1.0 - q });
         }
     }
-
-    // Per-invocation edge counts: fold and normalize by sample count.
-    let n = samples.len().max(1) as f64;
-    let folded = u.fold_edge_counts(final_counts, cfg.edges().len());
-    let edge_counts: Vec<f64> = folded.iter().map(|c| c / n).collect();
-
-    Ok(UnrolledEstimate {
+    Ok(EmResult {
         probs,
-        iterations,
-        loglik,
-        unexplained,
-        edge_counts,
+        edge_counts: u.fold_edge_counts(&r.edge_counts, cfg.edges().len()),
+        ..r
     })
 }
 
@@ -262,6 +177,8 @@ mod tests {
         )
         .unwrap();
         let edges = cfg.edges();
+        let n = samples.len() as f64;
+        let per_invocation: Vec<f64> = r.edge_counts.iter().map(|c| c / n).collect();
         // header→bcond traversed exactly 3×/invocation; header→exit 1×.
         let h_body = edges
             .iter()
@@ -274,11 +191,10 @@ mod tests {
             .unwrap()
             .index;
         assert!(
-            (r.edge_counts[h_body] - 3.0).abs() < 1e-6,
-            "{:?}",
-            r.edge_counts
+            (per_invocation[h_body] - 3.0).abs() < 1e-6,
+            "{per_invocation:?}"
         );
-        assert!((r.edge_counts[h_exit] - 1.0).abs() < 1e-6);
+        assert!((per_invocation[h_exit] - 1.0).abs() < 1e-6);
     }
 
     #[test]

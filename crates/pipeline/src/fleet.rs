@@ -118,11 +118,6 @@ pub struct FleetRun {
     pub counted_loops: Vec<(BlockId, u64)>,
     /// Merged sufficient statistics of every distinct delivered batch.
     pub stats: SuffStats,
-    /// Per-mote statistics of the distinct deliveries, in mote order — the
-    /// batch sequence the streaming estimator
-    /// ([`Fleet::estimate_streaming`]) re-estimates over. Merging these
-    /// left-to-right reproduces [`FleetRun::stats`] bitwise.
-    pub mote_stats: Vec<SuffStats>,
     /// The raw at-least-once delivery stream, in mote order, duplicates
     /// included: what actually crossed the transport. Folding it through a
     /// tag-deduplicating ingest reproduces [`FleetRun::stats`] — the
@@ -412,7 +407,6 @@ impl Fleet {
             ct_stats::parallel::par_map((0..self.motes).collect(), |i| self.collect_mote(i));
 
         let mut stats = SuffStats::new(self.config.cycles_per_tick);
-        let mut mote_stats = Vec::with_capacity(self.motes);
         let mut deliveries = Vec::with_capacity(self.motes);
         let mut truth_profile = EdgeProfile::zeroed(statics.cfg());
         let mut invocations = 0u64;
@@ -439,7 +433,6 @@ impl Fleet {
                 dedup_dropped += 1;
             }
             stats.merge(&c.stats)?;
-            mote_stats.push(c.stats);
             truth_profile.merge(&c.truth_profile);
             invocations += c.invocations;
             cycles_used += c.cycles_used;
@@ -450,7 +443,6 @@ impl Fleet {
         Ok(FleetRun {
             truth,
             stats,
-            mote_stats,
             deliveries,
             truth_profile,
             invocations,
@@ -536,13 +528,12 @@ impl Fleet {
 
     /// Streaming fleet estimation: feeds each delivered batch (mote order)
     /// into an [`ct_core::IncrementalEm`] and re-estimates after every batch,
-    /// warm-starting from the previous optimum with a shared convolution
-    /// cache — the fleet-service path, where re-estimation per arriving
-    /// batch must cost a few warm sweeps, not a cold restart fan-out. The
-    /// final estimate is a full EM fixed point for the merged statistics
-    /// (the warm start moves the path, not the objective), and the whole
-    /// batch trajectory is deterministic: same batches, same
-    /// `CT_THREADS`-independent result, cache on or off.
+    /// warm-starting from the previous optimum — the fleet-service path,
+    /// where re-estimation per arriving batch must cost a few warm sweeps,
+    /// not a cold restart fan-out. The final estimate is a full EM fixed
+    /// point for the merged statistics (the warm start moves the path, not
+    /// the objective), and the whole batch trajectory is deterministic:
+    /// same batches, same `CT_THREADS`-independent result.
     ///
     /// This consumes the raw [`FleetRun::deliveries`] stream — duplicates
     /// and all — deduplicating by [`BatchTag`] against a ledger, which is
@@ -635,13 +626,9 @@ impl Fleet {
 
         let r = core.last().cloned().ok_or(PipelineError::EmptyFleet)?;
         let estimate = CoreEstimate {
-            probs: r.probs,
-            method: Method::Em,
+            // The whole stream's work, not just the last re-estimation's.
             iterations: batch_iterations.iter().sum(),
-            converged: r.converged,
-            final_delta: r.final_delta,
-            loglik: Some(r.loglik),
-            unexplained: r.unexplained,
+            ..CoreEstimate::from_em(r, Method::Em)
         };
         let accuracy = compare(
             cfg,
@@ -781,13 +768,8 @@ mod tests {
             a.estimated.accuracy.mae
         );
         assert!(!a.restored && !a.halted);
-        // The per-mote batch sequence folds back to the merged statistics.
-        let mut refold = SuffStats::new(fleet.config().cycles_per_tick);
-        for s in &fr.mote_stats {
-            refold.merge(s).unwrap();
-        }
-        assert_eq!(refold, fr.stats);
-        // So does the raw delivery stream under the service's tag dedup.
+        // The raw delivery stream folds back to the merged statistics under
+        // the service's tag dedup.
         let mut core = ServiceCore::new(
             &ServiceConfig::pinned(),
             fleet.config().cycles_per_tick,

@@ -119,7 +119,7 @@ impl Session {
     /// re-estimates warm-started from the previous optimum, scoring against
     /// this run's ground truth. The streaming counterpart of
     /// [`Session::estimate`]: amortized cost per batch is a few warm EM
-    /// sweeps plus the cache-missed convolutions.
+    /// sweeps.
     ///
     /// # Errors
     ///
@@ -216,7 +216,8 @@ impl Session {
 mod tests {
     use super::*;
     use crate::config::Mcu;
-    use ct_core::estimator::EstimateOptions;
+    use ct_core::em::EmOptions;
+    use ct_core::estimator::{EstimateOptions, Method};
 
     fn sense(n: usize, seed: u64) -> Session {
         Session::new(RunConfig::new("sense").invocations(n).seeded(seed))
@@ -255,6 +256,29 @@ mod tests {
         );
         assert_eq!(est.confidence, 1.0);
         assert!(est.robust.is_none());
+    }
+
+    #[test]
+    fn unrolled_estimate_reports_the_iteration_cap_honestly() {
+        // crc at 8 cycles/tick is still moving when unrolled EM hits its
+        // iteration cap: the estimate must say so, not claim convergence.
+        let session = Session::new(
+            RunConfig::new("crc")
+                .invocations(600)
+                .resolution(8)
+                .seeded(5),
+        );
+        let run = session.collect().unwrap();
+        let est = session.estimate(&run).unwrap().estimate;
+        let opts = EmOptions::default();
+        assert_eq!(est.method, Method::EmUnrolled);
+        assert_eq!(est.iterations, opts.max_iter);
+        assert!(!est.converged);
+        assert!(
+            est.final_delta >= opts.tol,
+            "final delta {}",
+            est.final_delta
+        );
     }
 
     #[test]

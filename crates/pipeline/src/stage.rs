@@ -462,16 +462,7 @@ pub fn estimate_probs<S: DurationSamples + Sync + ?Sized>(
             samples,
             opts.em,
         ) {
-            return Ok(CoreEstimate {
-                probs: u.probs,
-                method: Method::EmUnrolled,
-                iterations: u.iterations,
-                // The unrolled path only returns Ok on a finished EM run.
-                converged: true,
-                final_delta: 0.0,
-                loglik: Some(u.loglik),
-                unexplained: u.unexplained,
-            });
+            return Ok(CoreEstimate::from_em(u, Method::EmUnrolled));
         }
     }
     Ok(estimate(cfg, block_costs, edge_costs, samples, opts)?)
@@ -532,15 +523,7 @@ pub(crate) fn estimate_incremental_collected(
     let r = inc
         .reestimate(cfg, &run.block_costs, &run.edge_costs)
         .map_err(|e| PipelineError::from(EstimateError::Em(e)))?;
-    let estimate = CoreEstimate {
-        probs: r.probs.clone(),
-        method: Method::Em,
-        iterations: r.iterations,
-        converged: r.converged,
-        final_delta: r.final_delta,
-        loglik: Some(r.loglik),
-        unexplained: r.unexplained,
-    };
+    let estimate = CoreEstimate::from_em(r.clone(), Method::Em);
     let accuracy = compare(
         cfg,
         &estimate.probs,

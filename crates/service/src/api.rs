@@ -12,11 +12,6 @@ pub struct EstimateRequest {
     /// procedure's statistics; the name is echoed into the response so
     /// multi-procedure deployments can multiplex over one wire).
     pub procedure: String,
-    /// The newest generation the client has already seen, if any: when it
-    /// still names the service's current generation *and* an estimate for
-    /// it is cached, the response replays that estimate without re-running
-    /// EM. `None` always serves (and caches) the current generation.
-    pub generation: Option<u64>,
 }
 
 impl EstimateRequest {
@@ -24,7 +19,6 @@ impl EstimateRequest {
     pub fn latest(procedure: impl Into<String>) -> EstimateRequest {
         EstimateRequest {
             procedure: procedure.into(),
-            generation: None,
         }
     }
 }
@@ -47,7 +41,8 @@ pub struct EstimateResponse {
     pub loglik: f64,
     /// Whether the served EM run converged.
     pub converged: bool,
-    /// EM iterations the served run took (0 when replayed from cache).
+    /// EM iterations of the served run (a cached replay reports the cached
+    /// run's count).
     pub iterations: usize,
     /// Confidence in the served estimate: 1 when EM converged, halved when
     /// it ran out its iteration budget (callers gate placement on this the

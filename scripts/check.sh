@@ -30,15 +30,14 @@ echo "== cargo doc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet \
     --exclude rand --exclude proptest --exclude criterion
 
-echo "== merge property tests (streaming ingestion fast path) =="
-cargo test --release -p ct-pipeline --test merge_props --quiet
-
-echo "== core + service unit tests, checkpoint restore (the one restore path) =="
+echo "== core, service and pipeline tests (every target) =="
 # ct-core's unit and property tests hold the E-step, EM and incremental
-# contracts (planned E-step == fresh scratch, bitwise).
+# contracts (planned E-step == fresh scratch, bitwise). ct-pipeline's
+# targets include the merge properties, the one checkpoint restore path and
+# the unrolled-first golden equivalence.
 cargo test --release -p ct-core --quiet
 cargo test --release -p ct-service --quiet
-cargo test --release -p ct-pipeline --test checkpoint_restore --quiet
+cargo test --release -p ct-pipeline --quiet
 
 echo "== e13 smoke sweep (fault-injection pipeline end to end) =="
 cargo build --release -p ct-bench --bin e13_faults
