@@ -19,8 +19,9 @@
 //! factorization applies. `|M(ω)| ≤ Q` entrywise, so the system is
 //! nonsingular whenever the chain is absorbing.
 
+use crate::chain::{coordinate_descent, golden_section, ChainPlan, Target};
 use crate::samples::DurationSamples;
-use ct_cfg::graph::{Cfg, Terminator};
+use ct_cfg::graph::Cfg;
 use ct_cfg::profile::BranchProbs;
 use ct_stats::matrix::Matrix;
 use ct_stats::solve::Lu;
@@ -91,61 +92,199 @@ pub fn model_cf(
     probs: &BranchProbs,
     omega: f64,
 ) -> Result<(f64, f64), GntError> {
-    let n = cfg.len();
-    if block_costs.len() != n {
-        return Err(GntError::Shape("block cost length".into()));
-    }
-    let edges = cfg.edges();
-    if edge_costs.len() != edges.len() {
-        return Err(GntError::Shape("edge cost length".into()));
-    }
-    let edge_probs = probs.edge_probs(cfg);
+    let plan = ChainPlan::new(cfg, block_costs, edge_costs).map_err(GntError::Shape)?;
+    let theta = plan.thetas(probs);
+    CfModel::new(plan, vec![omega])?.cf(0, &theta)
+}
 
-    // Unknowns: φ_b(ω) for non-return blocks ("transient"); a return block's
-    // CF is the known phasor of its own cost.
-    let transient: Vec<usize> = cfg
-        .iter()
-        .filter(|(_, b)| !matches!(b.term, Terminator::Return))
-        .map(|(id, _)| id.index())
-        .collect();
-    if transient.is_empty() {
-        let c = block_costs[cfg.entry().index()] as f64;
-        return Ok(((omega * c).cos(), (omega * c).sin()));
-    }
-    let t = transient.len();
-    let pos = |b: usize| transient.iter().position(|&x| x == b);
+/// A complex number as `(re, im)`.
+type Complex = (f64, f64);
 
-    // (I − M(ω))φ = b(ω) over ℂ, as the doubled real system
-    // [[I−Re M,  Im M], [−Im M, I−Re M]]·[Re φ; Im φ] = [Re b; Im b].
-    let mut a = Matrix::identity(2 * t);
-    let mut rhs = vec![0.0; 2 * t];
-    for (ti, &bi) in transient.iter().enumerate() {
-        for e in edges.iter().filter(|e| e.from.index() == bi) {
-            let p = edge_probs[e.index];
+fn cmul(a: Complex, b: Complex) -> Complex {
+    (a.0 * b.0 - a.1 * b.1, a.0 * b.1 + a.1 * b.0)
+}
+
+/// The entry's transform along one parameter at one frequency, in closed
+/// form: `φ(θ₀ + h) = base + h·slope / (1 − h·lambda)`.
+///
+/// Moving branch parameter `k` by `h` moves only its block's row `r` of the
+/// system: `C(h) = C₀ − h·e_r·dᵀ` and `b(h) = b₀ + h·δ·e_r`, where `d`
+/// holds the arms' phasors into transient blocks (true minus false) and `δ`
+/// their phasors into the exit. Sherman–Morrison then gives
+/// `φ(h) = z₀ + h·u·κ / (1 − h·λ)` with `z₀ = C₀⁻¹b₀`, `u = C₀⁻¹e_r`,
+/// `λ = dᵀu` and `κ = δ + dᵀz₀`; `base` and `slope` are the entry's
+/// components of `z₀` and `u·κ`.
+#[derive(Debug, Clone, Copy)]
+struct Line {
+    base: Complex,
+    slope: Complex,
+    lambda: Complex,
+}
+
+impl Line {
+    /// The entry's transform `h` away from the base point, `None` where the
+    /// updated system is singular (`|1 − h·λ| < 1e-12`).
+    fn at(&self, h: f64) -> Option<Complex> {
+        let den = (1.0 - h * self.lambda.0, -h * self.lambda.1);
+        let norm2 = den.0 * den.0 + den.1 * den.1;
+        if norm2 < 1e-24 {
+            return None;
+        }
+        let num = (h * self.slope.0, h * self.slope.1);
+        Some((
+            self.base.0 + (num.0 * den.0 + num.1 * den.1) / norm2,
+            self.base.1 + (num.1 * den.0 - num.0 * den.1) / norm2,
+        ))
+    }
+}
+
+/// The characteristic-function model of one CFG under fixed costs on a
+/// fixed frequency grid: the chain plan, every out-edge's phasor at every
+/// frequency, and the buffers of the complex system `(I − M(ω))φ = b(ω)`,
+/// reused by every solve.
+struct CfModel {
+    plan: ChainPlan,
+    omegas: Vec<f64>,
+    /// `(cos, sin)` of each out-edge's duration at each frequency, edge
+    /// index fastest: the step for an edge into a transient block, the step
+    /// plus the return block's cost for an edge into the exit.
+    phasors: Vec<Complex>,
+    /// The doubled real system `[[I−Re M, Im M], [−Im M, I−Re M]]`.
+    a: Matrix,
+    lu: Lu,
+    rhs: Vec<f64>,
+    /// `[Re z; Im z]`, the solution at the last factored point.
+    z: Vec<f64>,
+    unit: Vec<f64>,
+    u: Vec<f64>,
+}
+
+impl CfModel {
+    fn new(plan: ChainPlan, omegas: Vec<f64>) -> Result<CfModel, GntError> {
+        let phasors = omegas
+            .iter()
+            .flat_map(|&w| {
+                plan.edges.iter().map(move |e| {
+                    let d = match e.target {
+                        Target::Row(_) => e.step,
+                        Target::Exit(c) => e.step + c,
+                    };
+                    ((w * d).cos(), (w * d).sin())
+                })
+            })
+            .collect();
+        let n = 2 * plan.rows;
+        // Any factorization serves as the buffer the first refactor reuses.
+        let a = Matrix::identity(n.max(1));
+        let lu = Lu::factor(&a).map_err(|_| GntError::Divergent)?;
+        Ok(CfModel {
+            plan,
+            omegas,
+            phasors,
+            a,
+            lu,
+            rhs: vec![0.0; n],
+            z: vec![0.0; n],
+            unit: vec![0.0; n],
+            u: vec![0.0; n],
+        })
+    }
+
+    /// Assembles and factors the system at frequency `j` under `theta` and
+    /// solves it into `z`.
+    fn factor_at(&mut self, j: usize, theta: &[f64]) -> Result<(), GntError> {
+        let t = self.plan.rows;
+        let phasors = &self.phasors[j * self.plan.edges.len()..];
+        for i in 0..2 * t {
+            let row = self.a.row_mut(i);
+            row.fill(0.0);
+            row[i] = 1.0;
+        }
+        self.rhs.fill(0.0);
+        for (e, &(cos, sin)) in self.plan.edges.iter().zip(phasors) {
+            let p = e.prob(theta);
             if p <= 0.0 {
                 continue;
             }
-            let s = (block_costs[bi] + edge_costs[e.index]) as f64;
-            match pos(e.to.index()) {
-                Some(tj) => {
-                    let (re, im) = (p * (omega * s).cos(), p * (omega * s).sin());
-                    a[(ti, tj)] -= re;
-                    a[(ti, t + tj)] += im;
-                    a[(t + ti, tj)] -= im;
-                    a[(t + ti, t + tj)] -= re;
+            let ti = e.row;
+            match e.target {
+                Target::Row(tj) => {
+                    let (re, im) = (p * cos, p * sin);
+                    self.a[(ti, tj)] -= re;
+                    self.a[(ti, t + tj)] += im;
+                    self.a[(t + ti, tj)] -= im;
+                    self.a[(t + ti, t + tj)] -= re;
                 }
-                None => {
-                    let full = s + block_costs[e.to.index()] as f64;
-                    rhs[ti] += p * (omega * full).cos();
-                    rhs[t + ti] += p * (omega * full).sin();
+                Target::Exit(_) => {
+                    self.rhs[ti] += p * cos;
+                    self.rhs[t + ti] += p * sin;
                 }
             }
         }
+        self.lu.refactor(&self.a).map_err(|_| GntError::Divergent)?;
+        self.lu
+            .solve_into(&self.rhs, &mut self.z)
+            .map_err(|_| GntError::Divergent)
     }
-    let lu = Lu::factor(&a).map_err(|_| GntError::Divergent)?;
-    let x = lu.solve(&rhs).map_err(|_| GntError::Divergent)?;
-    let ep = pos(cfg.entry().index()).ok_or(GntError::Divergent)?;
-    Ok((x[ep], x[t + ep]))
+
+    /// The entry's transform at frequency `j` under `theta`.
+    fn cf(&mut self, j: usize, theta: &[f64]) -> Result<Complex, GntError> {
+        let t = self.plan.rows;
+        if t == 0 {
+            let arg = self.omegas[j] * self.plan.entry_cost;
+            return Ok((arg.cos(), arg.sin()));
+        }
+        self.factor_at(j, theta)?;
+        let ep = self.plan.entry.ok_or(GntError::Divergent)?;
+        Ok((self.z[ep], self.z[t + ep]))
+    }
+
+    /// The closed-form line of branch parameter `k` at frequency `j` around
+    /// `theta`: one factorization and two solves.
+    fn line(&mut self, k: usize, j: usize, theta: &[f64]) -> Result<Line, GntError> {
+        self.factor_at(j, theta)?;
+        let t = self.plan.rows;
+        let ep = self.plan.entry.ok_or(GntError::Divergent)?;
+        let first = self.plan.branch_edges[k];
+        let r = self.plan.edges[first].row;
+        self.unit[r] = 1.0;
+        let solved = self.lu.solve_into(&self.unit, &mut self.u);
+        self.unit[r] = 0.0;
+        solved.map_err(|_| GntError::Divergent)?;
+
+        let phasors = &self.phasors[j * self.plan.edges.len()..];
+        let (mut lambda, mut kappa) = ((0.0, 0.0), (0.0, 0.0));
+        for (i, sign) in [(first, 1.0), (first + 1, -1.0)] {
+            let g = (sign * phasors[i].0, sign * phasors[i].1);
+            match self.plan.edges[i].target {
+                Target::Row(tj) => {
+                    let du = cmul(g, (self.u[tj], self.u[t + tj]));
+                    let dz = cmul(g, (self.z[tj], self.z[t + tj]));
+                    lambda = (lambda.0 + du.0, lambda.1 + du.1);
+                    kappa = (kappa.0 + dz.0, kappa.1 + dz.1);
+                }
+                Target::Exit(_) => kappa = (kappa.0 + g.0, kappa.1 + g.1),
+            }
+        }
+        Ok(Line {
+            base: (self.z[ep], self.z[t + ep]),
+            slope: cmul((self.u[ep], self.u[t + ep]), kappa),
+            lambda,
+        })
+    }
+
+    /// Every frequency's line of parameter `k` around `theta` into `out`;
+    /// `false` when the system is singular at `theta` for some frequency.
+    fn lines(&mut self, k: usize, theta: &[f64], out: &mut Vec<Line>) -> bool {
+        out.clear();
+        for j in 0..self.omegas.len() {
+            match self.line(k, j, theta) {
+                Ok(line) => out.push(line),
+                Err(_) => return false,
+            }
+        }
+        true
+    }
 }
 
 /// Options for the GNT characteristic-function fit.
@@ -250,6 +389,7 @@ pub(crate) fn estimate_gnt_counted<S: DurationSamples + ?Sized>(
     if samples.moments_saturated() {
         return Err(GntError::SaturatedMoments);
     }
+    let plan = ChainPlan::new(cfg, block_costs, edge_costs).map_err(GntError::Shape)?;
     let cpt = samples.cycles_per_tick() as f64;
     let n = samples.len() as f64;
 
@@ -292,90 +432,60 @@ pub(crate) fn estimate_gnt_counted<S: DurationSamples + ?Sized>(
         })
         .collect();
 
-    let objective = |probs: &BranchProbs| -> f64 {
+    let mismatch = |j: usize, (mr, mi): Complex| -> f64 {
+        let ((er, ei), q) = (empirical[j], quant[j]);
+        let (dr, di) = (mr * q - er, mi * q - ei);
+        dr * dr + di * di
+    };
+    let frequencies = omegas.len();
+    let mut model = CfModel::new(plan, omegas)?;
+    // The objective `h` along one parameter from where its lines were
+    // drawn, with no solve at all. `None` lines (singular at the base
+    // point) score infinity everywhere.
+    let along = |lines: Option<&[Line]>, h: f64| -> f64 {
+        let Some(lines) = lines else {
+            return f64::INFINITY;
+        };
         let mut acc = 0.0;
-        for ((&w, &(er, ei)), &q) in omegas.iter().zip(&empirical).zip(&quant) {
-            match model_cf(cfg, block_costs, edge_costs, probs, w) {
-                Ok((mr, mi)) => {
-                    let (dr, di) = (mr * q - er, mi * q - ei);
-                    acc += dr * dr + di * di;
-                }
-                Err(_) => return f64::INFINITY,
+        for (j, line) in lines.iter().enumerate() {
+            match line.at(h) {
+                Some(m) => acc += mismatch(j, m),
+                None => return f64::INFINITY,
             }
         }
-        acc / omegas.len() as f64
+        acc / frequencies as f64
     };
 
-    let mut probs = BranchProbs::uniform(cfg, 0.5);
-    let blocks: Vec<_> = probs.blocks().to_vec();
-    let mut best = objective(&probs);
-    let mut sweeps_done = 0;
-
-    for _ in 0..opts.sweeps {
-        sweeps_done += 1;
-        let mut improved = false;
-        for &bb in &blocks {
-            // Golden-section search on θ_bb, mirroring the moments backend.
-            let phi = 0.618_033_988_75;
-            let mut lo = opts.min_prob;
-            let mut hi = 1.0 - opts.min_prob;
-            let eval = |theta: f64, probs: &mut BranchProbs| {
-                probs.set_prob_true(bb, theta);
-                objective(probs)
-            };
-            let mut x1 = hi - phi * (hi - lo);
-            let mut x2 = lo + phi * (hi - lo);
-            let mut f1 = eval(x1, &mut probs);
-            let mut f2 = eval(x2, &mut probs);
-            for _ in 0..opts.line_iters {
-                if f1 <= f2 {
-                    hi = x2;
-                    x2 = x1;
-                    f2 = f1;
-                    x1 = hi - phi * (hi - lo);
-                    f1 = eval(x1, &mut probs);
-                } else {
-                    lo = x1;
-                    x1 = x2;
-                    f1 = f2;
-                    x2 = lo + phi * (hi - lo);
-                    f2 = eval(x2, &mut probs);
-                }
-            }
-            let (theta, f) = if f1 <= f2 { (x1, f1) } else { (x2, f2) };
-            probs.set_prob_true(bb, theta);
-            if f + 1e-12 < best {
-                best = f;
-                improved = true;
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
+    let mut theta = BranchProbs::uniform(cfg, 0.5).as_slice().to_vec();
+    // The starting objective, by one solve per frequency.
+    let start = (0..frequencies)
+        .try_fold(0.0, |acc, j| {
+            Ok::<_, GntError>(acc + mismatch(j, model.cf(j, &theta)?))
+        })
+        .map_or(f64::INFINITY, |acc| acc / frequencies as f64);
+    let (lo, hi) = (opts.min_prob, 1.0 - opts.min_prob);
+    let mut lines = Vec::with_capacity(frequencies);
+    let (best, sweeps_done) = coordinate_descent(&mut theta, start, opts.sweeps, |k, theta| {
+        let base = theta[k];
+        let drawn = model.lines(k, theta, &mut lines).then_some(&lines[..]);
+        golden_section(lo, hi, opts.line_iters, |x| along(drawn, x - base))
+    });
 
     // Conditioning: per-coordinate second-difference curvature at the
     // optimum. A flat (or concave) direction means the transform does not
     // pin that parameter down — refuse rather than return one point of a
     // ridge.
-    let conditioning = if blocks.is_empty() {
+    let conditioning = if theta.is_empty() {
         1.0
     } else {
         let delta = 0.02;
         let (mut min_c, mut max_c) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &bb in &blocks {
-            let theta = probs.prob_true(bb).unwrap_or(0.5);
-            let center = theta.clamp(opts.min_prob + delta, 1.0 - opts.min_prob - delta);
-            let at = |t: f64, probs: &mut BranchProbs| {
-                probs.set_prob_true(bb, t);
-                objective(probs)
-            };
-            let (f_lo, f_mid, f_hi) = (
-                at(center - delta, &mut probs),
-                at(center, &mut probs),
-                at(center + delta, &mut probs),
-            );
-            probs.set_prob_true(bb, theta);
+        for k in 0..theta.len() {
+            let base = theta[k];
+            let center = base.clamp(opts.min_prob + delta, 1.0 - opts.min_prob - delta);
+            let drawn = model.lines(k, &theta, &mut lines).then_some(&lines[..]);
+            let at = |x: f64| along(drawn, x - base);
+            let (f_lo, f_mid, f_hi) = (at(center - delta), at(center), at(center + delta));
             let curv = (f_lo - 2.0 * f_mid + f_hi) / (delta * delta);
             min_c = min_c.min(curv);
             max_c = max_c.max(curv);
@@ -389,6 +499,16 @@ pub(crate) fn estimate_gnt_counted<S: DurationSamples + ?Sized>(
     // NaN-safe refusal: a non-finite ratio (degenerate curvature spectrum)
     // must land here, not slip past a plain `>` comparison.
     if !conditioning.is_finite() || conditioning > opts.max_conditioning {
+        ct_obs::emit(
+            "gnt.fit",
+            vec![
+                ("verdict", "ill_conditioned".into()),
+                ("frequencies", frequencies.into()),
+                ("objective", best.into()),
+                ("conditioning", conditioning.into()),
+                ("sweeps", sweeps_done.into()),
+            ],
+        );
         return Err(GntError::IllConditioned {
             conditioning,
             budget: opts.max_conditioning,
@@ -409,7 +529,8 @@ pub(crate) fn estimate_gnt_counted<S: DurationSamples + ?Sized>(
     ct_obs::emit(
         "gnt.fit",
         vec![
-            ("frequencies", omegas.len().into()),
+            ("verdict", "ok".into()),
+            ("frequencies", frequencies.into()),
             ("objective", best.into()),
             ("conditioning", conditioning.into()),
             ("confidence", confidence.into()),
@@ -418,7 +539,7 @@ pub(crate) fn estimate_gnt_counted<S: DurationSamples + ?Sized>(
     );
 
     Ok(GntResult {
-        probs,
+        probs: BranchProbs::from_vec(cfg, theta),
         objective: best,
         sweeps: sweeps_done,
         conditioning,
@@ -580,6 +701,46 @@ mod tests {
             model_cf(&cfg, &[1, 2], &[0; 4], &probs, 0.01),
             Err(GntError::Shape(_))
         ));
+    }
+
+    #[test]
+    fn estimate_refuses_mismatched_costs_with_a_shape_error() {
+        // Two block costs for the four-block diamond: a typed refusal, not
+        // a fit whose every probe scored infinity.
+        let cfg = diamond();
+        let samples = TimingSamples::new(vec![115u64; 50], 1);
+        assert_eq!(
+            estimate_gnt(&cfg, &[10, 100], &[0; 4], &samples, GntOptions::default()),
+            Err(GntError::Shape("block cost length".into()))
+        );
+    }
+
+    #[test]
+    fn closed_form_line_matches_a_fresh_solve() {
+        // Along every parameter of the loop CFG, the rank-one line's value
+        // at a probe equals the transform solved from scratch there.
+        let cfg = ct_cfg::builder::nested_loops();
+        let bc: Vec<u64> = (0..cfg.len() as u64).map(|b| 3 + 7 * b).collect();
+        let ec: Vec<u64> = (0..cfg.edges().len() as u64).map(|e| e % 3).collect();
+        let plan = ChainPlan::new(&cfg, &bc, &ec).unwrap();
+        let base: Vec<f64> = (0..cfg.branch_blocks().len())
+            .map(|k| 0.3 + 0.2 * k as f64)
+            .collect();
+        let mut model = CfModel::new(plan, vec![0.004, 0.03]).unwrap();
+        let mut lines = Vec::new();
+        for k in 0..base.len() {
+            assert!(model.lines(k, &base, &mut lines));
+            for x in [0.05, base[k], 0.9] {
+                let mut probe = base.clone();
+                probe[k] = x;
+                for (j, line) in lines.iter().enumerate() {
+                    let (re, im) = line.at(x - base[k]).unwrap();
+                    let (want_re, want_im) = model.cf(j, &probe).unwrap();
+                    assert!((re - want_re).abs() < 1e-12, "k {k} x {x} j {j}");
+                    assert!((im - want_im).abs() < 1e-12, "k {k} x {x} j {j}");
+                }
+            }
+        }
     }
 
     #[test]

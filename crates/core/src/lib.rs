@@ -55,6 +55,7 @@
 //! ```
 
 pub mod accuracy;
+mod chain;
 pub mod em;
 pub mod estimator;
 pub mod fb;

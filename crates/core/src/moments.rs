@@ -6,8 +6,9 @@
 //! uses only two statistics of the sample, so it is cheaper but weaker than
 //! EM — experiment E7 quantifies exactly how much weaker.
 
+use crate::chain::{coordinate_descent, golden_section, ChainPlan, Target};
 use crate::samples::DurationSamples;
-use ct_cfg::graph::{Cfg, Terminator};
+use ct_cfg::graph::Cfg;
 use ct_cfg::profile::BranchProbs;
 use ct_stats::matrix::Matrix;
 use ct_stats::solve::Lu;
@@ -58,77 +59,99 @@ pub fn model_moments(
     edge_costs: &[u64],
     probs: &BranchProbs,
 ) -> Result<(f64, f64), MomentsError> {
-    let n = cfg.len();
-    if block_costs.len() != n {
-        return Err(MomentsError::Shape("block cost length".into()));
-    }
-    let edges = cfg.edges();
-    if edge_costs.len() != edges.len() {
-        return Err(MomentsError::Shape("edge cost length".into()));
-    }
-    let edge_probs = probs.edge_probs(cfg);
+    let mut model = MomentsModel::new(cfg, block_costs, edge_costs)?;
+    let theta = model.plan.thetas(probs);
+    model.eval(&theta)
+}
 
-    // Unknowns: E[T_b] for non-return blocks ("transient"); returns are known.
-    let transient: Vec<usize> = cfg
-        .iter()
-        .filter(|(_, b)| !matches!(b.term, Terminator::Return))
-        .map(|(id, _)| id.index())
-        .collect();
-    if transient.is_empty() {
-        let c = block_costs[cfg.entry().index()] as f64;
-        return Ok((c, 0.0));
-    }
-    let t = transient.len();
-    let pos = |b: usize| transient.iter().position(|&x| x == b);
+/// The duration moments of one CFG under fixed costs: the chain plan plus
+/// the `(I − Q)` system's buffers, reused by every evaluation.
+struct MomentsModel {
+    plan: ChainPlan,
+    a: Matrix,
+    lu: Lu,
+    b1: Vec<f64>,
+    b2: Vec<f64>,
+    m1: Vec<f64>,
+    m2: Vec<f64>,
+}
 
-    // First moment: E[T_b] = Σ_e p_e (c_b + c_e + E[T_v]).
-    let mut a = Matrix::identity(t);
-    let mut b1 = vec![0.0; t];
-    for (ti, &bi) in transient.iter().enumerate() {
-        for e in edges.iter().filter(|e| e.from.index() == bi) {
-            let p = edge_probs[e.index];
+impl MomentsModel {
+    fn new(cfg: &Cfg, block_costs: &[u64], edge_costs: &[u64]) -> Result<Self, MomentsError> {
+        let plan = ChainPlan::new(cfg, block_costs, edge_costs).map_err(MomentsError::Shape)?;
+        let t = plan.rows;
+        // Any factorization serves as the buffer the first refactor reuses.
+        let a = Matrix::identity(t.max(1));
+        let lu = Lu::factor(&a).map_err(|_| MomentsError::Divergent)?;
+        Ok(MomentsModel {
+            plan,
+            a,
+            lu,
+            b1: vec![0.0; t],
+            b2: vec![0.0; t],
+            m1: vec![0.0; t],
+            m2: vec![0.0; t],
+        })
+    }
+
+    /// Mean and variance under the branch parameters `theta`.
+    fn eval(&mut self, theta: &[f64]) -> Result<(f64, f64), MomentsError> {
+        let t = self.plan.rows;
+        if t == 0 {
+            return Ok((self.plan.entry_cost, 0.0));
+        }
+
+        // First moment: E[T_b] = Σ_e p_e (c_b + c_e + E[T_v]).
+        for i in 0..t {
+            let row = self.a.row_mut(i);
+            row.fill(0.0);
+            row[i] = 1.0;
+        }
+        self.b1.fill(0.0);
+        for e in &self.plan.edges {
+            let p = e.prob(theta);
             if p <= 0.0 {
                 continue;
             }
-            let step = (block_costs[bi] + edge_costs[e.index]) as f64;
-            b1[ti] += p * step;
-            match pos(e.to.index()) {
-                Some(tj) => a[(ti, tj)] -= p,
-                None => b1[ti] += p * block_costs[e.to.index()] as f64,
+            self.b1[e.row] += p * e.step;
+            match e.target {
+                Target::Row(tj) => self.a[(e.row, tj)] -= p,
+                Target::Exit(c) => self.b1[e.row] += p * c,
             }
         }
-    }
-    let lu = Lu::factor(&a).map_err(|_| MomentsError::Divergent)?;
-    let m1 = lu.solve(&b1).map_err(|_| MomentsError::Divergent)?;
+        self.lu
+            .refactor(&self.a)
+            .map_err(|_| MomentsError::Divergent)?;
+        self.lu
+            .solve_into(&self.b1, &mut self.m1)
+            .map_err(|_| MomentsError::Divergent)?;
 
-    // Second moment: E[T_b²] = Σ_e p_e [(s)² + 2 s E[T_v] + E[T_v²]],
-    // s = c_b + c_e; for return targets E[T_v] = c_v, E[T_v²] = c_v².
-    let mut b2 = vec![0.0; t];
-    for (ti, &bi) in transient.iter().enumerate() {
-        for e in edges.iter().filter(|e| e.from.index() == bi) {
-            let p = edge_probs[e.index];
+        // Second moment: E[T_b²] = Σ_e p_e [(s)² + 2 s E[T_v] + E[T_v²]],
+        // s = c_b + c_e; for return targets E[T_v] = c_v, E[T_v²] = c_v².
+        self.b2.fill(0.0);
+        for e in &self.plan.edges {
+            let p = e.prob(theta);
             if p <= 0.0 {
                 continue;
             }
-            let s = (block_costs[bi] + edge_costs[e.index]) as f64;
-            let (ev, known_second) = match pos(e.to.index()) {
-                Some(tj) => (m1[tj], None),
-                None => {
-                    let c = block_costs[e.to.index()] as f64;
-                    (c, Some(c * c))
-                }
+            let s = e.step;
+            let (ev, known_second) = match e.target {
+                Target::Row(tj) => (self.m1[tj], 0.0),
+                Target::Exit(c) => (c, c * c),
             };
-            b2[ti] += p * (s * s + 2.0 * s * ev + known_second.unwrap_or(0.0));
+            self.b2[e.row] += p * (s * s + 2.0 * s * ev + known_second);
         }
-    }
-    // Same coefficient matrix (I − Q) as the first moment: the linear part of
-    // E[T_v²] for transient targets has coefficient p_e.
-    let m2 = lu.solve(&b2).map_err(|_| MomentsError::Divergent)?;
+        // Same coefficient matrix (I − Q) as the first moment: the linear part of
+        // E[T_v²] for transient targets has coefficient p_e.
+        self.lu
+            .solve_into(&self.b2, &mut self.m2)
+            .map_err(|_| MomentsError::Divergent)?;
 
-    let entry_pos = pos(cfg.entry().index()).expect("entry is transient");
-    let mean = m1[entry_pos];
-    let variance = (m2[entry_pos] - mean * mean).max(0.0);
-    Ok((mean, variance))
+        let entry = self.plan.entry.ok_or(MomentsError::Divergent)?;
+        let mean = self.m1[entry];
+        let variance = (self.m2[entry] - mean * mean).max(0.0);
+        Ok((mean, variance))
+    }
 }
 
 /// Options for the moments search.
@@ -174,7 +197,8 @@ pub struct MomentsResult {
 ///
 /// [`MomentsError::NoSamples`] for empty input,
 /// [`MomentsError::SaturatedMoments`] when the sample statistics lost
-/// second-moment information; propagates model errors.
+/// second-moment information, [`MomentsError::Shape`] when the cost vectors
+/// do not match the CFG.
 pub fn estimate_moments<S: DurationSamples + ?Sized>(
     cfg: &Cfg,
     block_costs: &[u64],
@@ -196,8 +220,9 @@ pub fn estimate_moments<S: DurationSamples + ?Sized>(
     let mean_scale = sample_mean.abs().max(1.0);
     let var_scale = sample_var.abs().max(1.0);
 
-    let objective = |probs: &BranchProbs| -> f64 {
-        match model_moments(cfg, block_costs, edge_costs, probs) {
+    let mut model = MomentsModel::new(cfg, block_costs, edge_costs)?;
+    let mut objective = |theta: &[f64]| -> f64 {
+        match model.eval(theta) {
             Ok((m, v)) => {
                 let dm = (m - sample_mean) / mean_scale;
                 let dv = (v - sample_var) / var_scale;
@@ -207,58 +232,20 @@ pub fn estimate_moments<S: DurationSamples + ?Sized>(
         }
     };
 
-    let mut probs = BranchProbs::uniform(cfg, 0.5);
-    let blocks: Vec<_> = probs.blocks().to_vec();
-    let mut best = objective(&probs);
-    let mut sweeps_done = 0;
-
-    for _ in 0..opts.sweeps {
-        sweeps_done += 1;
-        let mut improved = false;
-        for &bb in &blocks {
-            // Golden-section search on θ_bb.
-            let phi = 0.618_033_988_75;
-            let mut lo = opts.min_prob;
-            let mut hi = 1.0 - opts.min_prob;
-            let eval = |theta: f64, probs: &mut BranchProbs| {
-                probs.set_prob_true(bb, theta);
-                objective(probs)
-            };
-            let mut x1 = hi - phi * (hi - lo);
-            let mut x2 = lo + phi * (hi - lo);
-            let mut f1 = eval(x1, &mut probs);
-            let mut f2 = eval(x2, &mut probs);
-            for _ in 0..opts.line_iters {
-                if f1 <= f2 {
-                    hi = x2;
-                    x2 = x1;
-                    f2 = f1;
-                    x1 = hi - phi * (hi - lo);
-                    f1 = eval(x1, &mut probs);
-                } else {
-                    lo = x1;
-                    x1 = x2;
-                    f1 = f2;
-                    x2 = lo + phi * (hi - lo);
-                    f2 = eval(x2, &mut probs);
-                }
-            }
-            let (theta, f) = if f1 <= f2 { (x1, f1) } else { (x2, f2) };
-            probs.set_prob_true(bb, theta);
-            if f + 1e-12 < best {
-                best = f;
-                improved = true;
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
+    let mut theta = BranchProbs::uniform(cfg, 0.5).as_slice().to_vec();
+    let start = objective(&theta);
+    let (lo, hi) = (opts.min_prob, 1.0 - opts.min_prob);
+    let (best, sweeps) = coordinate_descent(&mut theta, start, opts.sweeps, |k, theta| {
+        golden_section(lo, hi, opts.line_iters, |x| {
+            theta[k] = x;
+            objective(theta)
+        })
+    });
 
     Ok(MomentsResult {
-        probs,
+        probs: BranchProbs::from_vec(cfg, theta),
         objective: best,
-        sweeps: sweeps_done,
+        sweeps,
     })
 }
 
@@ -383,5 +370,23 @@ mod tests {
             model_moments(&cfg, &[1, 2], &[0; 4], &probs),
             Err(MomentsError::Shape(_))
         ));
+    }
+
+    #[test]
+    fn estimate_refuses_mismatched_costs_with_a_shape_error() {
+        // Two block costs for the four-block diamond: a typed refusal, not
+        // an `Ok` fit whose every probe scored infinity.
+        let cfg = diamond();
+        let samples = TimingSamples::new(vec![115u64; 50], 1);
+        assert_eq!(
+            estimate_moments(
+                &cfg,
+                &[10, 100],
+                &[0; 4],
+                &samples,
+                MomentsOptions::default()
+            ),
+            Err(MomentsError::Shape("block cost length".into()))
+        );
     }
 }

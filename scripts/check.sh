@@ -30,11 +30,14 @@ echo "== cargo doc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet \
     --exclude rand --exclude proptest --exclude criterion
 
-echo "== core, service and pipeline tests (every target) =="
-# ct-core's unit and property tests hold the E-step, EM and incremental
-# contracts (planned E-step == fresh scratch, bitwise). ct-pipeline's
-# targets include the merge properties, the one checkpoint restore path and
-# the unrolled-first golden equivalence.
+echo "== stats, core, service and pipeline tests (every target) =="
+# ct-stats' unit and property tests hold the LU and QR solvers (a reused
+# `Lu::refactor` == a fresh `Lu::factor`, bitwise). ct-core's unit and
+# property tests hold the E-step, EM and incremental contracts (planned
+# E-step == fresh scratch, bitwise). ct-pipeline's targets include the merge
+# properties, the one checkpoint restore path and the unrolled-first golden
+# equivalence.
+cargo test --release -p ct-stats --quiet
 cargo test --release -p ct-core --quiet
 cargo test --release -p ct-service --quiet
 cargo test --release -p ct-pipeline --quiet
