@@ -5,160 +5,29 @@
 //! 1. **Shard-count invariance**: the estimate the threaded service serves
 //!    after ingesting a ~25%-duplicated delivery stream through N producer
 //!    threads and K bounded-queue shards is bitwise identical to a
-//!    monolithic [`IncrementalEm`] fold of the same distinct batches — at
-//!    every shard count in the sweep.
+//!    monolithic [`IncrementalEm`](ct_core::IncrementalEm) fold of the same
+//!    distinct batches — at every shard count in the sweep.
 //! 2. **Throughput**: every shard cell sustains at least the per-mode
 //!    ingest floor (100k batches/sec full, 1k smoke) from enqueue to final
 //!    drain, duplicates and tree reductions included.
 //! 3. **Backpressure without loss**: a deliberately starved cell (2-deep
 //!    queues, stalled workers) reports `svc.backpressure` yet still ends
 //!    with every distinct batch absorbed and the same estimate bits.
-//!
-//! The ingest-path mean cost is printed as a criterion-style `bench:` line
-//! (`service/ingest`) so `scripts/bench_ingest.sh` can append it to the
-//! `BENCH_ingest.json` trajectory that check.sh gates.
 
 use ct_apps::synthetic::diamond_chain_problem;
+use ct_bench::service_cell::{
+    assert_bitwise, counter, delivery_stream, monolithic_reference, run_cell,
+};
 use ct_bench::{f2, write_manifest_env, write_result, Table};
-use ct_core::em::{EmOptions, EmResult};
-use ct_core::stream::{BatchTag, SuffStats};
-use ct_core::IncrementalEm;
-use ct_faults::{MoteFaultKind, MoteFaultPlan};
+use ct_core::stream::SuffStats;
 use ct_pipeline::synth::synth_samples;
 use ct_pipeline::EnvConfig;
-use ct_service::{EstimateRequest, EstimationService, ServiceConfig};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+use ct_service::ServiceConfig;
 
 /// Ticks per delivered batch: the smallest payload a real radio report
 /// would amortize, which maximizes per-batch overhead — the quantity the
 /// throughput claim is about.
 const BATCH_LEN: usize = 4;
-
-/// Looks a cumulative counter up in a registry snapshot (0 when absent).
-fn counter(snap: &ct_obs::Snapshot, name: &str) -> u64 {
-    snap.counters
-        .iter()
-        .find(|(n, _)| n == name)
-        .map_or(0, |(_, v)| *v)
-}
-
-/// One delivery stream: per-mote 4-tick deltas tagged `(mote, 0)`, with a
-/// seeded ~`dup_rate` fraction of motes delivering their batch twice
-/// (at-least-once transport). Returns the stream in delivery order plus the
-/// duplicate count.
-fn delivery_stream(
-    deltas: &[SuffStats],
-    dup_rate: f64,
-    seed: u64,
-) -> (Vec<(BatchTag, SuffStats)>, u64) {
-    let plan = MoteFaultPlan::single(MoteFaultKind::DuplicateDelivery, dup_rate, seed);
-    let mut deliveries = Vec::with_capacity(deltas.len() * 2);
-    let mut dups = 0u64;
-    for (m, delta) in deltas.iter().enumerate() {
-        let tag = BatchTag {
-            mote: m as u64,
-            seq: 0,
-        };
-        deliveries.push((tag, delta.clone()));
-        if plan.outcome(m as u64, 0).duplicate_delivery {
-            deliveries.push((tag, delta.clone()));
-            dups += 1;
-        }
-    }
-    (deliveries, dups)
-}
-
-/// The monolithic reference: one [`IncrementalEm`] folds every distinct
-/// delta in mote order and re-estimates once from a cold start — exactly
-/// the single EM run the service's final serve performs.
-fn monolithic_reference(
-    deltas: &[SuffStats],
-    cpt: u64,
-    cfg: &ct_cfg::graph::Cfg,
-    bc: &[u64],
-    ec: &[u64],
-) -> EmResult {
-    let mut inc = IncrementalEm::new(cpt, EmOptions::default());
-    for d in deltas {
-        inc.ingest(d).expect("reference ingest");
-    }
-    inc.reestimate(cfg, bc, ec).expect("reference EM").clone()
-}
-
-/// Runs one service cell: producers fan the delivery stream over the
-/// ingest handles while the coordinator polls reduce; ends with a drain, a
-/// single served estimate, and a clean shutdown. Returns the response and
-/// the wall time from first enqueue to final drain.
-fn run_cell(
-    config: &ServiceConfig,
-    producers: usize,
-    deliveries: &[(BatchTag, SuffStats)],
-    cpt: u64,
-    cfg: &ct_cfg::graph::Cfg,
-    bc: &[u64],
-    ec: &[u64],
-) -> (ct_service::EstimateResponse, std::time::Duration) {
-    let mut svc = EstimationService::start(config, cpt, EmOptions::default());
-    let remaining = AtomicUsize::new(producers);
-    let started = Instant::now();
-    std::thread::scope(|s| {
-        for p in 0..producers {
-            let handle = svc.handle();
-            let remaining = &remaining;
-            s.spawn(move || {
-                for (tag, delta) in deliveries.iter().skip(p).step_by(producers) {
-                    handle.ingest(*tag, delta.clone()).expect("ingest");
-                }
-                ct_obs::drain_thread();
-                remaining.fetch_sub(1, Ordering::Release);
-            });
-        }
-        // The coordinator reduces while producers are still enqueuing —
-        // the schedule is racy on purpose; the estimate must not be.
-        while remaining.load(Ordering::Acquire) > 0 {
-            svc.reduce().expect("reduce");
-        }
-    });
-    svc.drain().expect("final drain");
-    let elapsed = started.elapsed();
-    let resp = svc
-        .serve(&EstimateRequest::latest("diamond_chain"), cfg, bc, ec)
-        .expect("serve");
-    svc.shutdown().expect("shutdown");
-    (resp, elapsed)
-}
-
-/// Panics unless the served estimate is bitwise the reference EM run.
-fn assert_bitwise(resp: &ct_service::EstimateResponse, reference: &EmResult, cell: &str) {
-    assert_eq!(
-        resp.probs.len(),
-        reference.probs.as_slice().len(),
-        "{cell}: probability vector shape changed"
-    );
-    for (i, (a, b)) in resp
-        .probs
-        .iter()
-        .zip(reference.probs.as_slice())
-        .enumerate()
-    {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "{cell}: branch {i} diverged from the monolithic reference: {a} vs {b}"
-        );
-    }
-    assert_eq!(
-        resp.loglik.to_bits(),
-        reference.loglik.to_bits(),
-        "{cell}: log-likelihood diverged"
-    );
-    assert_eq!(
-        resp.iterations, reference.iterations,
-        "{cell}: EM iteration count diverged"
-    );
-    assert_eq!(resp.converged, reference.converged);
-}
 
 fn main() {
     ct_obs::flight::set_run_name("e16_fleet_scale");
@@ -195,12 +64,11 @@ fn main() {
         "kbatch/s",
         "bitwise",
     ]);
-    let mut bench_ns: Option<(f64, usize)> = None;
 
     for &shards in shard_counts {
         let config = ServiceConfig::new().shards(shards);
         let before = ct_obs::snapshot();
-        let (resp, elapsed) = run_cell(&config, producers, &deliveries, cpt, &cfg, &bc, &ec);
+        let (resp, elapsed) = run_cell(&config, producers, &deliveries, cpt, &cfg, &bc, &ec, None);
         let after = ct_obs::snapshot();
         let cell = format!("shards={shards}");
 
@@ -229,10 +97,6 @@ fn main() {
             rate >= min_rate,
             "{cell}: {rate:.0} batches/sec under the {min_rate:.0} floor"
         );
-        if shards == *shard_counts.last().expect("non-empty sweep") {
-            let ns = elapsed.as_nanos() as f64 / deliveries.len() as f64;
-            bench_ns = Some((ns, deliveries.len()));
-        }
 
         table.row(vec![
             shards.to_string(),
@@ -265,6 +129,7 @@ fn main() {
         &cfg,
         &bc,
         &ec,
+        None,
     );
     let after = ct_obs::snapshot();
     let backpressure = counter(&after, "svc.backpressure") - counter(&before, "svc.backpressure");
@@ -287,9 +152,6 @@ fn main() {
         f2(bp_deliveries.len() as f64 / bp_elapsed.as_secs_f64() / 1_000.0),
         "yes".to_string(),
     ]);
-
-    let (ns, iters) = bench_ns.expect("at least one shard cell ran");
-    println!("bench: service/ingest ... {ns:.1} ns/iter ({iters} iters)");
 
     let out = format!(
         "# E16 — Fleet-scale sharded estimation service\n\n\

@@ -7,7 +7,8 @@
 //!
 //! 1. **Fidelity**: the served estimate with telemetry on is bitwise the
 //!    telemetry-off estimate, and both are bitwise the monolithic
-//!    [`IncrementalEm`] reference — instrumentation cannot perturb results.
+//!    [`IncrementalEm`](ct_core::IncrementalEm) reference — instrumentation
+//!    cannot perturb results.
 //! 2. **Overhead**: the best-of-N telemetry-on wall time stays within the
 //!    overhead bound of the best-of-N telemetry-off wall time (5% full,
 //!    35% smoke; min-of-N with alternating reps absorbs scheduler noise).
@@ -24,18 +25,17 @@
 //! [`MetricsPump`] JSONL sampler.
 
 use ct_apps::synthetic::diamond_chain_problem;
+use ct_bench::service_cell::{
+    assert_bitwise, counter, delivery_stream, monolithic_reference, run_cell,
+};
 use ct_bench::{f2, write_manifest_env, write_result, Table};
-use ct_core::em::{EmOptions, EmResult};
-use ct_core::stream::{BatchTag, SuffStats};
-use ct_core::IncrementalEm;
-use ct_faults::{MoteFaultKind, MoteFaultPlan};
+use ct_core::stream::SuffStats;
 use ct_obs::{HistData, MetricsPump};
 use ct_pipeline::synth::synth_samples;
 use ct_pipeline::EnvConfig;
-use ct_service::{EstimateRequest, EstimationService, ServiceConfig};
+use ct_service::ServiceConfig;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Ticks per delivered batch (matches e16: smallest payload, maximum
 /// per-batch overhead — the regime where telemetry cost would show).
@@ -49,133 +49,12 @@ fn set_telemetry(on: bool) {
     ct_obs::flight::set_enabled(on);
 }
 
-/// Looks a cumulative counter up in a registry snapshot (0 when absent).
-fn counter(snap: &ct_obs::Snapshot, name: &str) -> u64 {
-    snap.counters
-        .iter()
-        .find(|(n, _)| n == name)
-        .map_or(0, |(_, v)| *v)
-}
-
 /// Looks a histogram up in a registry snapshot.
 fn hist(snap: &ct_obs::Snapshot, name: &str) -> Option<HistData> {
     snap.hists
         .iter()
         .find(|(n, _)| n == name)
         .map(|(_, h)| h.clone())
-}
-
-/// One delivery stream: per-mote 4-tick deltas tagged `(mote, 0)`, with a
-/// seeded ~`dup_rate` fraction of motes delivering twice (at-least-once
-/// transport). Returns the stream in delivery order plus the dup count.
-fn delivery_stream(
-    deltas: &[SuffStats],
-    dup_rate: f64,
-    seed: u64,
-) -> (Vec<(BatchTag, SuffStats)>, u64) {
-    let plan = MoteFaultPlan::single(MoteFaultKind::DuplicateDelivery, dup_rate, seed);
-    let mut deliveries = Vec::with_capacity(deltas.len() * 2);
-    let mut dups = 0u64;
-    for (m, delta) in deltas.iter().enumerate() {
-        let tag = BatchTag {
-            mote: m as u64,
-            seq: 0,
-        };
-        deliveries.push((tag, delta.clone()));
-        if plan.outcome(m as u64, 0).duplicate_delivery {
-            deliveries.push((tag, delta.clone()));
-            dups += 1;
-        }
-    }
-    (deliveries, dups)
-}
-
-/// The monolithic reference: one [`IncrementalEm`] folds every distinct
-/// delta in mote order and re-estimates once from a cold start.
-fn monolithic_reference(
-    deltas: &[SuffStats],
-    cpt: u64,
-    cfg: &ct_cfg::graph::Cfg,
-    bc: &[u64],
-    ec: &[u64],
-) -> EmResult {
-    let mut inc = IncrementalEm::new(cpt, EmOptions::default());
-    for d in deltas {
-        inc.ingest(d).expect("reference ingest");
-    }
-    inc.reestimate(cfg, bc, ec).expect("reference EM").clone()
-}
-
-/// Runs one service cell exactly like e16 (producers fan the stream over
-/// the ingest handles, the coordinator polls reduce, then drain + serve +
-/// shutdown). When `dump` is set, the service's `Dump` verb is exercised
-/// after the serve, before shutdown.
-#[allow(clippy::too_many_arguments)]
-fn run_cell(
-    config: &ServiceConfig,
-    producers: usize,
-    deliveries: &[(BatchTag, SuffStats)],
-    cpt: u64,
-    cfg: &ct_cfg::graph::Cfg,
-    bc: &[u64],
-    ec: &[u64],
-    dump: Option<&Path>,
-) -> (ct_service::EstimateResponse, Duration) {
-    let mut svc = EstimationService::start(config, cpt, EmOptions::default());
-    let remaining = AtomicUsize::new(producers);
-    let started = Instant::now();
-    std::thread::scope(|s| {
-        for p in 0..producers {
-            let handle = svc.handle();
-            let remaining = &remaining;
-            s.spawn(move || {
-                for (tag, delta) in deliveries.iter().skip(p).step_by(producers) {
-                    handle.ingest(*tag, delta.clone()).expect("ingest");
-                }
-                ct_obs::drain_thread();
-                remaining.fetch_sub(1, Ordering::Release);
-            });
-        }
-        while remaining.load(Ordering::Acquire) > 0 {
-            svc.reduce().expect("reduce");
-        }
-    });
-    svc.drain().expect("final drain");
-    let elapsed = started.elapsed();
-    let resp = svc
-        .serve(&EstimateRequest::latest("diamond_chain"), cfg, bc, ec)
-        .expect("serve");
-    if let Some(path) = dump {
-        svc.dump(path).expect("flight dump");
-    }
-    svc.shutdown().expect("shutdown");
-    (resp, elapsed)
-}
-
-/// Panics unless the served estimate is bitwise the reference EM run.
-fn assert_bitwise(resp: &ct_service::EstimateResponse, reference: &EmResult, cell: &str) {
-    for (i, (a, b)) in resp
-        .probs
-        .iter()
-        .zip(reference.probs.as_slice())
-        .enumerate()
-    {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "{cell}: branch {i} diverged from the monolithic reference: {a} vs {b}"
-        );
-    }
-    assert_eq!(
-        resp.loglik.to_bits(),
-        reference.loglik.to_bits(),
-        "{cell}: log-likelihood diverged"
-    );
-    assert_eq!(
-        resp.iterations, reference.iterations,
-        "{cell}: EM iteration count diverged"
-    );
-    assert_eq!(resp.converged, reference.converged);
 }
 
 /// Validates an on-demand flight dump: `flight.meta` header first, every

@@ -3,8 +3,7 @@
 //! # ct-bench
 //!
 //! The experiment harness regenerating the paper's evaluation: one binary
-//! per table/figure (see DESIGN.md's experiment index) plus Criterion
-//! microbenchmarks.
+//! per table/figure (see DESIGN.md's experiment index).
 //!
 //! | binary | experiment |
 //! |---|---|
@@ -46,6 +45,7 @@
 //! assert!(est.accuracy.mae < 0.05);
 //! ```
 
+pub mod service_cell;
 pub mod table;
 
 pub use ct_pipeline::{

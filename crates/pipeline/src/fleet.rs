@@ -464,12 +464,16 @@ impl Fleet {
 
     /// Estimates the fleet's branch profile **from the merged statistics**
     /// — the naive estimators (EM, moments, flow) consume the histogram
-    /// and moments directly; only the robust ladder, whose trimming needs
-    /// concrete values, materializes a sorted sample vector. The estimate's
-    /// confidence is discounted by [`FleetRun::coverage`]: a round that
-    /// lost motes to stragglers or exhausted retries reports proportionally
-    /// less confidence, and `place_with_confidence` refuses installation
-    /// when the discount crosses its threshold.
+    /// and moments directly. Only the robust ladder materializes a sample
+    /// vector (ticks ascending): its trim fences are count-quantiles of the
+    /// histogram, but its moments and GNT rungs read the trimmed stream's
+    /// mean and variance in arrival order (see `ct-core`'s
+    /// `TimingSamples::trimmed_counted`), so they need the values.
+    ///
+    /// The estimate's confidence is discounted by [`FleetRun::coverage`]: a
+    /// round that lost motes to stragglers or exhausted retries reports
+    /// proportionally less confidence, and `place_with_confidence` refuses
+    /// installation when the discount crosses its threshold.
     ///
     /// # Errors
     ///

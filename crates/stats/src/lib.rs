@@ -4,8 +4,8 @@
 //!
 //! Numeric substrate for the Code Tomography workspace: a small dense matrix
 //! type with LU/QR solvers, Lawson–Hanson nonnegative least squares,
-//! descriptive statistics, histograms, distribution helpers, and the error
-//! metrics used to score estimated execution profiles against ground truth.
+//! descriptive statistics, distribution helpers, and the error metrics used
+//! to score estimated execution profiles against ground truth.
 //!
 //! Everything here is implemented from scratch (no external linear-algebra
 //! dependencies) because the reproduction rules require the full substrate to
@@ -30,7 +30,6 @@
 
 pub mod descriptive;
 pub mod dist;
-pub mod hist;
 pub mod matrix;
 pub mod metrics;
 pub mod nnls;
@@ -39,7 +38,6 @@ pub mod pmf;
 pub mod solve;
 
 pub use descriptive::Summary;
-pub use hist::Histogram;
 pub use matrix::Matrix;
 pub use nnls::{nnls, NnlsOptions, NnlsSolution};
 pub use parallel::{par_map, thread_count};

@@ -26,21 +26,23 @@ cargo clippy -p ct-core -p ct-faults -p ct-obs -p ct-mote -p ct-stats -p ct-pipe
 echo "== cargo doc (deny warnings) =="
 # ct-pipeline carries #![deny(missing_docs)]; keep the whole workspace's
 # rustdoc clean (broken intra-doc links, missing docs) as well. The vendored
-# dependency shims (rand, proptest, criterion) are not ours to document.
+# dependency shims (rand, proptest) are not ours to document.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet \
-    --exclude rand --exclude proptest --exclude criterion
+    --exclude rand --exclude proptest
 
-echo "== stats, core, service and pipeline tests (every target) =="
+echo "== stats, core, service, pipeline and obs tests (every target) =="
 # ct-stats' unit and property tests hold the LU and QR solvers (a reused
 # `Lu::refactor` == a fresh `Lu::factor`, bitwise). ct-core's unit and
 # property tests hold the E-step, EM and incremental contracts (planned
 # E-step == fresh scratch, bitwise). ct-pipeline's targets include the merge
 # properties, the one checkpoint restore path and the unrolled-first golden
-# equivalence.
+# equivalence. ct-obs' targets hold the manifest and diff code behind the
+# e4/e16/e18 determinism gates below.
 cargo test --release -p ct-stats --quiet
 cargo test --release -p ct-core --quiet
 cargo test --release -p ct-service --quiet
 cargo test --release -p ct-pipeline --quiet
+cargo test --release -p ct-obs --quiet
 
 echo "== e13 smoke sweep (fault-injection pipeline end to end) =="
 cargo build --release -p ct-bench --bin e13_faults
@@ -94,33 +96,41 @@ test -s results/ckpt_smoke.flight.jsonl
 grep -q 'warn.ckpt_rejected' results/ckpt_smoke.flight.jsonl
 rm -f results/ckpt_smoke.flight.jsonl
 
-echo "== bench smoke (fast-mode kernels + BENCH_fb.json trajectory gate) =="
-# The convolution kernels must run clean at tiny budgets, the trajectory
-# must parse with the bench_fb/2 schema, and the newest recorded
-# estimators/em mean must stay within 15% of the best recorded run.
-cargo build --release -p ct-bench --bin bench_guard
-# Capture before grepping: `grep -q` exits at first match and the resulting
-# SIGPIPE aborts the still-printing bench under pipefail.
-pmf_out=$(CT_BENCH_WARMUP_MS=20 CT_BENCH_MEASURE_MS=50 \
-    cargo bench -p ct-bench --bench pmf 2>&1)
-grep -q '^bench: pmf/convolve-soa' <<< "$pmf_out"
-./target/release/bench_guard validate BENCH_fb.json
-./target/release/bench_guard check BENCH_fb.json
+trace_dir=$(mktemp -d)
+trap 'rm -rf "$trace_dir"' EXIT
 
-echo "== BENCH_ingest.json trajectory gate (service/ingest) =="
-# The service ingest trajectory (appended by scripts/bench_ingest.sh) must
-# parse with the bench_ingest/1 schema and its newest service/ingest mean
-# must stay within 15% of the best recorded run.
-./target/release/bench_guard validate BENCH_ingest.json
-./target/release/bench_guard check BENCH_ingest.json
+echo "== perfbench trajectory gate (PERFBENCH_TRAJECTORY.jsonl) =="
+# Every committed row must be well formed (required keys, every metric
+# finite and >= 0, gated metrics nonzero on their own workload), and the
+# newest traced faults rung.full_em.ms and service svc.ingest.ns_per_batch
+# must stay within 15% of the lowest earlier row at the same nproc.
+# scripts/perf_trajectory.py record appends rows; this step only reads.
+python3 scripts/perf_trajectory.py check
+
+echo "== perf_trajectory self-test (must flag a 16% regression) =="
+# A temp copy whose newest traced faults row reads rung.full_em.ms 16%
+# above the lowest earlier row at its nproc must fail the gate.
+python3 - "$trace_dir/trajectory_bad.jsonl" <<'PY'
+import json, sys
+rows = [json.loads(line) for line in open("PERFBENCH_TRAJECTORY.jsonl")]
+runs = [r for r in rows if r["workload"] == "faults" and r["trace"] == 1]
+newest, metric = runs[-1], "rung.full_em.ms"
+earlier = [r["metrics"][metric] for r in runs[:-1] if r["nproc"] == newest["nproc"]]
+newest["metrics"][metric] = 1.16 * min(earlier)
+with open(sys.argv[1], "w") as f:
+    f.writelines(json.dumps(r) + "\n" for r in rows)
+PY
+if python3 scripts/perf_trajectory.py check "$trace_dir/trajectory_bad.jsonl" \
+    > /dev/null 2>&1; then
+    echo "perf_trajectory.py failed to flag a 16% regression" >&2
+    exit 1
+fi
 
 echo "== trace smoke (observability on == observability off) =="
 # A traced e1 run must produce valid JSONL (ct-obs-report parses it) and
 # byte-identical stdout versus the untraced run — observer effect zero.
 cargo build --release -p ct-bench --bin e1_accuracy
 cargo build --release -p ct-obs --bin ct-obs-report
-trace_dir=$(mktemp -d)
-trap 'rm -rf "$trace_dir"' EXIT
 CT_SMOKE=1 ./target/release/e1_accuracy > "$trace_dir/plain.out" 2> /dev/null
 CT_SMOKE=1 CT_TRACE_JSON="$trace_dir/trace.jsonl" \
     ./target/release/e1_accuracy > "$trace_dir/traced.out" 2> /dev/null
