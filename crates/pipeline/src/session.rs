@@ -184,7 +184,8 @@ impl Session {
     }
 
     /// Replays the identical workload (same seed, cycle-accurate timer,
-    /// zero overhead) on `layout`, measuring its cost.
+    /// zero overhead, no faults) on `layout`, measuring its cost. Always
+    /// runs the workload, whatever the layout.
     ///
     /// # Errors
     ///
@@ -194,8 +195,11 @@ impl Session {
     }
 
     /// The whole flow in one call, composed from the typed stages:
-    /// measure, estimate, place with `strategy`, and replay both the
-    /// natural and the optimized layout on identical inputs.
+    /// measure, estimate, place with `strategy`, and measure the natural
+    /// and the optimized layout on identical inputs. The natural layout's
+    /// measurement is the profiled run itself when the config is
+    /// cycle-accurate, overhead-free and fault-free (see
+    /// [`Evaluate`]); otherwise it is replayed.
     ///
     /// # Errors
     ///

@@ -29,6 +29,7 @@ use ct_mote::interp::Mote;
 use ct_mote::timer::VirtualTimer;
 use ct_mote::trace::{GroundTruthProfiler, PairProfiler, TimingProfiler};
 use ct_placement::{place_with_confidence, Strategy, MIN_PLACEMENT_CONFIDENCE};
+use std::borrow::Cow;
 
 /// One typed pipeline step: turns the previous stage's artifact into the
 /// next under a shared configuration.
@@ -286,9 +287,10 @@ impl AppRun {
 
 /// Records a run's PMU totals into the always-on counter registry (and,
 /// when streaming, as a `pmu.totals` event). Counters sum over every
-/// `Collect` in the process — the profiled run plus both evaluate replays
-/// — so the manifest's `pmu` section is the whole pipeline's transfer
-/// census, deterministic at any thread count.
+/// `Collect` in the process — the profiled run plus both evaluated layouts,
+/// the natural one recorded again from the profiled run when [`Evaluate`]
+/// reuses it — so the manifest's `pmu` section is the whole pipeline's
+/// transfer census, deterministic at any thread count.
 fn record_pmu(pmu: &ct_mote::pmu::PmuSnapshot) {
     let t = &pmu.total;
     ct_obs::Counter::new("pmu.cond_taken").add(t.cond_taken);
@@ -600,9 +602,18 @@ impl Stage for Place {
 
 // --------------------------------------------------------------- Evaluate
 
-/// Replays the identical workload (same seed) on the natural and the
-/// optimized layout with a cycle-accurate timer and no instrumentation
-/// overhead, measuring what placement actually bought.
+/// Measures what placement bought: the natural and the optimized layout on
+/// the identical workload (same seed) with a cycle-accurate timer and no
+/// instrumentation overhead.
+///
+/// When the run was already measured that way — cycle-accurate timer,
+/// zero timestamp overhead, no fault plan — its profiled run *is* the
+/// natural-layout replay: the same config on the same layout executes the
+/// same instructions. The natural side is then read off the profiled run
+/// (its PMU bank and cycle total, and the natural layout's cost over its
+/// ground-truth profile) and its PMU totals are recorded again, so the
+/// counters and `pmu.totals` events match a replay's. Only the optimized
+/// layout is replayed. Every other config replays both.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Evaluate;
 
@@ -620,7 +631,18 @@ impl Stage for Evaluate {
             estimated,
             layout,
         } = input;
-        let before = replay(config, Layout::natural(run.cfg()))?;
+        let natural = Layout::natural(run.cfg());
+        let before = match replay_config(config) {
+            Cow::Borrowed(_) => {
+                record_pmu(&run.pmu);
+                Evaluated {
+                    cost: natural.evaluate(run.cfg(), &run.truth_profile, &config.penalties()),
+                    cycles: run.cycles_used,
+                    pmu: run.pmu.clone(),
+                }
+            }
+            Cow::Owned(_) => replay(config, natural)?,
+        };
         let after = replay(config, layout.clone())?;
         Ok(PipelineReport {
             run,
@@ -632,15 +654,28 @@ impl Stage for Evaluate {
     }
 }
 
-/// Replays the configured workload on `layout` (cycle-accurate timer, zero
-/// instrumentation overhead, same seed and inputs), returning the measured
-/// layout cost and cycle total.
-pub(crate) fn replay(config: &RunConfig, layout: Layout) -> Result<Evaluated, PipelineError> {
-    let _span = ct_obs::Span::enter("stage.evaluate.replay");
+/// The config a replay runs under: `config` with a cycle-accurate timer, no
+/// timestamp overhead and no fault plan — borrowed unchanged when `config`
+/// already is one.
+fn replay_config(config: &RunConfig) -> Cow<'_, RunConfig> {
+    let cycle_accurate = VirtualTimer::cycle_accurate().cycles_per_tick();
+    if config.cycles_per_tick == cycle_accurate && config.ts_overhead == 0 && config.fault.is_none()
+    {
+        return Cow::Borrowed(config);
+    }
     let mut replay_config = config.clone();
-    replay_config.cycles_per_tick = VirtualTimer::cycle_accurate().cycles_per_tick();
+    replay_config.cycles_per_tick = cycle_accurate;
     replay_config.ts_overhead = 0;
     replay_config.fault = None;
+    Cow::Owned(replay_config)
+}
+
+/// Replays the configured workload on `layout` under [`replay_config`]
+/// (same seed and inputs), returning the measured layout cost and cycle
+/// total.
+pub(crate) fn replay(config: &RunConfig, layout: Layout) -> Result<Evaluated, PipelineError> {
+    let _span = ct_obs::Span::enter("stage.evaluate.replay");
+    let replay_config = replay_config(config);
     let compiled = Compile.run(&replay_config, ())?;
     let deployed = Deploy {
         layout: Some(layout.clone()),

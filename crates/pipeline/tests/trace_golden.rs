@@ -152,14 +152,17 @@ fn tracing_is_schema_stable_and_observer_effect_free() {
             .any(|l| l.starts_with("{\"event\":\"place.decision\"")),
         "no place.decision event in:\n{jsonl_1}"
     );
-    // One pmu.totals per Collect: the profiled run plus both replays.
+    // One pmu.totals per measured layout run: the profiled run, the
+    // natural layout (here the profiled run's totals recorded again, since
+    // a cycle-accurate, overhead-free, fault-free run is its own
+    // natural-layout replay) and the placed layout's replay.
     assert_eq!(
         lines
             .iter()
             .filter(|l| l.starts_with("{\"event\":\"pmu.totals\""))
             .count(),
         3,
-        "expected pmu.totals from the run and both replays in:\n{jsonl_1}"
+        "expected pmu.totals from the run and both evaluated layouts in:\n{jsonl_1}"
     );
 
     // Telemetry v2: every traced stage aggregates a wall-time histogram.

@@ -32,6 +32,27 @@ fn rand_pmf() -> impl Strategy<Value = Vec<(u64, f64)>> {
         })
 }
 
+/// [`rand_pmf`] or a PMF on irregular gaps (1–5 apart, so short
+/// contiguous runs mix with holes of every width).
+fn any_pmf() -> impl Strategy<Value = Vec<(u64, f64)>> {
+    let jagged = (
+        0u64..200,
+        proptest::collection::vec((1u64..6, 0.01f64..1.0), 1..24),
+    )
+        .prop_map(|(base, steps)| {
+            let total: f64 = steps.iter().map(|&(_, m)| m).sum();
+            let mut key = base;
+            steps
+                .iter()
+                .map(|&(gap, m)| {
+                    key += gap;
+                    (key, m / total)
+                })
+                .collect()
+        });
+    prop_oneof![rand_pmf(), jagged]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -181,6 +202,45 @@ proptest! {
         for ((kt, mt), (ks, ms)) in tuple.iter().zip(soa.iter()) {
             prop_assert_eq!(*kt, ks);
             prop_assert_eq!(mt.to_bits(), ms.to_bits(), "key {}: {} vs {}", kt, mt, ms);
+        }
+    }
+
+    /// The point kernel (`convolve_points_into`) equals the sweep's mass
+    /// bit for bit at every requested point, and 0 where the sweep has no
+    /// key: contiguous, evenly strided and irregularly gapped operands, shifts,
+    /// points outside the support on both sides, and empty operands.
+    #[test]
+    fn point_kernel_matches_the_sweep_bitwise(
+        f in any_pmf(),
+        g in any_pmf(),
+        shift in 0u64..64,
+        empty in 0u8..4,
+        picks in proptest::collection::vec(0u64..1_000_000, 0..40),
+    ) {
+        // The product's whole support, swept on whichever path the cutoff
+        // picks; the points reach past it on both sides.
+        let lo = f[0].0 + g[0].0 + shift;
+        let hi = f[f.len() - 1].0 + g[g.len() - 1].0 + shift;
+        let mut points: Vec<u64> = picks.iter().map(|&p| p % (hi + 50)).collect();
+        points.sort_unstable();
+        points.dedup();
+        let f = Pmf::from_sorted(if empty == 1 { Vec::new() } else { f });
+        let g = Pmf::from_sorted(if empty == 2 { Vec::new() } else { g });
+        let swept = pmf::convolve_window_pmf(&f, &g, shift, lo, hi);
+        let (mut at, mut span) = (Vec::new(), Vec::new());
+        pmf::convolve_points_into(&mut at, &mut span, &f, &g, shift, &points);
+        prop_assert_eq!(at.len(), points.len());
+        for (&d, &m) in points.iter().zip(&at) {
+            let want = match swept.keys().binary_search(&d) {
+                Ok(i) => swept.masses()[i],
+                Err(_) => 0.0,
+            };
+            prop_assert_eq!(m.to_bits(), want.to_bits(), "point {}: {} vs {}", d, m, want);
+        }
+        // Every support point of the sweep, queried exactly.
+        pmf::convolve_points_into(&mut at, &mut span, &f, &g, shift, swept.keys());
+        for (&m, &want) in at.iter().zip(swept.masses()) {
+            prop_assert_eq!(m.to_bits(), want.to_bits());
         }
     }
 
