@@ -126,6 +126,31 @@ if python3 scripts/perf_trajectory.py check "$trace_dir/trajectory_bad.jsonl" \
     exit 1
 fi
 
+echo "== perf_trajectory diff self-test (must name a planted layer) =="
+# Two synthetic commits, three rows each, built from the newest traced
+# pipeline row: every metric jitters by up to 3% on both sides, and commit B
+# plants stage.place.ms 25% slower. The diff must name that layer.
+python3 - "$trace_dir/trajectory_two.jsonl" <<'PY'
+import json, sys
+rows = [json.loads(line) for line in open("PERFBENCH_TRAJECTORY.jsonl")]
+base = [r for r in rows if r["workload"] == "pipeline" and r["trace"] == 1][-1]
+with open(sys.argv[1], "w") as f:
+    for i, commit in enumerate(["a" * 40] * 3 + ["b" * 40] * 3):
+        row = json.loads(json.dumps(base))
+        row["commit"] = commit
+        for j, name in enumerate(sorted(row["metrics"])):
+            row["metrics"][name] *= 1 + 0.01 * ((i * 2 + j * 3) % 7 - 3)
+        if commit[0] == "b":
+            row["metrics"]["stage.place.ms"] *= 1.25
+        f.write(json.dumps(row) + "\n")
+PY
+python3 scripts/perf_trajectory.py diff aaaa bbbb --file "$trace_dir/trajectory_two.jsonl" \
+    > "$trace_dir/diff.out"
+grep -q "moved most: stage.place.ms " "$trace_dir/diff.out" || {
+    echo "perf_trajectory.py diff failed to name the planted layer" >&2
+    exit 1
+}
+
 echo "== trace smoke (observability on == observability off) =="
 # A traced e1 run must produce valid JSONL (ct-obs-report parses it) and
 # byte-identical stdout versus the untraced run — observer effect zero.

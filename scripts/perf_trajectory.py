@@ -4,6 +4,7 @@
     python3 scripts/perf_trajectory.py record --workload W --seed S \
         --seconds T --trace 0|1
     python3 scripts/perf_trajectory.py check [FILE]
+    python3 scripts/perf_trajectory.py diff COMMIT_A COMMIT_B [--file FILE]
 
 Run from anywhere; paths resolve against the repository root. `record`
 runs perfbench/run.py with exactly those arguments and appends one line to
@@ -12,17 +13,23 @@ and `failed == 0`. `check` validates every line of FILE (default: the
 committed trajectory), then gates each pair in GATED: the newest traced
 row must be at most BOUND times the lowest earlier row with the same
 workload, trace flag and nproc. Any validation or gate failure exits 1.
+`diff` compares the rows of two commits (hash prefixes): for each workload
+and trace flag both commits ran, it prints every metric's median on each
+side and their ratio B/A, largest |log ratio| first, and names the
+per-layer metric that moved most. It exits 1 when a commit has no rows.
 """
 
 import argparse
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRAJECTORY = os.path.join(ROOT, "PERFBENCH_TRAJECTORY.jsonl")
+BENCHMARK = os.path.join(ROOT, "BENCHMARK.json")
 REQUIRED = ("commit", "workload", "seed", "seconds", "trace", "nproc",
             "ct_threads", "attempted", "failed", "metrics")
 # (workload, metric) pairs gated on traced runs: the full-EM rung and the
@@ -130,6 +137,51 @@ def check(args):
     return 1 if problems else 0
 
 
+def diff(args):
+    with open(args.file or TRAJECTORY, encoding="utf-8") as f:
+        rows = [json.loads(line) for line in f if line.strip()]
+    with open(BENCHMARK, encoding="utf-8") as f:
+        end_to_end = {m["name"] for m in json.load(f)["end_to_end"]}
+    sides = []
+    for prefix in (args.commit_a, args.commit_b):
+        mine = [r for r in rows if r["commit"].startswith(prefix)]
+        commits = {r["commit"] for r in mine}
+        if len(commits) != 1:
+            found = "no rows" if not commits else f"{len(commits)} commits"
+            print(f"diff: {prefix!r} matches {found}", file=sys.stderr)
+            return 1
+        sides.append(mine)
+    a_rows, b_rows = sides
+    print(f"diff {a_rows[0]['commit'][:12]} -> {b_rows[0]['commit'][:12]} "
+          "(medians; ratio = B/A)")
+    groups = sorted({(r["workload"], r["trace"]) for r in a_rows}
+                    & {(r["workload"], r["trace"]) for r in b_rows})
+    for workload, trace in groups:
+        a = [r for r in a_rows if (r["workload"], r["trace"]) == (workload, trace)]
+        b = [r for r in b_rows if (r["workload"], r["trace"]) == (workload, trace)]
+        print(f"\n== {workload} trace={trace} (A: {len(a)} rows, B: {len(b)} rows) ==")
+        lines = []
+        for name in sorted(set(a[0]["metrics"]) | set(b[0]["metrics"])):
+            ma = statistics.median(r["metrics"].get(name, 0.0) for r in a)
+            mb = statistics.median(r["metrics"].get(name, 0.0) for r in b)
+            ratio = mb / ma if ma > 0 and mb > 0 else None
+            # Metrics without a ratio (0 on a side) sort after every ratio.
+            moved = abs(math.log(ratio)) if ratio else -1.0
+            kind = "e2e" if name in end_to_end else "layer"
+            lines.append((moved, name, kind, ma, mb, ratio))
+        lines.sort(key=lambda x: (-x[0], x[1]))
+        print(f"  {'metric':<32} {'kind':<5} {'A':>14} {'B':>14} {'B/A':>8}")
+        for _, name, kind, ma, mb, ratio in lines:
+            shown = f"{ratio:.3f}x" if ratio else "-"
+            print(f"  {name:<32} {kind:<5} {ma:>14.6g} {mb:>14.6g} {shown:>8}")
+        layers = [x for x in lines if x[2] == "layer" and x[5]]
+        if layers:
+            print(f"  moved most: {layers[0][1]} ({layers[0][5]:.3f}x)")
+        else:
+            print("  moved most: no per-layer metric reads above 0 on both sides")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -140,8 +192,12 @@ def main():
     rec.add_argument("--trace", required=True, type=int, choices=(0, 1))
     chk = sub.add_parser("check", help="validate the trajectory and gate it")
     chk.add_argument("file", nargs="?", help="trajectory to check (default: the committed one)")
+    dif = sub.add_parser("diff", help="compare two commits' medians, metric by metric")
+    dif.add_argument("commit_a", help="the base commit (a hash prefix)")
+    dif.add_argument("commit_b", help="the compared commit (a hash prefix)")
+    dif.add_argument("--file", help="trajectory to read (default: the committed one)")
     args = parser.parse_args()
-    return record(args) if args.command == "record" else check(args)
+    return {"record": record, "check": check, "diff": diff}[args.command](args)
 
 
 if __name__ == "__main__":
