@@ -30,7 +30,10 @@
 //! - the E-step computes **one** windowed convolution
 //!   `h_e(d) = Σ_t f(u,t) · g(v, d − t − c_u − c_e)` per edge and scores all
 //!   observed ticks against it, instead of rescanning the `f ⊗ g` product
-//!   for every `(sample, edge)` pair;
+//!   for every `(sample, edge)` pair; a convolution on its dense path is
+//!   never compacted into a PMF — each tick reads its own few cells of the
+//!   window straight back, skipping the empty ones as the compaction
+//!   would, so the counts are bit-identical;
 //! - when the observed ticks' windows cover few durations of a wide range
 //!   (a cycle-accurate timer and a few dozen distinct ticks across
 //!   thousands of cycles), an edge evaluates `h_e` **only at those
@@ -44,7 +47,7 @@
 //! iteration refills in place, so a warm E-step allocates nothing.
 //! [`compute_tables`] and [`e_step`] build both for a single call.
 
-use crate::quantize::{duration_window, pmf_tick_score_soa, tick_likelihood};
+use crate::quantize::{convolved_tick_score, duration_window, pmf_tick_score_soa, tick_likelihood};
 use crate::samples::DurationSamples;
 use ct_cfg::graph::{BlockId, Cfg, EdgeKind, Terminator};
 use ct_cfg::profile::BranchProbs;
@@ -287,7 +290,9 @@ pub struct FbScratch {
     edge_probs: Vec<f64>,
     /// Per edge: source block cost + edge cost.
     step: Vec<u64>,
+    /// `h_e` when the convolution takes its sparse path.
     conv: Pmf,
+    /// The convolution's dense window, which the ticks are scored from.
     conv_buf: Vec<f64>,
     conv_terms: Vec<pmf::Entry>,
     /// `(tick, multiplicity, normalizer)` of every explained distinct tick.
@@ -573,7 +578,12 @@ pub fn e_step<S: DurationSamples + ?Sized>(
 /// union of the explained ticks' duration windows,
 /// `h_e(d) = Σ_t f(u,t) · g(v, d − t − c_u − c_e)`, then scores every
 /// distinct tick against `h_e` — instead of rescanning the product per
-/// `(sample, edge)` pair.
+/// `(sample, edge)` pair. A convolution that takes its dense path leaves
+/// `h_e` as a window of cells, one per duration, and each tick is scored
+/// straight from its own cells of that window ([`convolved_tick_score`]):
+/// the nonzero ones in ascending duration, the cells and order the
+/// compacted PMF would hold, so no output bit depends on skipping the
+/// compaction. A sparse-path `h_e` is a PMF and is scored as one.
 ///
 /// The scores read `h_e` only at durations inside some explained tick's
 /// window. When those durations number less than a quarter of the union
@@ -715,9 +725,10 @@ pub fn e_step_planned(
                 continue;
             }
         }
-        pmf::convolve_window_into(conv, conv_buf, conv_terms, f_u, g_v, delta, win_lo, win_hi);
+        let h =
+            pmf::convolve_window_into(conv, conv_buf, conv_terms, f_u, g_v, delta, win_lo, win_hi);
         for &(t_obs, n, z) in explained.iter() {
-            let acc = pmf_tick_score_soa(conv, t_obs, cpt);
+            let acc = convolved_tick_score(h, t_obs, cpt);
             counts[ei] += n as f64 * p_e * acc / z;
         }
     }

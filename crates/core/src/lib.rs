@@ -85,7 +85,8 @@ pub use gnt::{estimate_gnt, model_cf, GntError, GntOptions, GntResult};
 pub use incremental::IncrementalEm;
 pub use moments::{estimate_moments, model_moments, MomentsError, MomentsOptions, MomentsResult};
 pub use quantize::{
-    duration_window, pmf_tick_score_soa, tick_likelihood, try_duration_window, WindowError,
+    convolved_tick_score, duration_window, pmf_tick_score_soa, tick_likelihood,
+    try_duration_window, WindowError,
 };
 pub use samples::{DurationSamples, SampleIssue, TimingSamples, TrimPolicy};
 pub use stream::{BatchTag, ResolutionMismatch, SampleBatch, SuffStats};

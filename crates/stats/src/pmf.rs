@@ -16,9 +16,10 @@
 //! The kernels here are the hot primitives of the inference engine:
 //! coalescing raw contribution lists, pruning sub-epsilon mass, windowed
 //! slicing, and windowed convolution of two PMFs, swept over a window or
-//! evaluated at chosen points. The SoA kernels reproduce
-//! the tuple-based kernels bit-for-bit: same enumeration order, same
-//! summation order — only the memory layout differs.
+//! evaluated at chosen points. The SoA convolution reproduces the
+//! tuple-layout one (kept beside the property tests as their oracle) bit
+//! for bit: same enumeration order, same summation order — only the
+//! memory layout differs.
 
 /// One support point: `(value, probability_mass)`.
 pub type Entry = (u64, f64);
@@ -372,8 +373,28 @@ impl Pmf {
     }
 }
 
-/// Windowed convolution with shift: returns the PMF
-/// `h(d) = Σ_t f(t) · g(d − t − shift)` restricted to `d ∈ [lo, hi]`.
+/// A windowed convolution as [`convolve_window_into`] leaves it.
+#[derive(Debug, Clone, Copy)]
+pub enum Convolved<'a> {
+    /// The dense path's window, uncompacted: `cells[i]` is `h(lo + i)` for
+    /// every duration of the window, `0.0` where no term lands. The PMF is
+    /// the cells whose mass is `> 0.0`, in ascending order.
+    Dense {
+        /// The window's first duration.
+        lo: u64,
+        /// One sum per duration of the window.
+        cells: &'a [f64],
+    },
+    /// The sparse path's result, or an empty window: `h`'s in-window
+    /// support.
+    Sparse(&'a Pmf),
+}
+
+/// Windowed convolution with shift: `h(d) = Σ_t f(t) · g(d − t − shift)`
+/// restricted to `d ∈ [lo, hi]`, in caller-owned storage. `buf` (the dense
+/// path's window), `out` (the sparse path's PMF) and `terms` (its term
+/// list) are working space: reused across calls, none of the three
+/// reallocates once it has grown to the largest window seen.
 ///
 /// This is the per-edge kernel of the Baum–Welch E-step: with `f` the arrival
 /// distribution at an edge's source, `g` the remaining-duration distribution
@@ -382,117 +403,34 @@ impl Pmf {
 /// crosses the edge (up to the edge probability factor, applied by the
 /// caller).
 ///
-/// Strategy: when the window is narrow relative to the number of term pairs,
-/// accumulate into a dense window buffer (O(pairs + width)); otherwise
-/// collect the in-window terms and coalesce (O(pairs · log pairs)).
-pub fn convolve_window(f: &[Entry], g: &[Entry], shift: u64, lo: u64, hi: u64) -> Vec<Entry> {
-    if lo > hi || f.is_empty() || g.is_empty() {
-        return Vec::new();
-    }
-    let width = (hi - lo + 1) as usize;
-    let pairs = f.len().saturating_mul(g.len());
-    if width <= pairs.saturating_mul(4).max(1024) && width <= (1 << 22) {
-        convolve_dense(f, g, shift, lo, hi, width)
-    } else {
-        convolve_sparse(f, g, shift, lo, hi)
-    }
-}
-
-/// Dense-path windowed convolution: accumulates into a window-sized buffer.
-/// `width` must equal `hi - lo + 1`. Exposed so property tests can pit both
-/// paths against each other on either side of the selection heuristic in
-/// [`convolve_window`].
-pub fn convolve_dense(
-    f: &[Entry],
-    g: &[Entry],
-    shift: u64,
-    lo: u64,
-    hi: u64,
-    width: usize,
-) -> Vec<Entry> {
-    let mut buf = vec![0.0f64; width];
-    for &(t, fm) in f {
-        let base = t + shift;
-        if base > hi {
-            continue;
-        }
-        let s_lo = lo.saturating_sub(base);
-        let s_hi = hi - base;
-        for &(s, gm) in slice_range(g, s_lo, s_hi) {
-            buf[(base + s - lo) as usize] += fm * gm;
-        }
-    }
-    buf.iter()
-        .enumerate()
-        .filter(|&(_, &m)| m > 0.0)
-        .map(|(i, &m)| (lo + i as u64, m))
-        .collect()
-}
-
-/// Sparse-path windowed convolution: collects in-window terms and coalesces.
-/// Exposed so property tests can pit both paths against each other on either
-/// side of the selection heuristic in [`convolve_window`].
-pub fn convolve_sparse(f: &[Entry], g: &[Entry], shift: u64, lo: u64, hi: u64) -> Vec<Entry> {
-    let mut terms: Vec<Entry> = Vec::new();
-    for &(t, fm) in f {
-        let base = t + shift;
-        if base > hi {
-            continue;
-        }
-        let s_lo = lo.saturating_sub(base);
-        let s_hi = hi - base;
-        for &(s, gm) in slice_range(g, s_lo, s_hi) {
-            terms.push((base + s, fm * gm));
-        }
-    }
-    coalesce(&mut terms);
-    terms
-}
-
-/// SoA windowed convolution: [`convolve_window`] over [`Pmf`] operands,
-/// bit-identical results (same path selection, same enumeration and
-/// summation order). A one-call wrapper of [`convolve_window_into`].
-pub fn convolve_window_pmf(f: &Pmf, g: &Pmf, shift: u64, lo: u64, hi: u64) -> Pmf {
-    let mut out = Pmf::new();
-    convolve_window_into(
-        &mut out,
-        &mut Vec::new(),
-        &mut Vec::new(),
-        f,
-        g,
-        shift,
-        lo,
-        hi,
-    );
-    out
-}
-
-/// [`convolve_window_pmf`] into caller-owned storage: the result replaces
-/// `out`, and `buf` (the dense path's window) and `terms` (the sparse
-/// path's term list) are working space. Reused across calls, none of the
-/// three reallocates once it has grown to the largest window seen.
+/// Strategy: when the window is narrow relative to the number of term
+/// pairs (`width <= max(4·pairs, 1024)`, and at most 2^22 cells), every
+/// product is added into its duration's cell of a dense window
+/// (O(pairs + width)), handed back as [`Convolved::Dense`] without being
+/// compacted, so a caller that reads a few durations of it pays nothing
+/// for the rest; otherwise the in-window terms are collected and coalesced
+/// into `out` (O(pairs · log pairs)), handed back as [`Convolved::Sparse`].
+/// Either way each duration sums its terms over `f` in ascending key order.
 ///
-/// Over the tuple kernel the dense path has two layout advantages:
-///
-/// - the inner accumulation reads the mass array contiguously; and
-/// - when the in-window slice of `g` is one contiguous run, the destination
-///   offsets advance by 1 per term, so the loop is a pure
-///   `buf[off + j] += fm * gm[j]` sweep with no per-term index computation.
+/// The dense path reads the mass arrays contiguously, and when the
+/// in-window slice of `g` is one contiguous run, the destination offsets
+/// advance by 1 per term, so the loop is a pure `buf[off + j] += fm * gm[j]`
+/// sweep with no per-term index computation.
 #[allow(clippy::too_many_arguments)]
-pub fn convolve_window_into(
-    out: &mut Pmf,
-    buf: &mut Vec<f64>,
+pub fn convolve_window_into<'a>(
+    out: &'a mut Pmf,
+    buf: &'a mut Vec<f64>,
     terms: &mut Vec<Entry>,
     f: &Pmf,
     g: &Pmf,
     shift: u64,
     lo: u64,
     hi: u64,
-) {
+) -> Convolved<'a> {
     out.keys.clear();
     out.mass.clear();
     if lo > hi || f.is_empty() || g.is_empty() {
-        return;
+        return Convolved::Sparse(out);
     }
     let width = (hi - lo + 1) as usize;
     let pairs = f.len().saturating_mul(g.len());
@@ -530,16 +468,31 @@ pub fn convolve_window_into(
         }
     }
     if dense {
-        for (i, &m) in buf.iter().enumerate() {
-            if m > 0.0 {
-                out.keys.push(lo + i as u64);
-                out.mass.push(m);
-            }
-        }
+        Convolved::Dense { lo, cells: buf }
     } else {
         coalesce(terms);
         out.refill_sorted(terms);
+        Convolved::Sparse(out)
     }
+}
+
+/// [`convolve_window_into`] as a [`Pmf`], with working space of its own: on
+/// the dense path the window is compacted to its cells with mass `> 0.0`,
+/// in ascending order.
+pub fn convolve_window_pmf(f: &Pmf, g: &Pmf, shift: u64, lo: u64, hi: u64) -> Pmf {
+    let (mut out, mut buf) = (Pmf::new(), Vec::new());
+    let h = convolve_window_into(&mut out, &mut buf, &mut Vec::new(), f, g, shift, lo, hi);
+    let Convolved::Dense { lo, cells } = h else {
+        return out;
+    };
+    let mut compacted = Pmf::new();
+    for (i, &m) in cells.iter().enumerate() {
+        if m > 0.0 {
+            compacted.keys.push(lo + i as u64);
+            compacted.mass.push(m);
+        }
+    }
+    compacted
 }
 
 /// [`convolve_window_into`] evaluated at chosen points only: `out[i]`
@@ -649,8 +602,9 @@ mod tests {
                 *naive.entry(t + s + shift).or_insert(0.0) += fm * gm;
             }
         }
+        let (fp, gp) = (Pmf::from_sorted(f.clone()), Pmf::from_sorted(g.clone()));
         for (lo, hi) in [(0u64, 100u64), (4, 9), (8, 8), (0, 0)] {
-            let h = convolve_window(&f, &g, shift, lo, hi);
+            let h = convolve_window_pmf(&fp, &gp, shift, lo, hi).entries();
             let want: Vec<Entry> = naive
                 .iter()
                 .filter(|&(&d, _)| d >= lo && d <= hi)
@@ -665,24 +619,11 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_sparse_paths_agree() {
-        let f: Vec<Entry> = (0..40).map(|i| (i * 7, 1.0 / 40.0)).collect();
-        let g: Vec<Entry> = (0..40).map(|i| (i * 11, 1.0 / 40.0)).collect();
-        let (lo, hi) = (50, 500);
-        let dense = convolve_dense(&f, &g, 5, lo, hi, (hi - lo + 1) as usize);
-        let sparse = convolve_sparse(&f, &g, 5, lo, hi);
-        assert_eq!(dense.len(), sparse.len());
-        for (a, b) in dense.iter().zip(&sparse) {
-            assert_eq!(a.0, b.0);
-            assert!((a.1 - b.1).abs() < 1e-15);
-        }
-    }
-
-    #[test]
     fn empty_inputs_yield_empty() {
-        assert!(convolve_window(&[], &[(1, 1.0)], 0, 0, 10).is_empty());
-        assert!(convolve_window(&[(1, 1.0)], &[], 0, 0, 10).is_empty());
-        assert!(convolve_window(&[(1, 1.0)], &[(1, 1.0)], 0, 5, 4).is_empty());
+        let one = Pmf::from_sorted(vec![(1, 1.0)]);
+        assert!(convolve_window_pmf(&Pmf::new(), &one, 0, 0, 10).is_empty());
+        assert!(convolve_window_pmf(&one, &Pmf::new(), 0, 0, 10).is_empty());
+        assert!(convolve_window_pmf(&one, &one, 0, 5, 4).is_empty());
         assert!(convolve_window_pmf(&Pmf::new(), &Pmf::new(), 0, 0, 10).is_empty());
     }
 
@@ -711,25 +652,6 @@ mod tests {
         assert!(Pmf::from_sorted(vec![(7, 1.0)]).is_contiguous());
         assert!(Pmf::from_sorted(vec![(7, 0.5), (8, 0.25), (9, 0.25)]).is_contiguous());
         assert!(!Pmf::from_sorted(vec![(7, 0.5), (9, 0.5)]).is_contiguous());
-    }
-
-    #[test]
-    fn soa_convolution_matches_tuple_kernel_bitwise() {
-        let f: Vec<Entry> = (0..40).map(|i| (i * 7, (i as f64 + 1.0).recip())).collect();
-        let g: Vec<Entry> = (0..40)
-            .map(|i| (i * 11, (2.0 * i as f64 + 1.0).recip()))
-            .collect();
-        let fp = Pmf::from_sorted(f.clone());
-        let gp = Pmf::from_sorted(g.clone());
-        for (lo, hi) in [(0u64, 800u64), (50, 500), (120, 121), (700, 100_000)] {
-            let tuple = convolve_window(&f, &g, 5, lo, hi);
-            let soa = convolve_window_pmf(&fp, &gp, 5, lo, hi);
-            assert_eq!(soa.len(), tuple.len(), "window [{lo},{hi}]");
-            for ((dk, dm), (tk, tm)) in soa.iter().zip(tuple) {
-                assert_eq!(dk, tk);
-                assert_eq!(dm.to_bits(), tm.to_bits(), "window [{lo},{hi}] at {dk}");
-            }
-        }
     }
 
     #[test]

@@ -5,12 +5,108 @@ use ct_stats::dist::{project_to_simplex, Categorical};
 use ct_stats::matrix::Matrix;
 use ct_stats::metrics::{kl_divergence, total_variation};
 use ct_stats::nnls::{nnls, NnlsOptions};
-use ct_stats::pmf::{self, Pmf};
+use ct_stats::pmf::{self, Entry, Pmf};
 use ct_stats::solve::{lstsq, Lu};
 use proptest::prelude::*;
 
 fn small_vec(n: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-100.0f64..100.0, n)
+}
+
+/// The tuple-layout windowed convolution, the oracle the SoA kernel
+/// ([`pmf::convolve_window_into`]) must reproduce bit for bit:
+/// `h(d) = Σ_t f(t) · g(d − t − shift)` over `d ∈ [lo, hi]`, on the dense
+/// path when `width <= max(4·pairs, 1024)` and `width <= 2^22`, else on
+/// the sparse path.
+fn convolve_window(f: &[Entry], g: &[Entry], shift: u64, lo: u64, hi: u64) -> Vec<Entry> {
+    if lo > hi || f.is_empty() || g.is_empty() {
+        return Vec::new();
+    }
+    let width = (hi - lo + 1) as usize;
+    let pairs = f.len().saturating_mul(g.len());
+    if width <= pairs.saturating_mul(4).max(1024) && width <= (1 << 22) {
+        convolve_dense(f, g, shift, lo, hi, width)
+    } else {
+        convolve_sparse(f, g, shift, lo, hi)
+    }
+}
+
+/// [`convolve_window`]'s dense path: accumulates into a window-sized
+/// buffer (`width` must equal `hi - lo + 1`) and keeps the cells with mass
+/// `> 0.0`.
+fn convolve_dense(
+    f: &[Entry],
+    g: &[Entry],
+    shift: u64,
+    lo: u64,
+    hi: u64,
+    width: usize,
+) -> Vec<Entry> {
+    let mut buf = vec![0.0f64; width];
+    for &(t, fm) in f {
+        let base = t + shift;
+        if base > hi {
+            continue;
+        }
+        for &(s, gm) in pmf::slice_range(g, lo.saturating_sub(base), hi - base) {
+            buf[(base + s - lo) as usize] += fm * gm;
+        }
+    }
+    buf.iter()
+        .enumerate()
+        .filter(|&(_, &m)| m > 0.0)
+        .map(|(i, &m)| (lo + i as u64, m))
+        .collect()
+}
+
+/// [`convolve_window`]'s sparse path: collects the in-window terms and
+/// coalesces them.
+fn convolve_sparse(f: &[Entry], g: &[Entry], shift: u64, lo: u64, hi: u64) -> Vec<Entry> {
+    let mut terms: Vec<Entry> = Vec::new();
+    for &(t, fm) in f {
+        let base = t + shift;
+        if base > hi {
+            continue;
+        }
+        for &(s, gm) in pmf::slice_range(g, lo.saturating_sub(base), hi - base) {
+            terms.push((base + s, fm * gm));
+        }
+    }
+    pmf::coalesce(&mut terms);
+    terms
+}
+
+#[test]
+fn dense_and_sparse_paths_agree() {
+    let f: Vec<Entry> = (0..40).map(|i| (i * 7, 1.0 / 40.0)).collect();
+    let g: Vec<Entry> = (0..40).map(|i| (i * 11, 1.0 / 40.0)).collect();
+    let (lo, hi) = (50, 500);
+    let dense = convolve_dense(&f, &g, 5, lo, hi, (hi - lo + 1) as usize);
+    let sparse = convolve_sparse(&f, &g, 5, lo, hi);
+    assert_eq!(dense.len(), sparse.len());
+    for (a, b) in dense.iter().zip(&sparse) {
+        assert_eq!(a.0, b.0);
+        assert!((a.1 - b.1).abs() < 1e-15);
+    }
+}
+
+#[test]
+fn soa_convolution_matches_tuple_kernel_bitwise() {
+    let f: Vec<Entry> = (0..40).map(|i| (i * 7, (i as f64 + 1.0).recip())).collect();
+    let g: Vec<Entry> = (0..40)
+        .map(|i| (i * 11, (2.0 * i as f64 + 1.0).recip()))
+        .collect();
+    let fp = Pmf::from_sorted(f.clone());
+    let gp = Pmf::from_sorted(g.clone());
+    for (lo, hi) in [(0u64, 800u64), (50, 500), (120, 121), (700, 100_000)] {
+        let tuple = convolve_window(&f, &g, 5, lo, hi);
+        let soa = pmf::convolve_window_pmf(&fp, &gp, 5, lo, hi);
+        assert_eq!(soa.len(), tuple.len(), "window [{lo},{hi}]");
+        for ((dk, dm), (tk, tm)) in soa.iter().zip(tuple) {
+            assert_eq!(dk, tk);
+            assert_eq!(dm.to_bits(), tm.to_bits(), "window [{lo},{hi}] at {dk}");
+        }
+    }
 }
 
 /// A random normalized PMF: up to 24 support points on a random stride, so
@@ -216,15 +312,15 @@ proptest! {
         let (lo, hi) = (lo_full + clip, hi_full.saturating_sub(clip));
         prop_assume!(lo <= hi);
         let width = (hi - lo + 1) as usize;
-        let dense = pmf::convolve_dense(&f, &g, shift, lo, hi, width);
-        let sparse = pmf::convolve_sparse(&f, &g, shift, lo, hi);
+        let dense = convolve_dense(&f, &g, shift, lo, hi, width);
+        let sparse = convolve_sparse(&f, &g, shift, lo, hi);
         prop_assert_eq!(dense.len(), sparse.len());
         for (&(kd, md), &(ks, ms)) in dense.iter().zip(&sparse) {
             prop_assert_eq!(kd, ks);
             prop_assert!((md - ms).abs() < 1e-12, "key {kd}: dense {md} vs sparse {ms}");
         }
         // Whichever path the cutoff picks, the front door returns one of them.
-        let picked = pmf::convolve_window(&f, &g, shift, lo, hi);
+        let picked = convolve_window(&f, &g, shift, lo, hi);
         prop_assert!(picked == dense || picked == sparse);
     }
 
@@ -242,7 +338,7 @@ proptest! {
         let hi_full = f[f.len() - 1].0 + g[g.len() - 1].0 + shift;
         let (lo, hi) = (lo_full + clip, hi_full.saturating_sub(clip));
         prop_assume!(lo <= hi);
-        let tuple = pmf::convolve_window(&f, &g, shift, lo, hi);
+        let tuple = convolve_window(&f, &g, shift, lo, hi);
         let soa = pmf::convolve_window_pmf(
             &Pmf::from_sorted(f),
             &Pmf::from_sorted(g),

@@ -151,6 +151,29 @@ grep -q "moved most: stage.place.ms " "$trace_dir/diff.out" || {
     exit 1
 }
 
+echo "== perf_trajectory diff self-test (largest absolute change) =="
+# The case that misled the ratio ranking: stage.estimate.ms falls to 0.875x
+# (-0.65 ms) while stage.corrupt.ms rises 1.18x from 0.001 ms, every other
+# metric unchanged. The absolute-change line must name stage.estimate.ms.
+python3 - "$trace_dir/trajectory_abs.jsonl" <<'PY'
+import json, sys
+rows = [json.loads(line) for line in open("PERFBENCH_TRAJECTORY.jsonl")]
+base = [r for r in rows if r["workload"] == "pipeline" and r["trace"] == 1][-1]
+with open(sys.argv[1], "w") as f:
+    for commit, estimate, corrupt in (("c" * 40, 5.2, 0.001), ("d" * 40, 4.55, 0.00118)):
+        row = json.loads(json.dumps(base))
+        row["commit"] = commit
+        row["metrics"]["stage.estimate.ms"] = estimate
+        row["metrics"]["stage.corrupt.ms"] = corrupt
+        f.write(json.dumps(row) + "\n")
+PY
+python3 scripts/perf_trajectory.py diff cccc dddd --file "$trace_dir/trajectory_abs.jsonl" \
+    > "$trace_dir/diff_abs.out"
+grep -q "largest absolute change: stage.estimate.ms " "$trace_dir/diff_abs.out" || {
+    echo "perf_trajectory.py diff failed to name the layer with the largest absolute change" >&2
+    exit 1
+}
+
 echo "== trace smoke (observability on == observability off) =="
 # A traced e1 run must produce valid JSONL (ct-obs-report parses it) and
 # byte-identical stdout versus the untraced run — observer effect zero.

@@ -16,7 +16,10 @@ workload, trace flag and nproc. Any validation or gate failure exits 1.
 `diff` compares the rows of two commits (hash prefixes): for each workload
 and trace flag both commits ran, it prints every metric's median on each
 side and their ratio B/A, largest |log ratio| first, and names the
-per-layer metric that moved most. It exits 1 when a commit has no rows.
+per-layer metric that moved most by ratio and the per-layer millisecond
+metric whose median changed by the most milliseconds (a layer of a few
+microseconds can move most by ratio and still not matter). It exits 1
+when a commit has no rows.
 """
 
 import argparse
@@ -141,7 +144,9 @@ def diff(args):
     with open(args.file or TRAJECTORY, encoding="utf-8") as f:
         rows = [json.loads(line) for line in f if line.strip()]
     with open(BENCHMARK, encoding="utf-8") as f:
-        end_to_end = {m["name"] for m in json.load(f)["end_to_end"]}
+        declared = json.load(f)
+    end_to_end = {m["name"] for m in declared["end_to_end"]}
+    layer_ms = {m["name"] for m in declared["per_layer"] if m["unit"] == "ms"}
     sides = []
     for prefix in (args.commit_a, args.commit_b):
         mine = [r for r in rows if r["commit"].startswith(prefix)]
@@ -179,6 +184,14 @@ def diff(args):
             print(f"  moved most: {layers[0][1]} ({layers[0][5]:.3f}x)")
         else:
             print("  moved most: no per-layer metric reads above 0 on both sides")
+        timed = sorted((x for x in lines if x[1] in layer_ms and (x[3] or x[4])),
+                       key=lambda x: (-abs(x[4] - x[3]), x[1]))
+        if timed:
+            _, name, _, ma, mb, ratio = timed[0]
+            shown = f", {ratio:.3f}x" if ratio else ""
+            print(f"  largest absolute change: {name} ({mb - ma:+.4g} ms{shown})")
+        else:
+            print("  largest absolute change: no per-layer ms metric reads above 0")
     return 0
 
 
