@@ -50,7 +50,7 @@ fn main() {
     table.row(vec![
         "fleet streaming".to_string(),
         report.batches.to_string(),
-        ct_core::samples::DurationSamples::len(&fleet_run.stats).to_string(),
+        fleet_run.stats.len().to_string(),
         f2(elapsed.as_secs_f64() * 1e3),
         f2(elapsed.as_secs_f64() * 1e6 / report.batches as f64),
         f2(total_iters as f64 / report.batches as f64),

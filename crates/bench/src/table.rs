@@ -106,7 +106,7 @@ pub fn write_result(name: &str, content: &str) {
 /// Writes the run manifest to the path named by the `CT_MANIFEST` env
 /// knob, when set — even in smoke mode (unlike [`write_result`], which
 /// smoke runs skip). This is how check.sh's PMU drift gate captures two
-/// runs' counters for `ct-obs-diff` without touching `results/`.
+/// runs' counters for `ct-obs diff` without touching `results/`.
 pub fn write_manifest_env(stem: &str) {
     let Ok(path) = std::env::var("CT_MANIFEST") else {
         return;

@@ -111,38 +111,14 @@ pub fn estimate_em_from<S: DurationSamples + ?Sized>(
     init: BranchProbs,
     opts: EmOptions,
 ) -> Result<EmResult, FbError> {
-    estimate_em_counted(
-        cfg,
-        block_costs,
-        edge_costs,
-        &samples.counted(),
-        samples.cycles_per_tick(),
-        init,
-        opts,
-    )
-}
-
-/// [`estimate_em_from`] over a pre-built distinct-tick histogram
-/// `counted` (ascending, as [`DurationSamples::counted`] returns it)
-/// observed at `cycles_per_tick` — everything EM reads of the samples.
-/// Callers running several EM passes over one sample set (restarts, the
-/// ladder's rungs) build the histogram once and share it.
-pub(crate) fn estimate_em_counted(
-    cfg: &Cfg,
-    block_costs: &[u64],
-    edge_costs: &[u64],
-    counted: &[(u64, usize)],
-    cycles_per_tick: u64,
-    init: BranchProbs,
-    opts: EmOptions,
-) -> Result<EmResult, FbError> {
+    let stats = samples.suff_stats();
     estimate_em_planned(
         &FbPlan::new(cfg),
         &mut FbScratch::new(),
         block_costs,
         edge_costs,
-        counted,
-        cycles_per_tick,
+        &stats.counted(),
+        stats.cycles_per_tick(),
         init,
         opts,
     )

@@ -5,9 +5,10 @@
 use crate::em::{EmOptions, EmResult};
 use crate::fb::FbError;
 use crate::flow_nnls::{estimate_flow, FlowError};
-use crate::gnt::{estimate_gnt_counted, GntError, GntOptions};
+use crate::gnt::{estimate_gnt, GntError, GntOptions, GntResult};
 use crate::moments::{estimate_moments, MomentsError, MomentsOptions};
-use crate::samples::{DurationSamples, SampleIssue, TimingSamples, TrimPolicy};
+use crate::samples::{DurationSamples, SampleIssue, TrimPolicy};
+use crate::stream::SuffStats;
 use ct_cfg::graph::Cfg;
 use ct_cfg::profile::BranchProbs;
 use std::error::Error;
@@ -176,37 +177,37 @@ impl From<SampleIssue> for EstimateError {
 ///                    EstimateOptions::default()).unwrap();
 /// assert!((est.probs.as_slice()[0] - 0.8).abs() < 0.01);
 /// ```
-pub fn estimate<S: DurationSamples + Sync + ?Sized>(
+pub fn estimate<S: DurationSamples + ?Sized>(
     cfg: &Cfg,
     block_costs: &[u64],
     edge_costs: &[u64],
     samples: &S,
     opts: EstimateOptions,
 ) -> Result<Estimate, EstimateError> {
-    // Overflowing ticks would poison every downstream sum; reject up front.
+    // The one conversion: every method below reads these statistics, so no
+    // EM restart or iteration sorts the ticks again.
+    let stats = samples.suff_stats();
+    // Overflowing ticks would poison every downstream sum, and a zero
+    // resolution reads every tick as zero cycles; reject both up front.
     // Empty samples keep their method-specific semantics (EM reports the
     // prior, moments/flow error out).
-    if let Err(issue @ SampleIssue::TickOverflow { .. }) = samples.validate() {
+    if let Err(issue @ (SampleIssue::TickOverflow { .. } | SampleIssue::ZeroResolution)) =
+        stats.validate()
+    {
         return Err(issue.into());
     }
-    // EM and GNT read the samples only through their distinct-tick
-    // histogram: each branch below builds it once and hands it down, so
-    // no EM restart or iteration sorts the ticks again.
     match opts.method {
         Some(Method::Em) | Some(Method::EmUnrolled) => {
-            let counted = samples.counted();
-            run_em(cfg, block_costs, edge_costs, samples, &counted, opts).map_err(EstimateError::Em)
+            run_em(cfg, block_costs, edge_costs, &stats, opts).map_err(EstimateError::Em)
         }
         Some(Method::Moments) => {
-            run_moments(cfg, block_costs, edge_costs, samples, opts).map_err(EstimateError::Moments)
+            run_moments(cfg, block_costs, edge_costs, &stats, opts).map_err(EstimateError::Moments)
         }
-        Some(Method::Gnt) => {
-            let counted = samples.counted();
-            run_gnt(cfg, block_costs, edge_costs, samples, &counted, opts)
-                .map_err(EstimateError::Gnt)
-        }
+        Some(Method::Gnt) => estimate_gnt(cfg, block_costs, edge_costs, &*stats, opts.gnt)
+            .map(|r| gnt_estimate(r, opts.gnt.sweeps))
+            .map_err(EstimateError::Gnt),
         Some(Method::FlowMean) => {
-            let r = estimate_flow(cfg, block_costs, edge_costs, samples)
+            let r = estimate_flow(cfg, block_costs, edge_costs, &*stats)
                 .map_err(EstimateError::Flow)?;
             Ok(Estimate {
                 probs: r.probs,
@@ -218,29 +219,24 @@ pub fn estimate<S: DurationSamples + Sync + ?Sized>(
                 unexplained: 0,
             })
         }
-        None => {
-            let counted = samples.counted();
-            match run_em(cfg, block_costs, edge_costs, samples, &counted, opts) {
-                Ok(e) => Ok(e),
-                Err(FbError::SupportExplosion { .. }) => {
-                    run_moments(cfg, block_costs, edge_costs, samples, opts)
-                        .map_err(EstimateError::Moments)
-                }
-                Err(e) => Err(EstimateError::Em(e)),
+        None => match run_em(cfg, block_costs, edge_costs, &stats, opts) {
+            Ok(e) => Ok(e),
+            Err(FbError::SupportExplosion { .. }) => {
+                run_moments(cfg, block_costs, edge_costs, &stats, opts)
+                    .map_err(EstimateError::Moments)
             }
-        }
+            Err(e) => Err(EstimateError::Em(e)),
+        },
     }
 }
 
 /// EM from the flow warm start plus `opts.restarts` seeded probes, best
-/// answer wins; every restart reads `counted`, the samples' distinct-tick
-/// histogram.
-fn run_em<S: DurationSamples + Sync + ?Sized>(
+/// answer wins.
+fn run_em(
     cfg: &Cfg,
     block_costs: &[u64],
     edge_costs: &[u64],
-    samples: &S,
-    counted: &[(u64, usize)],
+    stats: &SuffStats,
     opts: EstimateOptions,
 ) -> Result<Estimate, FbError> {
     // Warm-start from a cheap mean-matching flow fit: long loops at the
@@ -251,7 +247,7 @@ fn run_em<S: DurationSamples + Sync + ?Sized>(
     // coordinate-descent sweep (milliseconds) — for warm-starting, matching
     // the mean is all that matters, and EM's fixed point is unchanged. Clamp
     // away from 0 and 1 so loop supports stay finite.
-    let warm_init = match estimate_flow(cfg, block_costs, edge_costs, samples) {
+    let warm_init = match estimate_flow(cfg, block_costs, edge_costs, stats) {
         Ok(f) => {
             let clamped: Vec<f64> = f
                 .probs
@@ -286,17 +282,8 @@ fn run_em<S: DurationSamples + Sync + ?Sized>(
     // serial loop it replaces for any `CT_THREADS`.
     let indexed: Vec<(usize, ct_cfg::profile::BranchProbs)> =
         inits.into_iter().enumerate().collect();
-    let cpt = samples.cycles_per_tick();
     let attempts = ct_stats::parallel::par_map(indexed, |(restart, init)| {
-        let res = crate::em::estimate_em_counted(
-            cfg,
-            block_costs,
-            edge_costs,
-            counted,
-            cpt,
-            init,
-            opts.em,
-        );
+        let res = crate::em::estimate_em_from(cfg, block_costs, edge_costs, stats, init, opts.em);
         match &res {
             Ok(r) => {
                 // Restart 0 is the flow warm start, the rest are seeded
@@ -363,14 +350,14 @@ fn run_em<S: DurationSamples + Sync + ?Sized>(
     Ok(Estimate::from_em(r, Method::Em))
 }
 
-fn run_moments<S: DurationSamples + ?Sized>(
+fn run_moments(
     cfg: &Cfg,
     block_costs: &[u64],
     edge_costs: &[u64],
-    samples: &S,
+    stats: &SuffStats,
     opts: EstimateOptions,
 ) -> Result<Estimate, MomentsError> {
-    let r = estimate_moments(cfg, block_costs, edge_costs, samples, opts.moments)?;
+    let r = estimate_moments(cfg, block_costs, edge_costs, stats, opts.moments)?;
     Ok(Estimate {
         probs: r.probs,
         method: Method::Moments,
@@ -384,26 +371,19 @@ fn run_moments<S: DurationSamples + ?Sized>(
     })
 }
 
-fn run_gnt<S: DurationSamples + ?Sized>(
-    cfg: &Cfg,
-    block_costs: &[u64],
-    edge_costs: &[u64],
-    samples: &S,
-    counted: &[(u64, usize)],
-    opts: EstimateOptions,
-) -> Result<Estimate, GntError> {
-    let r = estimate_gnt_counted(cfg, block_costs, edge_costs, samples, counted, opts.gnt)?;
-    Ok(Estimate {
+/// A GNT fit as an estimate; `sweep_cap` is the sweep budget it ran under.
+fn gnt_estimate(r: GntResult, sweep_cap: usize) -> Estimate {
+    Estimate {
         probs: r.probs,
         method: Method::Gnt,
         iterations: r.sweeps,
         // Same convention as moments: stopping before the sweep cap means a
         // full sweep made no progress.
-        converged: r.sweeps < opts.gnt.sweeps,
+        converged: r.sweeps < sweep_cap,
         final_delta: 0.0,
         loglik: None,
         unexplained: 0,
-    })
+    }
 }
 
 /// One rung of the graceful-degradation ladder, strongest first.
@@ -518,14 +498,18 @@ pub struct RobustEstimate {
 /// either trims away or degrades the answer — the final rung is the uniform
 /// prior with zero confidence, which downstream placement treats as "keep
 /// the natural layout".
-pub fn estimate_robust(
+///
+/// Every rung reads the samples' statistics ([`SuffStats`]), converted once
+/// here: a vector and the merged statistics of the same ticks walk the
+/// ladder bitwise alike.
+pub fn estimate_robust<S: DurationSamples + ?Sized>(
     cfg: &Cfg,
     block_costs: &[u64],
     edge_costs: &[u64],
-    samples: &TimingSamples,
+    samples: &S,
     opts: RobustOptions,
 ) -> RobustEstimate {
-    let result = run_ladder(cfg, block_costs, edge_costs, samples, opts);
+    let result = run_ladder(cfg, block_costs, edge_costs, &samples.suff_stats(), opts);
     // Attempts must read top-down no matter which rungs ran, were
     // policy-skipped, or short-circuited the descent.
     debug_assert!(
@@ -562,15 +546,23 @@ fn run_ladder(
     cfg: &Cfg,
     block_costs: &[u64],
     edge_costs: &[u64],
-    samples: &TimingSamples,
+    stats: &SuffStats,
     opts: RobustOptions,
 ) -> RobustEstimate {
     let mut attempts = Vec::new();
-    let n = samples.len();
-    // The one sort of the ticks: full EM reads this histogram, the trim
-    // fences are count-quantiles of it, and the trimmed rungs read its
-    // fenced subset.
-    let counted = samples.counted();
+    let n = stats.len();
+
+    // A zero resolution reads every tick as zero cycles. No rung can
+    // estimate from that, and the transform and moments rungs would still
+    // fit something: refuse before the descent.
+    if let Err(issue @ SampleIssue::ZeroResolution) = stats.validate() {
+        attempts.push(RungAttempt {
+            rung: Rung::FullEm,
+            accepted: false,
+            detail: issue.to_string(),
+        });
+        return prior(cfg, 0, attempts);
+    }
 
     // Rung 1: full EM on validated samples.
     if let Ok(r) = try_em_rung(
@@ -578,8 +570,7 @@ fn run_ladder(
         cfg,
         block_costs,
         edge_costs,
-        samples,
-        &counted,
+        stats,
         0,
         &opts,
         &mut attempts,
@@ -593,7 +584,9 @@ fn run_ladder(
     // most of the batch), the moments rung is poisoned too: means and
     // variances of data the model cannot explain measure the corruption, not
     // the program, and a confident wrong answer is worse than the prior.
-    let (trimmed, trimmed_counted, dropped) = samples.trimmed_counted(&counted, opts.trim);
+    // The trim filters the histogram: every trimmed rung reads the kept
+    // ticks' statistics.
+    let (trimmed, dropped) = stats.trimmed(opts.trim);
     let trim_frac = if n == 0 {
         0.0
     } else {
@@ -618,7 +611,6 @@ fn run_ladder(
             block_costs,
             edge_costs,
             &trimmed,
-            &trimmed_counted,
             dropped,
             &opts,
             &mut attempts,
@@ -650,14 +642,7 @@ fn run_ladder(
                 .into(),
         });
     } else {
-        match estimate_gnt_counted(
-            cfg,
-            block_costs,
-            edge_costs,
-            &trimmed,
-            &trimmed_counted,
-            opts.base.gnt,
-        ) {
+        match estimate_gnt(cfg, block_costs, edge_costs, &trimmed, opts.base.gnt) {
             Ok(r) if r.confidence >= opts.min_gnt_confidence => {
                 attempts.push(RungAttempt {
                     rung: Rung::Gnt,
@@ -669,15 +654,7 @@ fn run_ladder(
                 });
                 let confidence = 0.55 * (1.0 - trim_frac) * r.confidence;
                 return RobustEstimate {
-                    estimate: Estimate {
-                        probs: r.probs,
-                        method: Method::Gnt,
-                        iterations: r.sweeps,
-                        converged: r.sweeps < opts.base.gnt.sweeps,
-                        final_delta: 0.0,
-                        loglik: None,
-                        unexplained: 0,
-                    },
+                    estimate: gnt_estimate(r, opts.base.gnt.sweeps),
                     rung: Rung::Gnt,
                     confidence,
                     trimmed: dropped,
@@ -741,6 +718,12 @@ fn run_ladder(
     }
 
     // Rung 5: the static prior always answers.
+    prior(cfg, dropped, attempts)
+}
+
+/// The static prior's answer, after the stronger rungs in `attempts`
+/// declined.
+fn prior(cfg: &Cfg, trimmed: usize, mut attempts: Vec<RungAttempt>) -> RobustEstimate {
     attempts.push(RungAttempt {
         rung: Rung::Prior,
         accepted: true,
@@ -758,7 +741,7 @@ fn run_ladder(
         },
         rung: Rung::Prior,
         confidence: 0.0,
-        trimmed: dropped,
+        trimmed,
         attempts,
     }
 }
@@ -774,16 +757,15 @@ enum EmRejection {
     Other,
 }
 
-/// Runs one EM rung on `samples` and their distinct-tick histogram and
-/// applies its health checks; `Ok` when accepted.
+/// Runs one EM rung on `stats` and applies its health checks; `Ok` when
+/// accepted.
 #[allow(clippy::too_many_arguments)]
 fn try_em_rung(
     rung: Rung,
     cfg: &Cfg,
     block_costs: &[u64],
     edge_costs: &[u64],
-    samples: &TimingSamples,
-    counted: &[(u64, usize)],
+    stats: &SuffStats,
     dropped: usize,
     opts: &RobustOptions,
     attempts: &mut Vec<RungAttempt>,
@@ -796,15 +778,13 @@ fn try_em_rung(
         });
     };
     // Validation also stands in for the front door's overflow gate.
-    if let Err(issue) = samples.validate() {
+    if let Err(issue) = stats.validate() {
         reject(attempts, issue.to_string());
         return Err(EmRejection::Other);
     }
-    match run_em(cfg, block_costs, edge_costs, samples, counted, opts.base)
-        .map_err(EstimateError::Em)
-    {
+    match run_em(cfg, block_costs, edge_costs, stats, opts.base).map_err(EstimateError::Em) {
         Ok(est) => {
-            let unex_frac = est.unexplained as f64 / samples.len().max(1) as f64;
+            let unex_frac = est.unexplained as f64 / stats.len().max(1) as f64;
             if !est.converged && est.final_delta > opts.max_final_delta {
                 reject(
                     attempts,
@@ -815,7 +795,7 @@ fn try_em_rung(
                 );
                 Err(EmRejection::Other)
             } else if est.loglik.map(|l| !l.is_finite()).unwrap_or(false)
-                && est.unexplained < samples.len()
+                && est.unexplained < stats.len()
             {
                 reject(attempts, "non-finite likelihood".into());
                 Err(EmRejection::Other)
@@ -843,11 +823,11 @@ fn try_em_rung(
                     Rung::FullEm => 1.0,
                     _ => 0.7,
                 };
-                let total = samples.len() + dropped;
+                let total = stats.len() + dropped;
                 let kept_frac = if total == 0 {
                     1.0
                 } else {
-                    samples.len() as f64 / total as f64
+                    stats.len() as f64 / total as f64
                 };
                 Ok(RobustEstimate {
                     confidence: base * (1.0 - unex_frac) * kept_frac,
@@ -869,6 +849,7 @@ fn try_em_rung(
 mod tests {
     use super::*;
     use crate::fb::FbParams;
+    use crate::samples::TimingSamples;
     use ct_cfg::builder::{diamond, while_loop};
 
     fn diamond_samples(
@@ -992,6 +973,32 @@ mod tests {
         assert!(r.attempts[..4].iter().all(|a| !a.accepted));
         assert!(r.attempts[4].accepted);
         assert!(r.attempts.windows(2).all(|w| w[0].rung < w[1].rung));
+    }
+
+    #[test]
+    fn ladder_refuses_zero_resolution_statistics() {
+        // Statistics, unlike a vector, can carry a zero resolution. Every
+        // tick then reads as zero cycles, which the moments rung would
+        // still fit; the ladder must answer with the prior instead.
+        let (cfg, bc, ec, samples) = diamond_samples(0.7, 200);
+        let mut stats = SuffStats::new(0);
+        samples.ticks().iter().for_each(|&t| stats.push(t));
+        let r = estimate_robust(&cfg, &bc, &ec, &stats, RobustOptions::default());
+        assert_eq!(r.rung, Rung::Prior, "attempts: {:?}", r.attempts);
+        assert_eq!(r.confidence, 0.0);
+        assert!(r.attempts[0].detail.contains("zero"), "{:?}", r.attempts);
+        // The front door refuses them for every method too.
+        for m in [Method::Em, Method::Moments, Method::Gnt, Method::FlowMean] {
+            let opts = EstimateOptions {
+                method: Some(m),
+                ..Default::default()
+            };
+            assert_eq!(
+                estimate(&cfg, &bc, &ec, &stats, opts),
+                Err(EstimateError::InvalidSamples(SampleIssue::ZeroResolution)),
+                "{m}"
+            );
+        }
     }
 
     #[test]

@@ -549,6 +549,7 @@ pub fn e_step<S: DurationSamples + ?Sized>(
     samples: &S,
     params: FbParams,
 ) -> Result<(EdgeExpectations, FbTables), FbError> {
+    let stats = samples.suff_stats();
     let mut scratch = FbScratch::new();
     let (loglik, unexplained) = e_step_planned(
         &FbPlan::new(cfg),
@@ -556,8 +557,8 @@ pub fn e_step<S: DurationSamples + ?Sized>(
         block_costs,
         edge_costs,
         probs,
-        &samples.counted(),
-        samples.cycles_per_tick(),
+        &stats.counted(),
+        stats.cycles_per_tick(),
         params,
     )?;
     let expectations = EdgeExpectations {
@@ -569,8 +570,8 @@ pub fn e_step<S: DurationSamples + ?Sized>(
 }
 
 /// The E-step of an EM iteration over a pre-built distinct-tick histogram
-/// `counted` (ascending, as [`DurationSamples::counted`] returns it)
-/// observed at `cpt` cycles per tick. Returns the log-likelihood and the
+/// `counted` (ascending, as [`crate::stream::SuffStats::counted`] returns
+/// it) observed at `cpt` cycles per tick. Returns the log-likelihood and the
 /// unexplained sample count; the counts and tables stay in `scratch`
 /// ([`FbScratch::counts`], [`FbScratch::tables`]).
 ///

@@ -72,12 +72,13 @@ pub fn estimate_flow<S: DurationSamples + ?Sized>(
     edge_costs: &[u64],
     samples: &S,
 ) -> Result<FlowResult, FlowError> {
-    if samples.is_empty() {
+    let stats = samples.suff_stats();
+    if stats.is_empty() {
         return Err(FlowError::NoSamples);
     }
     let edges = cfg.edges();
     let ne = edges.len();
-    let mean_cycles = samples.mean_cycles();
+    let mean_cycles = stats.mean_cycles();
 
     if ne == 0 {
         return Ok(FlowResult {

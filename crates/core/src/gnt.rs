@@ -361,41 +361,20 @@ pub fn estimate_gnt<S: DurationSamples + ?Sized>(
     samples: &S,
     opts: GntOptions,
 ) -> Result<GntResult, GntError> {
-    estimate_gnt_counted(
-        cfg,
-        block_costs,
-        edge_costs,
-        samples,
-        &samples.counted(),
-        opts,
-    )
-}
-
-/// [`estimate_gnt`] with the empirical transform read from `counted`, the
-/// samples' pre-built distinct-tick histogram (as
-/// [`DurationSamples::counted`] returns it), so a caller that already
-/// holds it does not re-sort the ticks.
-pub(crate) fn estimate_gnt_counted<S: DurationSamples + ?Sized>(
-    cfg: &Cfg,
-    block_costs: &[u64],
-    edge_costs: &[u64],
-    samples: &S,
-    counted: &[(u64, usize)],
-    opts: GntOptions,
-) -> Result<GntResult, GntError> {
-    if samples.is_empty() {
+    let stats = samples.suff_stats();
+    if stats.is_empty() {
         return Err(GntError::NoSamples);
     }
-    if samples.moments_saturated() {
+    if stats.saturated() {
         return Err(GntError::SaturatedMoments);
     }
     let plan = ChainPlan::new(cfg, block_costs, edge_costs).map_err(GntError::Shape)?;
-    let cpt = samples.cycles_per_tick() as f64;
-    let n = samples.len() as f64;
+    let cpt = stats.cycles_per_tick() as f64;
+    let n = stats.len() as f64;
 
     // Frequency grid scaled to the sample spread: the transform carries its
     // shape information over |ω| ≲ 1/σ and pure oscillation beyond.
-    let sigma = samples.variance_cycles().max(1.0).sqrt();
+    let sigma = stats.variance_cycles().max(1.0).sqrt();
     let j_max = opts.frequencies.max(1);
     let omegas: Vec<f64> = (1..=j_max)
         .map(|j| opts.freq_scale * j as f64 / (j_max as f64 * sigma))
@@ -411,7 +390,7 @@ pub(crate) fn estimate_gnt_counted<S: DurationSamples + ?Sized>(
         .iter()
         .map(|&w| {
             let (mut re, mut im) = (0.0, 0.0);
-            for &(tick, count) in counted {
+            for (tick, count) in stats.histogram() {
                 let arg = w * (tick as f64) * cpt;
                 re += count as f64 * arg.cos();
                 im += count as f64 * arg.sin();

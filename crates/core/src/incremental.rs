@@ -26,7 +26,6 @@
 
 use crate::em::{estimate_em_planned, EmOptions, EmResult};
 use crate::fb::{FbError, FbPlan, FbScratch};
-use crate::samples::DurationSamples;
 use crate::stream::SuffStats;
 use ct_cfg::graph::Cfg;
 use ct_cfg::profile::BranchProbs;

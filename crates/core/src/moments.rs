@@ -206,16 +206,17 @@ pub fn estimate_moments<S: DurationSamples + ?Sized>(
     samples: &S,
     opts: MomentsOptions,
 ) -> Result<MomentsResult, MomentsError> {
-    if samples.is_empty() {
+    let stats = samples.suff_stats();
+    if stats.is_empty() {
         return Err(MomentsError::NoSamples);
     }
-    if samples.moments_saturated() {
+    if stats.saturated() {
         return Err(MomentsError::SaturatedMoments);
     }
-    let cpt = samples.cycles_per_tick() as f64;
-    let sample_mean = samples.mean_cycles();
+    let cpt = stats.cycles_per_tick() as f64;
+    let sample_mean = stats.mean_cycles();
     // Quantization adds ≈ cpt²/6 variance (uniform phase); subtract it.
-    let sample_var = (samples.variance_cycles() - cpt * cpt / 6.0).max(0.0);
+    let sample_var = (stats.variance_cycles() - cpt * cpt / 6.0).max(0.0);
 
     let mean_scale = sample_mean.abs().max(1.0);
     let var_scale = sample_var.abs().max(1.0);

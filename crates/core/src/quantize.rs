@@ -121,27 +121,13 @@ pub fn expected_ticks(d: u64, cpt: u64) -> f64 {
     d as f64 / cpt as f64
 }
 
-/// Probability of observing `ticks` under a duration PMF (sorted flat
-/// `(cycles, mass)` pairs): `Σ_d p(d) · tick_likelihood(ticks, d, cpt)`.
+/// Probability of observing `ticks` under a duration PMF:
+/// `Σ_d p(d) · tick_likelihood(ticks, d, cpt)`, summed left to right.
 ///
 /// Only the support inside [`duration_window`] is visited, so scoring is
-/// O(log |pmf| + window) regardless of the PMF's full support size.
-pub fn pmf_tick_score(pmf: &[(u64, f64)], ticks: u64, cpt: u64) -> f64 {
-    match try_duration_window(ticks, cpt) {
-        Ok((lo, hi)) => ct_stats::pmf::slice_range(pmf, lo, hi)
-            .iter()
-            .map(|&(d, m)| m * tick_likelihood(ticks, d, cpt))
-            .sum(),
-        // Corrupted tick: no duration produces it, the sample scores zero.
-        Err(WindowError::DegenerateWindow { .. }) => 0.0,
-        Err(WindowError::ZeroResolution) => panic!("cycles per tick must be positive"),
-    }
-}
-
-/// [`pmf_tick_score`] over the structure-of-arrays [`ct_stats::pmf::Pmf`]:
-/// same windowing, same left-to-right summation order (bit-identical), but
-/// the window is resolved with run detection (contiguous-support PMFs skip
-/// the binary searches) and the masses stream from a contiguous slice.
+/// O(log |pmf| + window) regardless of the PMF's full support size: the
+/// window is resolved with run detection (contiguous-support PMFs skip the
+/// binary searches) and the masses stream from a contiguous slice.
 pub fn pmf_tick_score_soa(pmf: &ct_stats::pmf::Pmf, ticks: u64, cpt: u64) -> f64 {
     match try_duration_window(ticks, cpt) {
         Ok((lo, hi)) => {
@@ -201,6 +187,21 @@ pub fn convolved_tick_score(h: Convolved<'_>, ticks: u64, cpt: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reference score over sorted flat `(cycles, mass)` pairs: same
+    /// windowing and summation order as [`pmf_tick_score_soa`], which must
+    /// match it bit for bit.
+    fn pmf_tick_score(pmf: &[(u64, f64)], ticks: u64, cpt: u64) -> f64 {
+        match try_duration_window(ticks, cpt) {
+            Ok((lo, hi)) => ct_stats::pmf::slice_range(pmf, lo, hi)
+                .iter()
+                .map(|&(d, m)| m * tick_likelihood(ticks, d, cpt))
+                .sum(),
+            // Corrupted tick: no duration produces it, the sample scores zero.
+            Err(WindowError::DegenerateWindow { .. }) => 0.0,
+            Err(WindowError::ZeroResolution) => panic!("cycles per tick must be positive"),
+        }
+    }
 
     #[test]
     fn exact_multiple_is_deterministic() {

@@ -2,7 +2,8 @@
 //! estimator — plus the input hygiene (validation, robust trimming) the
 //! estimator applies before trusting samples that crossed a lossy channel.
 
-use ct_stats::descriptive::Summary;
+use crate::stream::SuffStats;
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -80,78 +81,26 @@ impl Default for TrimPolicy {
     }
 }
 
-/// The estimator-facing view of a duration sample set: everything the EM,
-/// moments, and flow estimators actually consume — the timer resolution, the
-/// distinct-tick histogram, and the first two moments.
+/// Any sample form an estimator accepts: everything it reads is the
+/// form's sufficient statistics ([`SuffStats`]) — the timer resolution, the
+/// distinct-tick histogram and the exact integer moments.
 ///
 /// Two implementations exist: the materialized [`TimingSamples`] vector (one
-/// mote's batch, in arrival order) and the mergeable
-/// [`crate::stream::SuffStats`] accumulator (many motes' batches, reduced to
-/// sufficient statistics). Every estimator entry point is generic over this
-/// trait, so a fleet of motes can stream tick batches to a base station and
-/// feed EM/moments without ever re-materializing the full sample vector.
+/// mote's batch, in arrival order) and the mergeable [`SuffStats`]
+/// accumulator itself (many motes' batches, reduced). Every estimator entry
+/// point is generic over this trait and converts its input once, at the
+/// front door; below it only the statistics exist, so a fleet's merged
+/// statistics and one mote's vector of the same ticks estimate bitwise
+/// alike, and arrival order never reaches an estimator.
 pub trait DurationSamples {
-    /// Timer resolution in cycles per tick.
-    fn cycles_per_tick(&self) -> u64;
-
-    /// Number of samples observed.
-    fn len(&self) -> usize;
-
-    /// True when no samples were observed.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Distinct tick values with their multiplicities, ascending.
-    fn counted(&self) -> Vec<(u64, usize)>;
-
-    /// Sample mean converted to cycles.
-    fn mean_cycles(&self) -> f64;
-
-    /// Sample variance in cycles² (unbiased, `n − 1` denominator).
-    fn variance_cycles(&self) -> f64;
-
-    /// True when the second-moment accumulator behind
-    /// [`DurationSamples::variance_cycles`] has lost information (e.g. a
-    /// saturated square-sum in [`crate::stream::SuffStats`]) and the
-    /// variance is only a lower bound. Moment-based estimation must refuse
-    /// such input. Materialized vectors compute moments exactly, so the
-    /// default is `false`.
-    fn moments_saturated(&self) -> bool {
-        false
-    }
-
-    /// Checks the sample set is usable as estimator input.
-    ///
-    /// # Errors
-    ///
-    /// The first [`SampleIssue`] found.
-    fn validate(&self) -> Result<(), SampleIssue>;
+    /// The samples' sufficient statistics: borrowed when the samples
+    /// already are statistics, built once otherwise.
+    fn suff_stats(&self) -> Cow<'_, SuffStats>;
 }
 
 impl DurationSamples for TimingSamples {
-    fn cycles_per_tick(&self) -> u64 {
-        TimingSamples::cycles_per_tick(self)
-    }
-
-    fn len(&self) -> usize {
-        TimingSamples::len(self)
-    }
-
-    fn counted(&self) -> Vec<(u64, usize)> {
-        TimingSamples::counted(self)
-    }
-
-    fn mean_cycles(&self) -> f64 {
-        TimingSamples::mean_cycles(self)
-    }
-
-    fn variance_cycles(&self) -> f64 {
-        TimingSamples::variance_cycles(self)
-    }
-
-    fn validate(&self) -> Result<(), SampleIssue> {
-        TimingSamples::validate(self)
+    fn suff_stats(&self) -> Cow<'_, SuffStats> {
+        Cow::Owned(SuffStats::from_samples(self))
     }
 }
 
@@ -220,59 +169,19 @@ impl TimingSamples {
     }
 
     /// Robust outlier trimming: returns the samples inside the
-    /// quantile-fence window of `policy` plus the number dropped.
-    ///
-    /// Overflowing ticks (see [`TimingSamples::validate`]) are dropped
-    /// unconditionally *before* the fences are estimated: they can never be
-    /// real durations, and at contamination rates beyond the fence quantile
-    /// they would otherwise poison the quantiles themselves (a stuck-at
-    /// counter at 30% would drag the upper fence to `u64::MAX`). Callers
-    /// that need a hard validity guarantee still re-validate afterwards
-    /// (the degradation ladder does).
+    /// quantile-fence window of `policy`, in arrival order, plus the number
+    /// dropped. Ticks that overflow the cycle counter (see
+    /// [`TimingSamples::validate`]) are dropped before the fences are
+    /// estimated, so a stuck-at counter cannot drag them out.
     pub fn trimmed(&self, policy: TrimPolicy) -> (TimingSamples, usize) {
-        let (kept, _, dropped) = self.trimmed_counted(&self.counted(), policy);
-        (kept, dropped)
-    }
-
-    /// [`TimingSamples::trimmed`] against this set's distinct-tick histogram
-    /// `counted` (as [`TimingSamples::counted`] returns it), built once by
-    /// the caller: the fences are count-quantiles of the histogram, so the
-    /// ticks are never re-sorted. Also returns the kept ticks' histogram —
-    /// what the trimmed rungs' EM and GNT read.
-    ///
-    /// The kept ticks stay in arrival order: the moments read from them
-    /// ([`TimingSamples::mean_cycles`], [`TimingSamples::variance_cycles`])
-    /// depend on it bitwise.
-    pub(crate) fn trimmed_counted(
-        &self,
-        counted: &[(u64, usize)],
-        policy: TrimPolicy,
-    ) -> (TimingSamples, Vec<(u64, usize)>, usize) {
-        let overflow = |t: u64| {
-            t.checked_add(1)
-                .and_then(|t1| t1.checked_mul(self.cycles_per_tick))
-                .is_none()
-        };
-        let sane: Vec<(u64, usize)> = counted
-            .iter()
-            .copied()
-            .filter(|&(t, _)| !overflow(t))
-            .collect();
-        let window = fences(&sane, policy);
-        let inside = |t: u64| {
-            let x = t as f64;
-            !overflow(t) && window.is_some_and(|(lo, hi)| x >= lo && x <= hi)
-        };
-        let kept_counted: Vec<(u64, usize)> =
-            sane.into_iter().filter(|&(t, _)| inside(t)).collect();
-        let kept: Vec<u64> = self.ticks.iter().copied().filter(|&t| inside(t)).collect();
-        let dropped = self.ticks.len() - kept.len();
+        let keep = trim_filter(&self.counted(), self.cycles_per_tick, policy);
+        let ticks: Vec<u64> = self.ticks.iter().copied().filter(|&t| keep(t)).collect();
+        let dropped = self.ticks.len() - ticks.len();
         (
             TimingSamples {
-                ticks: kept,
+                ticks,
                 cycles_per_tick: self.cycles_per_tick,
             },
-            kept_counted,
             dropped,
         )
     }
@@ -297,24 +206,6 @@ impl TimingSamples {
         self.ticks.is_empty()
     }
 
-    /// Sample mean converted to cycles (mean ticks × resolution). No
-    /// quantization correction is applied, because none is needed: under a
-    /// uniformly random timer phase the floor-quantized tick count of a
-    /// duration `d` has mean exactly `d / cycles_per_tick`.
-    pub fn mean_cycles(&self) -> f64 {
-        if self.ticks.is_empty() {
-            return 0.0;
-        }
-        let s = Summary::of(&self.as_f64());
-        s.mean * self.cycles_per_tick as f64
-    }
-
-    /// Sample variance in cycles².
-    pub fn variance_cycles(&self) -> f64 {
-        let s = Summary::of(&self.as_f64());
-        s.variance * (self.cycles_per_tick as f64).powi(2)
-    }
-
     /// Distinct tick values with their multiplicities, ascending.
     pub fn counted(&self) -> Vec<(u64, usize)> {
         let mut sorted = self.ticks.clone();
@@ -328,9 +219,39 @@ impl TimingSamples {
         }
         out
     }
+}
 
-    fn as_f64(&self) -> Vec<f64> {
-        self.ticks.iter().map(|&t| t as f64).collect()
+/// The keep-predicate of `policy`'s robust trim over a distinct-tick
+/// histogram `counted` (ascending, as [`TimingSamples::counted`] returns it)
+/// observed at `cycles_per_tick`: true for a tick inside the quantile-fence
+/// window of [`fences`].
+///
+/// Overflowing ticks (see [`TimingSamples::validate`]) are dropped
+/// unconditionally *before* the fences are estimated: they can never be
+/// real durations, and at contamination rates beyond the fence quantile
+/// they would otherwise poison the quantiles themselves (a stuck-at
+/// counter at 30% would drag the upper fence to `u64::MAX`). Callers that
+/// need a hard validity guarantee still re-validate afterwards (the
+/// degradation ladder does).
+pub(crate) fn trim_filter(
+    counted: &[(u64, usize)],
+    cycles_per_tick: u64,
+    policy: TrimPolicy,
+) -> impl Fn(u64) -> bool {
+    let overflow = move |t: u64| {
+        t.checked_add(1)
+            .and_then(|t1| t1.checked_mul(cycles_per_tick))
+            .is_none()
+    };
+    let sane: Vec<(u64, usize)> = counted
+        .iter()
+        .copied()
+        .filter(|&(t, _)| !overflow(t))
+        .collect();
+    let window = fences(&sane, policy);
+    move |t| {
+        let x = t as f64;
+        !overflow(t) && window.is_some_and(|(lo, hi)| x >= lo && x <= hi)
     }
 }
 
@@ -408,21 +329,21 @@ mod tests {
     #[test]
     fn mean_scales_with_resolution() {
         let s = TimingSamples::new(vec![2, 4], 100);
-        assert!((s.mean_cycles() - 300.0).abs() < 1e-12);
+        assert!((s.suff_stats().mean_cycles() - 300.0).abs() < 1e-12);
     }
 
     #[test]
     fn variance_scales_quadratically() {
         let s = TimingSamples::new(vec![2, 4], 10);
         // tick variance = 2 → cycles² variance = 200.
-        assert!((s.variance_cycles() - 200.0).abs() < 1e-9);
+        assert!((s.suff_stats().variance_cycles() - 200.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_samples_are_harmless() {
         let s = TimingSamples::new(vec![], 10);
         assert!(s.is_empty());
-        assert_eq!(s.mean_cycles(), 0.0);
+        assert_eq!(s.suff_stats().mean_cycles(), 0.0);
         assert_eq!(s.counted(), vec![]);
     }
 
@@ -522,7 +443,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// Count-quantile fences are bitwise the expanded-vector fences, and
-        /// the trimmed histogram is the histogram of the trimmed vector,
+        /// the trimmed statistics are the statistics of the trimmed vector,
         /// on duplicate-heavy sets, stuck-at ticks, huge ticks whose f64
         /// images collide, single-value sets and empty sets, under wide and
         /// narrow policies.
@@ -564,13 +485,14 @@ mod tests {
                 .copied()
                 .filter(|&t| window.is_some_and(|(lo, hi)| (lo..=hi).contains(&(t as f64))))
                 .collect();
-            let (kept, kept_counted, dropped) = s.trimmed_counted(&counted, policy);
-            let (trimmed, trimmed_dropped) = s.trimmed(policy);
-            prop_assert_eq!(kept.ticks(), &kept_ref[..]);
-            prop_assert_eq!(&trimmed, &kept);
-            prop_assert_eq!(kept_counted, trimmed.counted());
+            let (trimmed, dropped) = s.trimmed(policy);
+            prop_assert_eq!(trimmed.ticks(), &kept_ref[..]);
             prop_assert_eq!(dropped, s.len() - kept_ref.len());
-            prop_assert_eq!(trimmed_dropped, dropped);
+            // The histogram trim the ladder runs keeps exactly the
+            // statistics of the trimmed vector.
+            let (kept_stats, stats_dropped) = s.suff_stats().trimmed(policy);
+            prop_assert_eq!(kept_stats, SuffStats::from_samples(&trimmed));
+            prop_assert_eq!(stats_dropped, dropped);
         }
     }
 

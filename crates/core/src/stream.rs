@@ -16,18 +16,19 @@
 //!   workers) and always obtain the statistics of the monolithic stream —
 //!   bitwise.
 //!
-//! The estimators consume samples only through the
-//! [`crate::samples::DurationSamples`] view (distinct-tick
-//! histogram + first two moments), which `SuffStats` implements directly:
-//! EM and moments run off merged statistics without re-materializing the
-//! full sample vector.
+//! `SuffStats` is the only sample form the estimators read: every entry
+//! point converts its [`crate::samples::DurationSamples`] input to it once
+//! (merged statistics pass through borrowed), and the histogram plus the
+//! exact moments serve every rung of the ladder, its trim included, so
+//! no estimator ever re-materializes a sample vector.
 //!
 //! Exactness is what makes the merge order-insensitive: the accumulators
 //! are integers (`u128` sums, saturating for the square sum — saturating
 //! addition of non-negative values is still associative and commutative),
 //! never floats, so no summation-order effects exist.
 
-use crate::samples::{DurationSamples, SampleIssue, TimingSamples};
+use crate::samples::{trim_filter, DurationSamples, SampleIssue, TimingSamples, TrimPolicy};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -223,11 +224,20 @@ impl SuffStats {
         }
     }
 
-    /// The statistics of a monolithic sample set.
+    /// The statistics of a monolithic sample set — bitwise those of
+    /// pushing every tick, built from its sorted histogram: one sort of the
+    /// ticks and one pass over the distinct values, where pushing would
+    /// search the map once per sample.
     pub fn from_samples(samples: &TimingSamples) -> SuffStats {
+        let counted = samples.counted();
         let mut s = SuffStats::new(samples.cycles_per_tick());
-        for &t in samples.ticks() {
-            s.push(t);
+        let mut clamped = false;
+        for &(t, c) in &counted {
+            clamped |= s.add_counts(t, c as u64);
+        }
+        s.hist = counted.into_iter().map(|(t, c)| (t, c as u64)).collect();
+        if clamped {
+            s.mark_saturated();
         }
         s
     }
@@ -256,24 +266,7 @@ impl SuffStats {
                 continue;
             }
             *s.hist.entry(t).or_insert(0) += c;
-            s.n = s.n.saturating_add(c);
-            s.sum = s.sum.saturating_add((t as u128).saturating_mul(c as u128));
-            let sq_total = (t as u128)
-                .checked_mul(t as u128)
-                .and_then(|sq| sq.checked_mul(c as u128));
-            s.sum_sq = match sq_total.and_then(|v| s.sum_sq.checked_add(v)) {
-                Some(v) => v,
-                None => {
-                    clamped = true;
-                    u128::MAX
-                }
-            };
-            if t.checked_add(1)
-                .and_then(|t1| t1.checked_mul(cycles_per_tick))
-                .is_none()
-            {
-                s.overflowing += c;
-            }
+            clamped |= s.add_counts(t, c);
         }
         // Restores must not replay the saturation warning the original
         // accumulation already announced; set the flag without the event.
@@ -284,24 +277,40 @@ impl SuffStats {
     /// Folds one tick sample in.
     pub fn push(&mut self, tick: u64) {
         *self.hist.entry(tick).or_insert(0) += 1;
-        self.n += 1;
-        self.sum += tick as u128;
-        // tick² ≤ (2⁶⁴−1)² < u128::MAX, so only the accumulation can clamp.
-        let sq = (tick as u128) * (tick as u128);
-        self.sum_sq = match self.sum_sq.checked_add(sq) {
-            Some(v) => v,
+        if self.add_counts(tick, 1) {
+            self.mark_saturated();
+        }
+    }
+
+    /// Adds `c` samples of tick `t` to every accumulator but the histogram
+    /// and the saturation flag; true when the square-sum clamps. All
+    /// arithmetic saturates, so corrupt counts degrade the statistics but
+    /// never panic.
+    fn add_counts(&mut self, t: u64, c: u64) -> bool {
+        self.n = self.n.saturating_add(c);
+        self.sum = self
+            .sum
+            .saturating_add((t as u128).saturating_mul(c as u128));
+        let sq_total = (t as u128)
+            .checked_mul(t as u128)
+            .and_then(|sq| sq.checked_mul(c as u128));
+        let clamped = match sq_total.and_then(|v| self.sum_sq.checked_add(v)) {
+            Some(v) => {
+                self.sum_sq = v;
+                false
+            }
             None => {
-                self.mark_saturated();
-                u128::MAX
+                self.sum_sq = u128::MAX;
+                true
             }
         };
-        if tick
-            .checked_add(1)
+        if t.checked_add(1)
             .and_then(|t1| t1.checked_mul(self.cycles_per_tick))
             .is_none()
         {
-            self.overflowing += 1;
+            self.overflowing = self.overflowing.saturating_add(c);
         }
+        clamped
     }
 
     /// Merges another stream's statistics into this one.
@@ -440,62 +449,94 @@ impl SuffStats {
         self.overflowing
     }
 
-    /// Materializes a monolithic sample set (ticks ascending) — for
-    /// interfaces that still require a concrete vector, e.g. the robust
-    /// trimming ladder. The arrival order is gone; only use where order
-    /// does not matter.
-    pub fn to_samples(&self) -> Result<TimingSamples, SampleIssue> {
-        let mut ticks = Vec::with_capacity(self.n.min(usize::MAX as u64) as usize);
-        for (&t, &c) in &self.hist {
-            for _ in 0..c {
-                ticks.push(t);
-            }
-        }
-        TimingSamples::try_new(ticks, self.cycles_per_tick)
+    /// The statistics of the ticks `policy`'s robust trim keeps, plus the
+    /// number of samples it drops — the degradation ladder's trim, on the
+    /// histogram alone. The kept statistics are bitwise those of
+    /// [`TimingSamples::trimmed`]'s vector.
+    pub fn trimmed(&self, policy: TrimPolicy) -> (SuffStats, usize) {
+        let keep = trim_filter(&self.counted(), self.cycles_per_tick, policy);
+        let kept = SuffStats::from_histogram(
+            self.cycles_per_tick,
+            self.histogram().filter(|&(t, _)| keep(t)),
+            false,
+        );
+        let dropped = self.len() - kept.len();
+        (kept, dropped)
     }
-}
 
-impl DurationSamples for SuffStats {
-    fn cycles_per_tick(&self) -> u64 {
+    /// Timer resolution in cycles per tick.
+    pub fn cycles_per_tick(&self) -> u64 {
         self.cycles_per_tick
     }
 
-    fn len(&self) -> usize {
+    /// Number of samples observed.
+    pub fn len(&self) -> usize {
         self.n.min(usize::MAX as u64) as usize
     }
 
-    fn counted(&self) -> Vec<(u64, usize)> {
+    /// True when no samples were observed.
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
+    /// Distinct tick values with their multiplicities, ascending — the
+    /// form EM and GNT read the histogram in.
+    pub fn counted(&self) -> Vec<(u64, usize)> {
         self.hist
             .iter()
             .map(|(&t, &c)| (t, c.min(usize::MAX as u64) as usize))
             .collect()
     }
 
-    fn mean_cycles(&self) -> f64 {
+    /// Sample mean converted to cycles (mean ticks × resolution). No
+    /// quantization correction is applied, because none is needed: under a
+    /// uniformly random timer phase the floor-quantized tick count of a
+    /// duration `d` has mean exactly `d / cycles_per_tick`.
+    pub fn mean_cycles(&self) -> f64 {
         if self.n == 0 {
             return 0.0;
         }
         (self.sum as f64 / self.n as f64) * self.cycles_per_tick as f64
     }
 
-    fn variance_cycles(&self) -> f64 {
+    /// Unbiased sample variance (`n − 1` denominator) in cycles².
+    ///
+    /// The numerator `n·Σt² − (Σt)²` is exact in `u128`, so the only
+    /// rounding is the final division: a narrow spread on a large offset
+    /// (ticks of `1e8 + {0, 1}`) keeps its variance, where the textbook
+    /// `Σt² − (Σt)²/n` in `f64` cancels to zero. That `f64` formula is the
+    /// fallback only when the exact products overflow or the square-sum has
+    /// saturated (see [`SuffStats::saturated`]).
+    pub fn variance_cycles(&self) -> f64 {
         if self.n < 2 {
             return 0.0;
         }
-        // Unbiased sample variance from exact integer sums:
-        // (Σt² − (Σt)²/n) / (n − 1), scaled to cycles².
-        let n = self.n as f64;
-        let sum = self.sum as f64;
-        let sum_sq = self.sum_sq as f64;
-        let var_ticks = ((sum_sq - sum * sum / n) / (n - 1.0)).max(0.0);
+        let n = self.n as u128;
+        let exact = n
+            .checked_mul(self.sum_sq)
+            .filter(|_| !self.saturated)
+            .zip(self.sum.checked_mul(self.sum))
+            .and_then(|(a, b)| a.checked_sub(b))
+            .zip(n.checked_mul(n - 1));
+        let var_ticks = match exact {
+            Some((num, den)) => num as f64 / den as f64,
+            None => {
+                let (n, sum, sum_sq) = (self.n as f64, self.sum as f64, self.sum_sq as f64);
+                ((sum_sq - sum * sum / n) / (n - 1.0)).max(0.0)
+            }
+        };
         var_ticks * (self.cycles_per_tick as f64).powi(2)
     }
 
-    fn moments_saturated(&self) -> bool {
-        self.saturated
-    }
-
-    fn validate(&self) -> Result<(), SampleIssue> {
+    /// Checks the statistics are usable as estimator input: a positive
+    /// resolution, at least one sample, and every tick convertible to
+    /// cycles without overflowing `u64` (the quantization kernel needs
+    /// `(tick + 1) · cycles_per_tick`).
+    ///
+    /// # Errors
+    ///
+    /// The first [`SampleIssue`] found; an overflow names the largest tick.
+    pub fn validate(&self) -> Result<(), SampleIssue> {
         if self.cycles_per_tick == 0 {
             return Err(SampleIssue::ZeroResolution);
         }
@@ -511,6 +552,12 @@ impl DurationSamples for SuffStats {
             });
         }
         Ok(())
+    }
+}
+
+impl DurationSamples for SuffStats {
+    fn suff_stats(&self) -> Cow<'_, SuffStats> {
+        Cow::Borrowed(self)
     }
 }
 
@@ -539,20 +586,27 @@ mod tests {
         let samples = TimingSamples::new(vec![115, 215, 115, 115, 215], 8);
         let stats = SuffStats::from_samples(&samples);
         assert_eq!(stats.len(), 5);
-        assert_eq!(
-            DurationSamples::counted(&stats),
-            TimingSamples::counted(&samples)
-        );
-        assert!(
-            (DurationSamples::mean_cycles(&stats) - TimingSamples::mean_cycles(&samples)).abs()
-                < 1e-9
-        );
-        assert!(
-            (DurationSamples::variance_cycles(&stats) - TimingSamples::variance_cycles(&samples))
-                .abs()
-                < 1e-6
-        );
-        assert_eq!(DurationSamples::validate(&stats), Ok(()));
+        assert_eq!(stats.counted(), samples.counted());
+        assert_eq!(stats.mean_cycles(), 155.0 * 8.0);
+        // Tick variance 3·2·100² / (5·4) = 3000 → 3000·8² cycles².
+        assert_eq!(stats.variance_cycles(), 3000.0 * 64.0);
+        assert_eq!(stats.validate(), Ok(()));
+    }
+
+    #[test]
+    fn variance_is_exact_for_a_narrow_spread_on_a_large_offset() {
+        // 1,000 ticks at each of base + {0, 1}: tick variance 0.25·n/(n−1).
+        // The f64 form Σt² − (Σt)²/n cancels here: 0.0 at 1e8, 0.2401 at
+        // 1e7.
+        let want = 0.25 * 2000.0 / 1999.0;
+        for base in [10_000_000u64, 100_000_000, 1 << 40] {
+            let mut s = SuffStats::new(1);
+            for i in 0..2000 {
+                s.push(base + i % 2);
+            }
+            let got = s.variance_cycles();
+            assert!((got - want).abs() < 1e-15, "base {base}: {got} vs {want}");
+        }
     }
 
     #[test]
@@ -588,11 +642,11 @@ mod tests {
         let mut s = SuffStats::new(8);
         s.push(5);
         assert_eq!(s.overflowing(), 0);
-        assert_eq!(DurationSamples::validate(&s), Ok(()));
+        assert_eq!(s.validate(), Ok(()));
         s.push(u64::MAX);
         assert_eq!(s.overflowing(), 1);
         assert!(matches!(
-            DurationSamples::validate(&s),
+            s.validate(),
             Err(SampleIssue::TickOverflow { .. })
         ));
     }
@@ -600,24 +654,10 @@ mod tests {
     #[test]
     fn empty_and_zero_resolution_validation() {
         assert_eq!(
-            DurationSamples::validate(&SuffStats::new(0)),
+            SuffStats::new(0).validate(),
             Err(SampleIssue::ZeroResolution)
         );
-        assert_eq!(
-            DurationSamples::validate(&SuffStats::new(1)),
-            Err(SampleIssue::Empty)
-        );
-    }
-
-    #[test]
-    fn to_samples_materializes_ascending() {
-        let mut s = SuffStats::new(2);
-        for t in [9, 1, 9, 4] {
-            s.push(t);
-        }
-        let m = s.to_samples().unwrap();
-        assert_eq!(m.ticks(), &[1, 4, 9, 9]);
-        assert_eq!(m.cycles_per_tick(), 2);
+        assert_eq!(SuffStats::new(1).validate(), Err(SampleIssue::Empty));
     }
 
     #[test]
@@ -637,6 +677,11 @@ mod tests {
             mono.push(big);
         }
         assert_eq!(ab, mono);
+        // The histogram-built statistics of the same ticks saturate alike.
+        let vector = TimingSamples::new(vec![big, 7, big, u64::MAX, big], 1);
+        let mut pushed = SuffStats::new(1);
+        vector.ticks().iter().for_each(|&t| pushed.push(t));
+        assert_eq!(SuffStats::from_samples(&vector), pushed);
     }
 
     #[test]
@@ -646,7 +691,7 @@ mod tests {
         s.push(5);
         let taken = s.take();
         assert_eq!(taken.len(), 2);
-        assert_eq!(DurationSamples::cycles_per_tick(&taken), 8);
+        assert_eq!(taken.cycles_per_tick(), 8);
         assert_eq!(s, SuffStats::new(8), "receiver left empty at same cpt");
         // Accumulation continues seamlessly after the take.
         s.push(9);
@@ -751,7 +796,7 @@ mod tests {
         assert!(!a.saturated());
         a.push(big);
         assert!(a.saturated(), "second big² must clamp the accumulator");
-        assert!(a.moments_saturated());
+        assert!(a.saturated());
 
         // Saturation caused by the *merge* itself, in either order.
         let mut x = SuffStats::new(1);

@@ -52,13 +52,14 @@ pub fn estimate_unrolled<S: DurationSamples + ?Sized>(
     opts: EmOptions,
 ) -> Result<EmResult, UnrolledError> {
     let u = unroll(cfg, counted).map_err(UnrolledError::Unroll)?;
+    let stats = samples.suff_stats();
     let r = estimate_em_planned(
         &FbPlan::new(&u.cfg).tied(|b| u.orig_block[b.index()]),
         &mut FbScratch::new(),
         &u.map_block_values(block_costs),
         &u.map_edge_values(edge_costs),
-        &samples.counted(),
-        samples.cycles_per_tick(),
+        &stats.counted(),
+        stats.cycles_per_tick(),
         BranchProbs::uniform(&u.cfg, 0.5),
         opts,
     )

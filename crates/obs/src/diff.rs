@@ -1,5 +1,5 @@
 //! Structural comparison of two run manifests — the logic behind the
-//! `ct-obs-diff` binary and check.sh's PMU drift gate.
+//! `ct-obs diff` subcommand and check.sh's PMU drift gate.
 //!
 //! Two manifests of the same workload must agree on everything the
 //! determinism contract covers: schema version, every counter (PMU banks

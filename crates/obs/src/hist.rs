@@ -21,7 +21,7 @@
 //! identically at any thread or shard count. Wall-time-derived ones
 //! (latencies, queue depths over time) are scheduling artifacts;
 //! [`is_volatile_hist_name`] classifies them by naming convention so
-//! `ct-obs-diff` and the golden tests can tolerate exactly those.
+//! `ct-obs diff` and the golden tests can tolerate exactly those.
 
 use std::collections::BTreeMap;
 
@@ -67,7 +67,7 @@ pub fn bucket_hi(i: u32) -> u64 {
 /// convention: duration-valued histograms carry a `_ns`/`_us`/`_ms`
 /// suffix, and queue-depth-over-time histograms contain `queue_depth`.
 /// Volatile histograms still merge deterministically; their bucket counts
-/// are simply not comparable across runs, so `ct-obs-diff` notes rather
+/// are simply not comparable across runs, so `ct-obs diff` notes rather
 /// than flags them (mirroring the volatile `svc.*` scalar metrics).
 pub fn is_volatile_hist_name(name: &str) -> bool {
     name.ends_with("_ns")

@@ -31,11 +31,11 @@
 //! `CT_TRACE_JSON=path` (JSONL stream), and `CT_METRICS_PATH=path`
 //! (Prometheus text exposition); [`write_manifest`] emits the
 //! reproducibility manifest written next to results artifacts;
-//! the `ct-obs-report` binary folds a JSONL stream into a stage/phase
-//! breakdown via [`Report`]; the `ct-obs-diff` binary compares two
-//! manifests for deterministic-content agreement via [`diff_manifests`]
-//! (the PMU drift gate in check.sh); the `ct-obs-top` binary renders a
-//! service-centric percentile breakdown from a manifest.
+//! the one `ct-obs` binary reads them back: `ct-obs report` folds a JSONL
+//! stream into a stage/phase breakdown via [`Report`], `ct-obs diff`
+//! compares two manifests for deterministic-content agreement via
+//! [`diff_manifests`] (the PMU drift gate in check.sh), and `ct-obs top`
+//! renders a service-centric percentile breakdown from a manifest.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -30,7 +30,7 @@ const AUDIT_PREFIXES: &[&str] = &[
 
 /// Counter-name prefix mirrored into the manifest's dedicated `pmu`
 /// section (prefix stripped), so counter drift between runs is one
-/// `ct-obs-diff` section away.
+/// `ct-obs diff` section away.
 const PMU_PREFIX: &str = "pmu.";
 
 /// Best-effort git revision: walks up from the current directory to a
@@ -166,7 +166,7 @@ pub fn render_manifest(run_name: &str, snap: &Snapshot, extra: &[(&str, Value)])
     out.push_str("\n  }");
 
     // Histograms: summary stats plus the compact bucket table, so
-    // `ct-obs-diff` can compare distribution shape, not just extremes.
+    // `ct-obs diff` can compare distribution shape, not just extremes.
     // Additive to the schema (absent in pre-0.11 manifests).
     out.push_str(",\n  \"hists\": {");
     for (i, (name, h)) in snap.hists.iter().enumerate() {

@@ -1,5 +1,5 @@
 //! Folds a JSONL trace stream into a human-readable stage/phase time
-//! breakdown — the logic behind the `ct-obs-report` binary.
+//! breakdown — the logic behind the `ct-obs report` subcommand.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

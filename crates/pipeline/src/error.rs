@@ -1,7 +1,6 @@
 //! The one error type every pipeline stage speaks.
 
 use ct_core::estimator::EstimateError;
-use ct_core::samples::SampleIssue;
 use ct_core::stream::ResolutionMismatch;
 use std::error::Error;
 use std::fmt;
@@ -16,8 +15,6 @@ pub enum PipelineError {
     /// Edge-frequency derivation failed (exit unreachable under the
     /// probability vector handed to placement).
     Frequency(String),
-    /// A sample set was unusable before estimation even started.
-    InvalidSamples(SampleIssue),
     /// Fleet statistics at incompatible timer resolutions.
     Merge(ResolutionMismatch),
     /// A fleet with zero motes has nothing to run or merge.
@@ -32,7 +29,6 @@ impl fmt::Display for PipelineError {
             PipelineError::Frequency(msg) => {
                 write!(f, "frequency derivation failed: {msg}")
             }
-            PipelineError::InvalidSamples(issue) => write!(f, "invalid samples: {issue}"),
             PipelineError::Merge(e) => write!(f, "fleet merge failed: {e}"),
             PipelineError::EmptyFleet => write!(f, "fleet has zero motes"),
         }
@@ -44,12 +40,6 @@ impl Error for PipelineError {}
 impl From<EstimateError> for PipelineError {
     fn from(e: EstimateError) -> PipelineError {
         PipelineError::Estimate(e)
-    }
-}
-
-impl From<SampleIssue> for PipelineError {
-    fn from(issue: SampleIssue) -> PipelineError {
-        PipelineError::InvalidSamples(issue)
     }
 }
 

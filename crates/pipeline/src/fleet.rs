@@ -6,10 +6,12 @@
 //! end-to-end timestamps to a base station, which needs *one* profile of
 //! the shared binary. Per-mote streams reduce to
 //! [`ct_core::SuffStats`] (associative, commutative merge — any
-//! reduction order, any thread count, bitwise the same result) and the
-//! estimators run directly off the merged statistics without ever
-//! re-materializing the combined sample vector. Ground-truth edge profiles
-//! merge additively for scoring.
+//! reduction order, any thread count, bitwise the same result), and every
+//! estimator, the robust ladder's trim and rungs included, runs directly
+//! off the merged statistics, never a re-materialized sample vector: the
+//! statistics are the only sample form below an estimator's front door,
+//! so a one-mote fleet estimates bitwise like its session. Ground-truth
+//! edge profiles merge additively for scoring.
 //!
 //! ## Fault tolerance
 //!
@@ -40,12 +42,12 @@ use crate::checkpoint::{self, CheckpointError, CheckpointPolicy};
 use crate::config::{EstimatorChoice, RunConfig};
 use crate::error::PipelineError;
 use crate::session::Session;
-use crate::stage::{estimate_probs, AppRun, Estimated};
+use crate::stage::{estimate_scored, AppRun, Estimated};
 use ct_cfg::graph::{BlockId, Cfg};
 use ct_cfg::profile::{BranchProbs, EdgeProfile};
 use ct_core::accuracy::compare;
 use ct_core::em::EmOptions;
-use ct_core::estimator::{estimate_robust, Estimate as CoreEstimate, EstimateError, Method};
+use ct_core::estimator::{Estimate as CoreEstimate, EstimateError, Method};
 use ct_core::stream::{BatchTag, SuffStats};
 use ct_faults::{MoteFaultOutcome, MoteFaultPlan};
 use ct_ir::instr::ProcId;
@@ -462,13 +464,11 @@ impl Fleet {
         })
     }
 
-    /// Estimates the fleet's branch profile **from the merged statistics**
-    /// — the naive estimators (EM, moments, flow) consume the histogram
-    /// and moments directly. Only the robust ladder materializes a sample
-    /// vector (ticks ascending): its trim fences are count-quantiles of the
-    /// histogram, but its moments and GNT rungs read the trimmed stream's
-    /// mean and variance in arrival order (see `ct-core`'s
-    /// `TimingSamples::trimmed_counted`), so they need the values.
+    /// Estimates the fleet's branch profile **from the merged statistics**:
+    /// every estimator, the robust ladder's trim and rungs included, reads
+    /// the histogram and exact moments directly, through the same function
+    /// as [`Session::estimate`] — a one-mote fleet estimates bitwise like
+    /// its mote's session.
     ///
     /// The estimate's confidence is discounted by [`FleetRun::coverage`]: a
     /// round that lost motes to stragglers or exhausted retries reports
@@ -477,49 +477,29 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::Estimate`] when the naive estimator fails hard;
-    /// [`PipelineError::InvalidSamples`] when the robust ladder cannot
-    /// materialize the merged statistics.
+    /// [`PipelineError::Estimate`] when the naive estimator fails hard.
     pub fn estimate(&self, fleet_run: &FleetRun) -> Result<Estimated, PipelineError> {
         let cfg = fleet_run.cfg();
-        let (estimate, confidence, robust) = match &self.config.estimator {
-            EstimatorChoice::Naive(opts) => {
-                let est = estimate_probs(
-                    cfg,
-                    &fleet_run.counted_loops,
-                    &fleet_run.block_costs,
-                    &fleet_run.edge_costs,
-                    &fleet_run.stats,
-                    *opts,
-                    self.config.unroll_counted,
-                )?;
-                (est, 1.0, None)
-            }
-            EstimatorChoice::Robust(opts) => {
-                let samples = fleet_run.stats.to_samples()?;
-                let r = estimate_robust(
-                    cfg,
-                    &fleet_run.block_costs,
-                    &fleet_run.edge_costs,
-                    &samples,
-                    *opts,
-                );
-                (r.estimate.clone(), r.confidence, Some(r))
-            }
-        };
-        let accuracy = compare(
+        let mut estimated = estimate_scored(
+            &self.config.estimator,
+            self.config.unroll_counted,
             cfg,
-            &estimate.probs,
-            &fleet_run.truth,
-            &fleet_run.truth_profile,
-            fleet_run.invocations,
-        );
-        Ok(Estimated {
-            estimate,
-            accuracy,
-            confidence: confidence * fleet_run.coverage(),
-            robust,
-        })
+            &fleet_run.counted_loops,
+            &fleet_run.block_costs,
+            &fleet_run.edge_costs,
+            &fleet_run.stats,
+            |probs| {
+                compare(
+                    cfg,
+                    probs,
+                    &fleet_run.truth,
+                    &fleet_run.truth_profile,
+                    fleet_run.invocations,
+                )
+            },
+        )?;
+        estimated.confidence *= fleet_run.coverage();
+        Ok(estimated)
     }
 
     /// EM controls for the streaming path, from the configured estimator.
@@ -698,7 +678,6 @@ pub struct FleetStreamReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ct_core::samples::DurationSamples;
     use ct_faults::MoteFaultKind;
 
     #[test]

@@ -9,7 +9,6 @@ use crate::stage::{
 };
 use ct_cfg::layout::{Layout, LayoutCost};
 use ct_cfg::profile::BranchProbs;
-use ct_core::incremental::IncrementalEm;
 use ct_placement::{place_with_confidence, Strategy, MIN_PLACEMENT_CONFIDENCE};
 
 /// A replayed layout measurement: what the layout cost on identical inputs.
@@ -101,36 +100,6 @@ impl Session {
         choice: &EstimatorChoice,
     ) -> Result<Estimated, PipelineError> {
         stage::estimate_collected(&self.config, run, choice)
-    }
-
-    /// An empty [`IncrementalEm`] accumulator matching this session's timer
-    /// resolution and EM controls — for long-lived sessions that ingest
-    /// successive collected runs (or radio batches) and re-estimate per
-    /// batch via [`Session::estimate_incremental`].
-    pub fn incremental(&self) -> IncrementalEm {
-        let em = match &self.config.estimator {
-            EstimatorChoice::Naive(o) => o.em,
-            EstimatorChoice::Robust(o) => o.base.em,
-        };
-        IncrementalEm::new(self.config.cycles_per_tick, em)
-    }
-
-    /// Folds one collected run into `inc` as a [`ct_core::stream::SuffStats`] delta and
-    /// re-estimates warm-started from the previous optimum, scoring against
-    /// this run's ground truth. The streaming counterpart of
-    /// [`Session::estimate`]: amortized cost per batch is a few warm EM
-    /// sweeps.
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::Estimate`] when EM fails hard (including a timer
-    /// resolution mismatch between the run and the accumulator).
-    pub fn estimate_incremental(
-        &self,
-        run: &AppRun,
-        inc: &mut IncrementalEm,
-    ) -> Result<Estimated, PipelineError> {
-        stage::estimate_incremental_collected(run, inc)
     }
 
     /// Computes an optimized layout from a probability vector (estimated

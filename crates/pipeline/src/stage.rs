@@ -18,8 +18,7 @@ use ct_cfg::layout::Layout;
 use ct_cfg::profile::{BranchProbs, EdgeProfile};
 use ct_core::accuracy::{compare, AccuracyReport};
 use ct_core::estimator::{estimate, estimate_robust, Estimate as CoreEstimate, Method};
-use ct_core::estimator::{EstimateOptions, RobustEstimate};
-use ct_core::incremental::IncrementalEm;
+use ct_core::estimator::{EstimateError, EstimateOptions, RobustEstimate};
 use ct_core::samples::{DurationSamples, TimingSamples};
 use ct_core::stream::SampleBatch;
 use ct_core::unrolled::estimate_unrolled;
@@ -350,7 +349,8 @@ impl Stage for Collect {
         let samples = TimingSamples::try_new(
             timing.samples(pid).to_vec(),
             config.timer().cycles_per_tick(),
-        )?;
+        )
+        .map_err(EstimateError::from)?;
         Ok(AppRun {
             pmu,
             counted_loops: program.procs[pid.index()].counted_loops.clone(),
@@ -446,7 +446,7 @@ impl Stage for EstimateStage {
 /// # Errors
 ///
 /// [`PipelineError::Estimate`] when the plain estimator fails hard.
-pub fn estimate_probs<S: DurationSamples + Sync + ?Sized>(
+pub fn estimate_probs<S: DurationSamples + ?Sized>(
     cfg: &Cfg,
     counted_loops: &[(BlockId, u64)],
     block_costs: &[u64],
@@ -455,89 +455,81 @@ pub fn estimate_probs<S: DurationSamples + Sync + ?Sized>(
     opts: EstimateOptions,
     unroll: bool,
 ) -> Result<CoreEstimate, PipelineError> {
+    let stats = samples.suff_stats();
     if unroll && opts.method.is_none() && !counted_loops.is_empty() {
         if let Ok(u) = estimate_unrolled(
             cfg,
             counted_loops,
             block_costs,
             edge_costs,
-            samples,
+            &*stats,
             opts.em,
         ) {
             return Ok(CoreEstimate::from_em(u, Method::EmUnrolled));
         }
     }
-    Ok(estimate(cfg, block_costs, edge_costs, samples, opts)?)
+    Ok(estimate(cfg, block_costs, edge_costs, &*stats, opts)?)
 }
 
-/// Shared estimation logic over a collected run: naive front door or the
-/// robust degradation ladder, per `choice`.
+/// Estimation over a collected run: naive front door or the robust
+/// degradation ladder, per `choice`, scored against the run's ground truth.
 pub(crate) fn estimate_collected(
     config: &RunConfig,
     run: &AppRun,
     choice: &EstimatorChoice,
 ) -> Result<Estimated, PipelineError> {
     let cfg = run.cfg();
+    estimate_scored(
+        choice,
+        config.unroll_counted,
+        cfg,
+        &run.counted_loops,
+        &run.block_costs,
+        &run.edge_costs,
+        &run.samples,
+        |probs| compare(cfg, probs, &run.truth, &run.truth_profile, run.invocations),
+    )
+}
+
+/// The estimation both a collected run and a fleet round go through, on
+/// samples in any form: `choice` picks the naive front door
+/// ([`estimate_probs`], unrolled first when `unroll` allows) or the robust
+/// ladder, and `score` rates the answer against the ground truth.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn estimate_scored<S: DurationSamples + ?Sized>(
+    choice: &EstimatorChoice,
+    unroll: bool,
+    cfg: &Cfg,
+    counted_loops: &[(BlockId, u64)],
+    block_costs: &[u64],
+    edge_costs: &[u64],
+    samples: &S,
+    score: impl FnOnce(&BranchProbs) -> AccuracyReport,
+) -> Result<Estimated, PipelineError> {
     let (estimate, confidence, robust) = match choice {
         EstimatorChoice::Naive(opts) => {
             let est = estimate_probs(
                 cfg,
-                &run.counted_loops,
-                &run.block_costs,
-                &run.edge_costs,
-                &run.samples,
+                counted_loops,
+                block_costs,
+                edge_costs,
+                samples,
                 *opts,
-                config.unroll_counted,
+                unroll,
             )?;
             (est, 1.0, None)
         }
         EstimatorChoice::Robust(opts) => {
-            let r = estimate_robust(cfg, &run.block_costs, &run.edge_costs, &run.samples, *opts);
+            let r = estimate_robust(cfg, block_costs, edge_costs, samples, *opts);
             (r.estimate.clone(), r.confidence, Some(r))
         }
     };
-    let accuracy = compare(
-        cfg,
-        &estimate.probs,
-        &run.truth,
-        &run.truth_profile,
-        run.invocations,
-    );
+    let accuracy = score(&estimate.probs);
     Ok(Estimated {
         estimate,
         accuracy,
         confidence,
         robust,
-    })
-}
-
-/// Streaming estimation over a collected run: fold the run's sufficient
-/// statistics into the caller's [`IncrementalEm`] accumulator and
-/// re-estimate warm-started from the previous optimum.
-pub(crate) fn estimate_incremental_collected(
-    run: &AppRun,
-    inc: &mut IncrementalEm,
-) -> Result<Estimated, PipelineError> {
-    use ct_core::estimator::EstimateError;
-    let cfg = run.cfg();
-    inc.ingest(&ct_core::stream::SuffStats::from_samples(&run.samples))
-        .map_err(|e| PipelineError::from(EstimateError::Em(e)))?;
-    let r = inc
-        .reestimate(cfg, &run.block_costs, &run.edge_costs)
-        .map_err(|e| PipelineError::from(EstimateError::Em(e)))?;
-    let estimate = CoreEstimate::from_em(r.clone(), Method::Em);
-    let accuracy = compare(
-        cfg,
-        &estimate.probs,
-        &run.truth,
-        &run.truth_profile,
-        run.invocations,
-    );
-    Ok(Estimated {
-        estimate,
-        accuracy,
-        confidence: 1.0,
-        robust: None,
     })
 }
 

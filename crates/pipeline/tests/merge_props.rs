@@ -253,15 +253,17 @@ proptest! {
         ticks in prop::collection::vec(0u64..50_000, 1..200),
         cpt in 1u64..300,
     ) {
-        use ct_core::samples::DurationSamples;
         let samples = TimingSamples::new(ticks.clone(), cpt);
         let stats = SuffStats::from_samples(&samples);
-        prop_assert_eq!(DurationSamples::len(&stats), samples.len());
-        prop_assert_eq!(DurationSamples::counted(&stats), TimingSamples::counted(&samples));
-        let dm = DurationSamples::mean_cycles(&stats) - TimingSamples::mean_cycles(&samples);
+        prop_assert_eq!(stats.len(), samples.len());
+        prop_assert_eq!(stats.counted(), samples.counted());
+        // The moments against a Welford pass over the expanded vector.
+        let xs: Vec<f64> = ticks.iter().map(|&t| t as f64).collect();
+        let welford = ct_stats::descriptive::Summary::of(&xs);
+        let c = cpt as f64;
+        let dm = stats.mean_cycles() - welford.mean * c;
         prop_assert!(dm.abs() < 1e-6);
-        let dv =
-            DurationSamples::variance_cycles(&stats) - TimingSamples::variance_cycles(&samples);
-        prop_assert!(dv.abs() < 1e-3 * TimingSamples::variance_cycles(&samples).max(1.0));
+        let var = welford.variance * c * c;
+        prop_assert!((stats.variance_cycles() - var).abs() < 1e-3 * var.max(1.0));
     }
 }

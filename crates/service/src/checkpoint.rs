@@ -43,7 +43,6 @@
 
 use ct_cfg::graph::Cfg;
 use ct_core::em::EmResult;
-use ct_core::samples::DurationSamples;
 use ct_core::stream::{BatchTag, SuffStats};
 use std::error::Error;
 use std::fmt;
@@ -335,7 +334,7 @@ impl Checkpoint {
     pub fn encode(&self) -> Vec<u8> {
         let mut p = Vec::new();
         put_u64(&mut p, self.fingerprint);
-        put_u64(&mut p, DurationSamples::cycles_per_tick(&self.stats));
+        put_u64(&mut p, self.stats.cycles_per_tick());
         p.push(self.stats.saturated() as u8);
         put_u64(&mut p, self.stats.distinct() as u64);
         for (t, c) in self.stats.histogram() {
@@ -667,7 +666,7 @@ fn validate(
     // several batches may share one generation.
     let consistent = ck.batches == ck.ledger.len() as u64
         && ck.generations <= ck.batches
-        && DurationSamples::cycles_per_tick(&ck.stats) == cycles_per_tick;
+        && ck.stats.cycles_per_tick() == cycles_per_tick;
     if !consistent {
         return Err(CheckpointError::Malformed(
             "snapshot sections disagree on batch count or resolution".into(),
@@ -841,8 +840,8 @@ mod tests {
         let decoded = Checkpoint::decode(&ck.encode()).unwrap();
         assert_eq!(decoded.stats, ck.stats);
         assert_eq!(
-            DurationSamples::mean_cycles(&decoded.stats).to_bits(),
-            DurationSamples::mean_cycles(&ck.stats).to_bits()
+            decoded.stats.mean_cycles().to_bits(),
+            ck.stats.mean_cycles().to_bits()
         );
     }
 

@@ -8,7 +8,6 @@ use crate::shard::ShardHarvest;
 use ct_cfg::graph::Cfg;
 use ct_core::em::{EmOptions, EmResult};
 use ct_core::fb::FbError;
-use ct_core::samples::DurationSamples;
 use ct_core::stream::{BatchTag, SuffStats};
 use ct_core::IncrementalEm;
 use std::collections::BTreeSet;
@@ -65,7 +64,7 @@ impl ReduceTier {
         ct_obs::emit("ckpt.restored", vec![("batches", ck.batches.into())]);
         let cached_generation = (ck.cached && last.is_some()).then_some(ck.generations);
         ReduceTier {
-            cycles_per_tick: DurationSamples::cycles_per_tick(&ck.stats),
+            cycles_per_tick: ck.stats.cycles_per_tick(),
             inc: IncrementalEm::restore(ck.stats, last, ck.batches, opts),
             ledger: ck.ledger.into_iter().collect(),
             generation: ck.generations,
@@ -83,7 +82,7 @@ impl ReduceTier {
     /// Returns the number of fresh batches absorbed. Emits the
     /// `svc.reduce.generations` counter, the `svc.reduce.latency_us`
     /// gauge, and the `svc.reduce.latency_ns` histogram (all
-    /// scheduling-dependent: `ct-obs-diff` treats `svc.` volatile metrics
+    /// scheduling-dependent: `ct-obs diff` treats `svc.` volatile metrics
     /// and `*_ns` histograms as notes, not differences).
     ///
     /// # Errors
@@ -170,7 +169,7 @@ impl ReduceTier {
         }
         // Cached or just computed — either way it exists now.
         let r = self.inc.last().ok_or(ServiceError::NoBatches)?;
-        let samples = DurationSamples::len(self.inc.stats());
+        let samples = self.inc.stats().len();
         ct_obs::Counter::new("svc.serve").incr();
         ct_obs::hist_record(
             "svc.serve.latency_ns",

@@ -24,7 +24,7 @@
 //! polling cadence (see [`ReduceTier`]). Scheduling-dependent observability
 //! (`svc.queue_depth`, `svc.backpressure`, `svc.reduce.*`, and the
 //! `*_ns` latency / `queue_depth` histograms) is declared volatile to
-//! `ct-obs-diff`; the value-shaped `svc.batch_samples` histogram and the
+//! `ct-obs diff`; the value-shaped `svc.batch_samples` histogram and the
 //! accepted/dedup counters stay part of the determinism contract.
 //!
 //! ## Observability caveat

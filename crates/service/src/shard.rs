@@ -1,6 +1,5 @@
 //! The ingest tier's unit: one shard accumulator with its dedup ledger.
 
-use ct_core::samples::DurationSamples;
 use ct_core::stream::{BatchTag, ResolutionMismatch, SuffStats};
 use std::collections::BTreeSet;
 
@@ -89,10 +88,10 @@ impl Shard {
     /// [`ResolutionMismatch`] when the delta's timer resolution differs
     /// from the shard's; nothing (ledger included) is mutated on error.
     pub fn ingest(&mut self, tag: BatchTag, delta: &SuffStats) -> Result<bool, ResolutionMismatch> {
-        if DurationSamples::cycles_per_tick(delta) != self.cycles_per_tick {
+        if delta.cycles_per_tick() != self.cycles_per_tick {
             return Err(ResolutionMismatch {
                 ours: self.cycles_per_tick,
-                theirs: DurationSamples::cycles_per_tick(delta),
+                theirs: delta.cycles_per_tick(),
             });
         }
         if !self.ledger.insert(tag) {

@@ -175,27 +175,26 @@ grep -q "largest absolute change: stage.estimate.ms " "$trace_dir/diff_abs.out" 
 }
 
 echo "== trace smoke (observability on == observability off) =="
-# A traced e1 run must produce valid JSONL (ct-obs-report parses it) and
+# A traced e1 run must produce valid JSONL (`ct-obs report` parses it) and
 # byte-identical stdout versus the untraced run — observer effect zero.
 cargo build --release -p ct-bench --bin e1_accuracy
-cargo build --release -p ct-obs --bin ct-obs-report
+cargo build --release -p ct-obs --bin ct-obs
 CT_SMOKE=1 ./target/release/e1_accuracy > "$trace_dir/plain.out" 2> /dev/null
 CT_SMOKE=1 CT_TRACE_JSON="$trace_dir/trace.jsonl" \
     ./target/release/e1_accuracy > "$trace_dir/traced.out" 2> /dev/null
 diff "$trace_dir/plain.out" "$trace_dir/traced.out"
-./target/release/ct-obs-report "$trace_dir/trace.jsonl" > /dev/null
+./target/release/ct-obs report "$trace_dir/trace.jsonl" > /dev/null
 
 echo "== PMU golden smoke (counters thread-insensitive, e4 gate holds) =="
 # e4 enforces measured-after <= measured-before itself (exit 1 on any
 # regression); running it twice at different thread counts and diffing the
 # manifests pins the virtual PMU's determinism contract end to end.
 cargo build --release -p ct-bench --bin e4_placement
-cargo build --release -p ct-obs --bin ct-obs-diff
 CT_SMOKE=1 CT_THREADS=1 CT_MANIFEST="$trace_dir/e4_t1.json" \
     ./target/release/e4_placement > /dev/null 2> /dev/null
 CT_SMOKE=1 CT_THREADS=4 CT_MANIFEST="$trace_dir/e4_t4.json" \
     ./target/release/e4_placement > /dev/null 2> /dev/null
-./target/release/ct-obs-diff "$trace_dir/e4_t1.json" "$trace_dir/e4_t4.json"
+./target/release/ct-obs diff "$trace_dir/e4_t1.json" "$trace_dir/e4_t4.json"
 
 echo "== e16 smoke (sharded service: bitwise vs monolithic, backpressure) =="
 # e16 enforces its own claims by exit status: every shard count serves the
@@ -208,11 +207,10 @@ CT_SMOKE=1 CT_THREADS=1 CT_MANIFEST="$trace_dir/e16_t1.json" \
     ./target/release/e16_fleet_scale > /dev/null 2> /dev/null
 CT_SMOKE=1 CT_THREADS=4 CT_MANIFEST="$trace_dir/e16_t4.json" \
     ./target/release/e16_fleet_scale > /dev/null 2> /dev/null
-./target/release/ct-obs-diff "$trace_dir/e16_t1.json" "$trace_dir/e16_t4.json"
+./target/release/ct-obs diff "$trace_dir/e16_t1.json" "$trace_dir/e16_t4.json"
 
-echo "== ct-obs-top (service breakdown renders from a fresh e16 manifest) =="
-cargo build --release -p ct-obs --bin ct-obs-top
-./target/release/ct-obs-top "$trace_dir/e16_t4.json" > /dev/null
+echo "== ct-obs top (service breakdown renders from a fresh e16 manifest) =="
+./target/release/ct-obs top "$trace_dir/e16_t4.json" > /dev/null
 
 echo "== e18 smoke (telemetry on == off bitwise, overhead gate, flight dump) =="
 # e18 enforces its own claims by exit status: telemetry-on serves bitwise
@@ -226,15 +224,15 @@ CT_SMOKE=1 CT_THREADS=1 CT_MANIFEST="$trace_dir/e18_t1.json" \
     ./target/release/e18_telemetry > /dev/null 2> /dev/null
 CT_SMOKE=1 CT_THREADS=4 CT_MANIFEST="$trace_dir/e18_t4.json" \
     ./target/release/e18_telemetry > /dev/null 2> /dev/null
-./target/release/ct-obs-diff "$trace_dir/e18_t1.json" "$trace_dir/e18_t4.json"
-./target/release/ct-obs-top "$trace_dir/e18_t4.json" > /dev/null
+./target/release/ct-obs diff "$trace_dir/e18_t1.json" "$trace_dir/e18_t4.json"
+./target/release/ct-obs top "$trace_dir/e18_t4.json" > /dev/null
 
-echo "== ct-obs-diff self-test (must flag a known-divergent pair) =="
+echo "== ct-obs diff self-test (must flag a known-divergent pair) =="
 sed 's/"pmu.cycles": \([0-9]*\)/"pmu.cycles": 1/' "$trace_dir/e4_t1.json" \
     > "$trace_dir/e4_bad.json"
-if ./target/release/ct-obs-diff "$trace_dir/e4_t1.json" "$trace_dir/e4_bad.json" \
+if ./target/release/ct-obs diff "$trace_dir/e4_t1.json" "$trace_dir/e4_bad.json" \
     > /dev/null; then
-    echo "ct-obs-diff failed to flag a divergent manifest" >&2
+    echo "ct-obs diff failed to flag a divergent manifest" >&2
     exit 1
 fi
 

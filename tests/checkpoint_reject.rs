@@ -9,7 +9,6 @@
 //! from the restore checks, not from the decoder.
 
 use code_tomography::core::em::EmOptions;
-use code_tomography::core::samples::DurationSamples;
 use code_tomography::core::stream::{BatchTag, SuffStats};
 use code_tomography::pipeline::{
     Checkpoint, CheckpointPolicy, Fleet, FleetStreamReport, RunConfig,
@@ -84,7 +83,7 @@ fn fleet_refuses_every_broken_invariant_and_falls_back_bitwise() {
             ck.ledger.pop();
         }),
         ("wrong cycles_per_tick", |ck| {
-            let cpt = DurationSamples::cycles_per_tick(&ck.stats);
+            let cpt = ck.stats.cycles_per_tick();
             ck.stats = at_resolution(&ck.stats, cpt + 1);
         }),
         ("generations > batches", |ck| {

@@ -11,9 +11,11 @@
 //! `cargo test --release --test ladder_golden -- --ignored` and review the
 //! diff.
 
-use ct_core::estimator::{estimate_robust, RobustOptions};
+use ct_core::estimator::{estimate_robust, RobustEstimate, RobustOptions};
+use ct_core::samples::DurationSamples;
+use ct_core::stream::SuffStats;
 use ct_faults::{FaultKind, FaultPlan};
-use ct_pipeline::{RunConfig, Session};
+use ct_pipeline::{Fleet, RunConfig, Session};
 use std::fmt::Write as _;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/ladder_golden.txt");
@@ -38,30 +40,24 @@ fn rate(kind: FaultKind) -> f64 {
     }
 }
 
-/// One cell's ladder outcome, one fact per line.
-fn cell_record(app: &str, fault: Option<FaultKind>, seed: u64) -> String {
-    let mut config = RunConfig::new(app)
+/// One cell's configuration and label.
+fn cell_config(app: &str, fault: Option<FaultKind>, seed: u64) -> (RunConfig, String) {
+    let config = RunConfig::new(app)
         .invocations(INVOCATIONS)
         .resolution(CYCLES_PER_TICK)
         .seeded(seed)
         .no_unroll();
-    let label = match fault {
-        Some(kind) => {
-            config = config.faulted(FaultPlan::single(kind, rate(kind), seed ^ 0x5EED));
-            format!("{kind} {}", rate(kind))
-        }
-        None => "clean".to_string(),
-    };
-    let run = Session::new(config)
-        .collect()
-        .unwrap_or_else(|e| panic!("{app} {label}: collection failed: {e}"));
-    let r = estimate_robust(
-        run.cfg(),
-        &run.block_costs,
-        &run.edge_costs,
-        &run.samples,
-        RobustOptions::default(),
-    );
+    match fault {
+        Some(kind) => (
+            config.faulted(FaultPlan::single(kind, rate(kind), seed ^ 0x5EED)),
+            format!("{kind} {}", rate(kind)),
+        ),
+        None => (config, "clean".to_string()),
+    }
+}
+
+/// A ladder outcome, one fact per line.
+fn outcome(r: &RobustEstimate) -> String {
     let probs: Vec<String> = r
         .estimate
         .probs
@@ -69,7 +65,7 @@ fn cell_record(app: &str, fault: Option<FaultKind>, seed: u64) -> String {
         .iter()
         .map(|p| format!("{:016x}", p.to_bits()))
         .collect();
-    let mut out = format!("cell {app} {label}\n");
+    let mut out = String::new();
     let _ = writeln!(out, "  rung {}", r.rung);
     let _ = writeln!(out, "  confidence {:016x}", r.confidence.to_bits());
     let _ = writeln!(out, "  trimmed {}", r.trimmed);
@@ -81,20 +77,50 @@ fn cell_record(app: &str, fault: Option<FaultKind>, seed: u64) -> String {
     out
 }
 
+/// One cell's ladder outcome. The ladder reads only the samples'
+/// statistics, so the tick vector and its `SuffStats` must walk it
+/// bitwise alike.
+fn cell_record(app: &str, fault: Option<FaultKind>, seed: u64) -> String {
+    let (config, label) = cell_config(app, fault, seed);
+    let run = Session::new(config)
+        .collect()
+        .unwrap_or_else(|e| panic!("{app} {label}: collection failed: {e}"));
+    let ladder = |samples: &dyn DurationSamples| {
+        outcome(&estimate_robust(
+            run.cfg(),
+            &run.block_costs,
+            &run.edge_costs,
+            samples,
+            RobustOptions::default(),
+        ))
+    };
+    let record = ladder(&run.samples);
+    assert_eq!(
+        ladder(&SuffStats::from_samples(&run.samples)),
+        record,
+        "{app} {label}: the vector and its statistics walk the ladder apart"
+    );
+    format!("cell {app} {label}\n{record}")
+}
+
+/// Every cell of the pin, in registry order; a cell's seed is `1_000` plus
+/// its position.
+fn grid() -> Vec<(&'static str, Option<FaultKind>)> {
+    let mut cells = Vec::new();
+    for app in ct_apps::all_apps() {
+        if SLOW_APPS.contains(&app.name) {
+            continue;
+        }
+        cells.push((app.name, None));
+        cells.extend(FaultKind::ALL.into_iter().map(|k| (app.name, Some(k))));
+    }
+    cells
+}
+
 /// Every cell's record, in registry order.
 fn all_records() -> String {
-    let apps: Vec<&str> = ct_apps::all_apps()
-        .iter()
-        .map(|a| a.name)
-        .filter(|name| !SLOW_APPS.contains(name))
-        .collect();
-    let mut cells: Vec<(&str, Option<FaultKind>)> = Vec::new();
-    for &app in &apps {
-        cells.push((app, None));
-        cells.extend(FaultKind::ALL.into_iter().map(|k| (app, Some(k))));
-    }
     let records = ct_stats::parallel::par_map(
-        cells.into_iter().enumerate().collect(),
+        grid().into_iter().enumerate().collect(),
         |(i, (app, fault))| cell_record(app, fault, 1_000 + i as u64),
     );
     records.concat()
@@ -118,6 +144,45 @@ fn ladder_outcomes_match_the_golden_on_every_app_and_fault() {
         got_lines.len(),
         "golden and run differ in length"
     );
+}
+
+/// A one-mote fleet estimates from its merged statistics exactly as its
+/// mote's session does from the tick vector, on the robust ladder too. The
+/// cells are the fir faults whose trimmed moments once depended on the
+/// order the ticks arrived in.
+#[test]
+fn one_mote_fleet_walks_the_ladder_like_its_session() {
+    let faults = [
+        FaultKind::ClockDrift,
+        FaultKind::Reordering,
+        FaultKind::StuckAt,
+        FaultKind::MisreportedResolution,
+    ];
+    let grid = grid();
+    for kind in faults {
+        let i = grid
+            .iter()
+            .position(|&cell| cell == ("fir", Some(kind)))
+            .expect("fir cell in the grid");
+        let (config, label) = cell_config("fir", Some(kind), 1_000 + i as u64);
+        let config = config.robust();
+        let session = Session::new(config.clone());
+        let run = session.collect().expect("fir collects");
+        let single = session.estimate(&run).expect("session estimate");
+        let fleet = Fleet::new(config, 1);
+        let fleet_run = fleet.run().expect("fleet runs");
+        let merged = fleet.estimate(&fleet_run).expect("fleet estimate");
+        let (a, b) = (
+            single.robust.as_ref().expect("ladder ran"),
+            merged.robust.as_ref().expect("ladder ran"),
+        );
+        assert_eq!(outcome(b), outcome(a), "fir {label}: fleet ladder drifted");
+        assert_eq!(
+            merged.confidence.to_bits(),
+            single.confidence.to_bits(),
+            "fir {label}: fleet confidence drifted"
+        );
+    }
 }
 
 #[test]
