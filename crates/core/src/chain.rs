@@ -8,7 +8,8 @@
 //! transient block's out-edges with the parameter that weights each one, so
 //! an evaluation only reads slices. [`coordinate_descent`] and
 //! [`golden_section`] are the search both backends run over the branch
-//! probabilities.
+//! probabilities, with one fixed budget ([`SWEEPS`], [`LINE_ITERS`]) and
+//! one probability clamp ([`MIN_PROB`]).
 
 use ct_cfg::graph::{BlockId, Cfg, EdgeKind, Terminator};
 use ct_cfg::profile::BranchProbs;
@@ -156,21 +157,26 @@ impl ChainPlan {
     }
 }
 
-/// Golden-section search for the minimum of `f` on `[lo, hi]`, run for
-/// `iters` shrink steps. Returns the better of the two final probes as
-/// `(x, f(x))`; a tie goes to the lower probe.
-pub(crate) fn golden_section(
-    mut lo: f64,
-    mut hi: f64,
-    iters: usize,
-    mut f: impl FnMut(f64) -> f64,
-) -> (f64, f64) {
+/// Coordinate-descent sweeps over the parameter vector.
+pub(crate) const SWEEPS: usize = 12;
+/// Golden-section shrink steps per coordinate.
+pub(crate) const LINE_ITERS: usize = 24;
+/// Probability clamp: every coordinate is searched on
+/// `[MIN_PROB, 1 − MIN_PROB]`.
+pub(crate) const MIN_PROB: f64 = 1e-3;
+
+/// Golden-section search for the minimum of `f` on
+/// `[MIN_PROB, 1 − MIN_PROB]`, run for [`LINE_ITERS`] shrink steps. Returns
+/// the better of the two final probes as `(x, f(x))`; a tie goes to the
+/// lower probe.
+pub(crate) fn golden_section(mut f: impl FnMut(f64) -> f64) -> (f64, f64) {
     let phi = 0.618_033_988_75;
+    let (mut lo, mut hi) = (MIN_PROB, 1.0 - MIN_PROB);
     let mut x1 = hi - phi * (hi - lo);
     let mut x2 = lo + phi * (hi - lo);
     let mut f1 = f(x1);
     let mut f2 = f(x2);
-    for _ in 0..iters {
+    for _ in 0..LINE_ITERS {
         if f1 <= f2 {
             hi = x2;
             x2 = x1;
@@ -195,16 +201,16 @@ pub(crate) fn golden_section(
 /// Coordinate descent over `theta` from the objective value `best` at the
 /// start: each sweep sets every coordinate in turn to what `search(k,
 /// theta)` returns as `(θ_k, objective)`, and the descent stops after
-/// `sweeps` sweeps or after the first sweep that lowers the best objective
-/// by no more than 1e-12. Returns the best objective and the sweeps run.
+/// [`SWEEPS`] sweeps or after the first sweep that lowers the best
+/// objective by no more than 1e-12. Returns the best objective and the
+/// sweeps run.
 pub(crate) fn coordinate_descent(
     theta: &mut [f64],
     mut best: f64,
-    sweeps: usize,
     mut search: impl FnMut(usize, &mut [f64]) -> (f64, f64),
 ) -> (f64, usize) {
     let mut sweeps_done = 0;
-    for _ in 0..sweeps {
+    for _ in 0..SWEEPS {
         sweeps_done += 1;
         let mut improved = false;
         for k in 0..theta.len() {
@@ -278,8 +284,9 @@ mod tests {
 
     #[test]
     fn golden_section_finds_a_parabola_minimum() {
-        let (x, f) = golden_section(0.0, 1.0, 40, |x| (x - 0.3) * (x - 0.3));
-        assert!((x - 0.3).abs() < 1e-6, "{x}");
-        assert!(f < 1e-12);
+        // 24 steps shrink the bracket to 0.618^24 ≈ 1e-5 of its width.
+        let (x, f) = golden_section(|x| (x - 0.3) * (x - 0.3));
+        assert!((x - 0.3).abs() < 1e-5, "{x}");
+        assert!(f < 1e-10);
     }
 }

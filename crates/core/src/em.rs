@@ -18,6 +18,10 @@ use crate::samples::DurationSamples;
 use ct_cfg::graph::Cfg;
 use ct_cfg::profile::BranchProbs;
 
+/// Probabilities are clamped into `[MIN_PROB, 1 − MIN_PROB]` to keep
+/// likelihoods finite (a branch never observed taken stays estimable).
+const MIN_PROB: f64 = 1e-4;
+
 /// EM configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmOptions {
@@ -25,13 +29,6 @@ pub struct EmOptions {
     pub max_iter: usize,
     /// Convergence threshold on the max parameter change.
     pub tol: f64,
-    /// Probabilities are clamped into `[min_prob, 1 − min_prob]` to keep
-    /// likelihoods finite (a branch never observed taken stays estimable).
-    pub min_prob: f64,
-    /// Symmetric Dirichlet pseudo-count per branch side (MAP-EM). `0.0` is
-    /// plain maximum likelihood; small positive values (e.g. `1.0`) shrink
-    /// low-sample estimates toward ½ and stabilize rarely-executed branches.
-    pub prior_strength: f64,
     /// Dynamic-programming controls.
     pub fb: FbParams,
 }
@@ -41,8 +38,6 @@ impl Default for EmOptions {
         EmOptions {
             max_iter: 100,
             tol: 1e-5,
-            min_prob: 1e-4,
-            prior_strength: 0.0,
             fb: FbParams::default(),
         }
     }
@@ -215,24 +210,18 @@ pub(crate) fn estimate_em_planned(
         edge_counts.copy_from_slice(scratch.counts());
         std::mem::swap(&mut good, &mut probs);
 
-        // MAP with a symmetric Beta(1+a, 1+a) prior: add `a` pseudo-counts
-        // to each side (a = 0 recovers plain maximum likelihood).
-        let a = opts.prior_strength.max(0.0);
         let mut max_delta: f64 = 0.0;
         for group in plan.groups() {
-            // Tied slots are one parameter: pool their counts in slot order,
-            // then add the prior once.
+            // Tied slots are one parameter: pool their counts in slot order.
             let (mut nt, mut nf) = (0.0, 0.0);
             for &(_, slot) in group {
                 let (t, f) = plan.arms()[slot];
                 nt += edge_counts[t];
                 nf += edge_counts[f];
             }
-            let (nt, nf) = (nt + a, nf + a);
             let total = nt + nf;
             // A branch unreachable under the current data keeps its θ.
-            let theta =
-                (total > 0.0).then(|| (nt / total).clamp(opts.min_prob, 1.0 - opts.min_prob));
+            let theta = (total > 0.0).then(|| (nt / total).clamp(MIN_PROB, 1.0 - MIN_PROB));
             for &(_, slot) in group {
                 let bb = plan.branch_blocks()[slot];
                 // `bb` came from the CFG's branch blocks, so `prob_true` is Some.
@@ -407,55 +396,6 @@ mod tests {
             );
             last = r.loglik;
         }
-    }
-
-    #[test]
-    fn prior_shrinks_small_samples_toward_half() {
-        let cfg = diamond();
-        let bc = vec![10, 100, 200, 5];
-        let ec = vec![0; 4];
-        // Tiny, extreme sample: 5 fast observations only.
-        let samples = TimingSamples::new(vec![115; 5], 1);
-        let ml = estimate_em(&cfg, &bc, &ec, &samples, EmOptions::default()).unwrap();
-        let map = estimate_em(
-            &cfg,
-            &bc,
-            &ec,
-            &samples,
-            EmOptions {
-                prior_strength: 2.0,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let p_ml = ml.probs.as_slice()[0];
-        let p_map = map.probs.as_slice()[0];
-        assert!(p_ml > 0.99, "ML saturates: {p_ml}");
-        // MAP: (5+2)/(5+4) ≈ 0.778 — shrunk toward the prior.
-        assert!((p_map - 7.0 / 9.0).abs() < 1e-6, "{p_map}");
-    }
-
-    #[test]
-    fn zero_prior_is_plain_ml() {
-        let cfg = diamond();
-        let bc = vec![10, 100, 200, 5];
-        let ec = vec![0; 4];
-        let mut ticks = vec![115u64; 70];
-        ticks.extend(vec![215u64; 30]);
-        let samples = TimingSamples::new(ticks, 1);
-        let a = estimate_em(&cfg, &bc, &ec, &samples, EmOptions::default()).unwrap();
-        let b = estimate_em(
-            &cfg,
-            &bc,
-            &ec,
-            &samples,
-            EmOptions {
-                prior_strength: 0.0,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(a.probs, b.probs);
     }
 
     #[test]

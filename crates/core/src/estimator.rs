@@ -2,11 +2,12 @@
 //! the graceful-degradation ladder for samples that crossed a faulty
 //! measurement channel.
 
+use crate::chain::SWEEPS;
 use crate::em::{EmOptions, EmResult};
 use crate::fb::FbError;
 use crate::flow_nnls::{estimate_flow, FlowError};
-use crate::gnt::{estimate_gnt, GntError, GntOptions, GntResult};
-use crate::moments::{estimate_moments, MomentsError, MomentsOptions};
+use crate::gnt::{estimate_gnt, GntError, GntResult};
+use crate::moments::{estimate_moments, MomentsError};
 use crate::samples::{DurationSamples, SampleIssue, TrimPolicy};
 use crate::stream::SuffStats;
 use ct_cfg::graph::Cfg;
@@ -45,34 +46,19 @@ impl fmt::Display for Method {
 }
 
 /// Estimation configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EstimateOptions {
     /// Forced method; `None` selects EM with automatic fallback to moments
     /// when the time-expanded support explodes.
     pub method: Option<Method>,
     /// EM controls.
     pub em: EmOptions,
-    /// Moments controls.
-    pub moments: MomentsOptions,
-    /// GNT (characteristic-function) controls.
-    pub gnt: GntOptions,
-    /// Extra random EM restarts beyond the flow-warm start (the best
-    /// final likelihood wins). Coarse timers create mirror local optima when
-    /// arm-cost differences are sub-tick; restarts are the standard cure.
-    pub restarts: usize,
 }
 
-impl Default for EstimateOptions {
-    fn default() -> Self {
-        EstimateOptions {
-            method: None,
-            em: EmOptions::default(),
-            moments: MomentsOptions::default(),
-            gnt: GntOptions::default(),
-            restarts: 2,
-        }
-    }
-}
+/// Extra random EM restarts beyond the flow-warm start (the best final
+/// likelihood wins). Coarse timers create mirror local optima when arm-cost
+/// differences are sub-tick; restarts are the standard cure.
+const RESTARTS: usize = 2;
 
 /// A branch-probability estimate with provenance.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,6 +113,10 @@ pub enum EstimateError {
     Gnt(GntError),
     /// Flow failed.
     Flow(FlowError),
+    /// [`Method::EmUnrolled`] was forced, but unrolling needs the
+    /// program's counted loops, which [`estimate`] does not take (see
+    /// [`crate::unrolled::estimate_unrolled`]).
+    UnrolledNeedsLoops,
 }
 
 impl fmt::Display for EstimateError {
@@ -137,6 +127,10 @@ impl fmt::Display for EstimateError {
             EstimateError::Moments(e) => write!(f, "moments estimator: {e}"),
             EstimateError::Gnt(e) => write!(f, "gnt estimator: {e}"),
             EstimateError::Flow(e) => write!(f, "flow estimator: {e}"),
+            EstimateError::UnrolledNeedsLoops => write!(
+                f,
+                "em+unroll needs the program's counted loops; use estimate_unrolled"
+            ),
         }
     }
 }
@@ -157,7 +151,9 @@ impl From<SampleIssue> for EstimateError {
 ///
 /// # Errors
 ///
-/// Returns the underlying method's error.
+/// Returns the underlying method's error, and
+/// [`EstimateError::UnrolledNeedsLoops`] for a forced
+/// [`Method::EmUnrolled`].
 ///
 /// # Examples
 ///
@@ -197,14 +193,15 @@ pub fn estimate<S: DurationSamples + ?Sized>(
         return Err(issue.into());
     }
     match opts.method {
-        Some(Method::Em) | Some(Method::EmUnrolled) => {
+        Some(Method::Em) => {
             run_em(cfg, block_costs, edge_costs, &stats, opts).map_err(EstimateError::Em)
         }
+        Some(Method::EmUnrolled) => Err(EstimateError::UnrolledNeedsLoops),
         Some(Method::Moments) => {
-            run_moments(cfg, block_costs, edge_costs, &stats, opts).map_err(EstimateError::Moments)
+            run_moments(cfg, block_costs, edge_costs, &stats).map_err(EstimateError::Moments)
         }
-        Some(Method::Gnt) => estimate_gnt(cfg, block_costs, edge_costs, &*stats, opts.gnt)
-            .map(|r| gnt_estimate(r, opts.gnt.sweeps))
+        Some(Method::Gnt) => estimate_gnt(cfg, block_costs, edge_costs, &*stats)
+            .map(gnt_estimate)
             .map_err(EstimateError::Gnt),
         Some(Method::FlowMean) => {
             let r = estimate_flow(cfg, block_costs, edge_costs, &*stats)
@@ -222,15 +219,14 @@ pub fn estimate<S: DurationSamples + ?Sized>(
         None => match run_em(cfg, block_costs, edge_costs, &stats, opts) {
             Ok(e) => Ok(e),
             Err(FbError::SupportExplosion { .. }) => {
-                run_moments(cfg, block_costs, edge_costs, &stats, opts)
-                    .map_err(EstimateError::Moments)
+                run_moments(cfg, block_costs, edge_costs, &stats).map_err(EstimateError::Moments)
             }
             Err(e) => Err(EstimateError::Em(e)),
         },
     }
 }
 
-/// EM from the flow warm start plus `opts.restarts` seeded probes, best
+/// EM from the flow warm start plus [`RESTARTS`] seeded probes, best
 /// answer wins.
 fn run_em(
     cfg: &Cfg,
@@ -264,7 +260,7 @@ fn run_em(
     let n_branches = warm_init.len();
     let mut inits = vec![warm_init];
     let mut state = 0x0C0D_E70Au64;
-    for _ in 0..opts.restarts {
+    for _ in 0..RESTARTS {
         let probe: Vec<f64> = (0..n_branches)
             .map(|_| {
                 state = state
@@ -355,31 +351,30 @@ fn run_moments(
     block_costs: &[u64],
     edge_costs: &[u64],
     stats: &SuffStats,
-    opts: EstimateOptions,
 ) -> Result<Estimate, MomentsError> {
-    let r = estimate_moments(cfg, block_costs, edge_costs, stats, opts.moments)?;
+    let r = estimate_moments(cfg, block_costs, edge_costs, stats)?;
     Ok(Estimate {
         probs: r.probs,
         method: Method::Moments,
         iterations: r.sweeps,
         // The coordinate descent stops early only when a full sweep made no
         // progress; hitting the cap means it was still moving.
-        converged: r.sweeps < opts.moments.sweeps,
+        converged: r.sweeps < SWEEPS,
         final_delta: 0.0,
         loglik: None,
         unexplained: 0,
     })
 }
 
-/// A GNT fit as an estimate; `sweep_cap` is the sweep budget it ran under.
-fn gnt_estimate(r: GntResult, sweep_cap: usize) -> Estimate {
+/// A GNT fit as an estimate.
+fn gnt_estimate(r: GntResult) -> Estimate {
     Estimate {
         probs: r.probs,
         method: Method::Gnt,
         iterations: r.sweeps,
         // Same convention as moments: stopping before the sweep cap means a
         // full sweep made no progress.
-        converged: r.sweeps < sweep_cap,
+        converged: r.sweeps < SWEEPS,
         final_delta: 0.0,
         loglik: None,
         unexplained: 0,
@@ -433,15 +428,6 @@ pub struct RungAttempt {
 pub struct RobustOptions {
     /// Base estimation configuration for the EM/moments rungs.
     pub base: EstimateOptions,
-    /// Largest tolerated fraction of samples the EM likelihood rejects as
-    /// impossible before the rung's answer is considered untrustworthy.
-    pub max_unexplained: f64,
-    /// Slack on EM's own convergence flag: a run that stopped at the
-    /// iteration cap still counts as settled when its last parameter change
-    /// is below this. Coarse timers produce likelihood plateaus where EM
-    /// keeps polishing long after the answer has stabilized; rejecting those
-    /// runs would discard a good estimate for an optimizer technicality.
-    pub max_final_delta: f64,
     /// Outlier-trimming policy of the `TrimmedEm`/`Gnt`/`Moments` rungs.
     pub trim: TrimPolicy,
     /// Largest tolerated fraction of samples removed by trimming before the
@@ -451,21 +437,15 @@ pub struct RobustOptions {
     /// restores the pre-0.10 four-rung ladder exactly (the rung is recorded
     /// as policy-skipped so the audit trail stays complete).
     pub use_gnt: bool,
-    /// Smallest GNT inversion confidence (fit × conditioning, the backend's
-    /// own `[0, 1]` scale) the ladder accepts from that rung.
-    pub min_gnt_confidence: f64,
 }
 
 impl Default for RobustOptions {
     fn default() -> Self {
         RobustOptions {
             base: EstimateOptions::default(),
-            max_unexplained: 0.10,
-            max_final_delta: 1e-3,
             trim: TrimPolicy::default(),
             max_trimmed: 0.60,
             use_gnt: true,
-            min_gnt_confidence: 0.25,
         }
     }
 }
@@ -541,6 +521,19 @@ pub fn estimate_robust<S: DurationSamples + ?Sized>(
     ct_obs::Gauge::new("ladder.confidence").set(result.confidence);
     result
 }
+
+/// Largest tolerated fraction of samples the EM likelihood rejects as
+/// impossible before an EM rung's answer is considered untrustworthy.
+const MAX_UNEXPLAINED: f64 = 0.10;
+/// Slack on EM's own convergence flag: a run that stopped at the iteration
+/// cap still counts as settled when its last parameter change is below
+/// this. Coarse timers produce likelihood plateaus where EM keeps polishing
+/// long after the answer has stabilized; rejecting those runs would discard
+/// a good estimate for an optimizer technicality.
+const MAX_FINAL_DELTA: f64 = 1e-3;
+/// Smallest GNT inversion confidence (fit × conditioning, the backend's own
+/// `[0, 1]` scale) the ladder accepts from that rung.
+const MIN_GNT_CONFIDENCE: f64 = 0.25;
 
 fn run_ladder(
     cfg: &Cfg,
@@ -642,8 +635,8 @@ fn run_ladder(
                 .into(),
         });
     } else {
-        match estimate_gnt(cfg, block_costs, edge_costs, &trimmed, opts.base.gnt) {
-            Ok(r) if r.confidence >= opts.min_gnt_confidence => {
+        match estimate_gnt(cfg, block_costs, edge_costs, &trimmed) {
+            Ok(r) if r.confidence >= MIN_GNT_CONFIDENCE => {
                 attempts.push(RungAttempt {
                     rung: Rung::Gnt,
                     accepted: true,
@@ -654,7 +647,7 @@ fn run_ladder(
                 });
                 let confidence = 0.55 * (1.0 - trim_frac) * r.confidence;
                 return RobustEstimate {
-                    estimate: gnt_estimate(r, opts.base.gnt.sweeps),
+                    estimate: gnt_estimate(r),
                     rung: Rung::Gnt,
                     confidence,
                     trimmed: dropped,
@@ -666,7 +659,7 @@ fn run_ladder(
                 accepted: false,
                 detail: format!(
                     "inversion confidence {:.2} below the {:.2} floor",
-                    r.confidence, opts.min_gnt_confidence
+                    r.confidence, MIN_GNT_CONFIDENCE
                 ),
             }),
             Err(e) => attempts.push(RungAttempt {
@@ -785,12 +778,12 @@ fn try_em_rung(
     match run_em(cfg, block_costs, edge_costs, stats, opts.base).map_err(EstimateError::Em) {
         Ok(est) => {
             let unex_frac = est.unexplained as f64 / stats.len().max(1) as f64;
-            if !est.converged && est.final_delta > opts.max_final_delta {
+            if !est.converged && est.final_delta > MAX_FINAL_DELTA {
                 reject(
                     attempts,
                     format!(
                         "EM still moving at the iteration cap (delta {:.2e} > {:.0e})",
-                        est.final_delta, opts.max_final_delta
+                        est.final_delta, MAX_FINAL_DELTA
                     ),
                 );
                 Err(EmRejection::Other)
@@ -799,13 +792,13 @@ fn try_em_rung(
             {
                 reject(attempts, "non-finite likelihood".into());
                 Err(EmRejection::Other)
-            } else if unex_frac > opts.max_unexplained {
+            } else if unex_frac > MAX_UNEXPLAINED {
                 reject(
                     attempts,
                     format!(
                         "{:.0}% of samples unexplained (> {:.0}% budget)",
                         100.0 * unex_frac,
-                        100.0 * opts.max_unexplained
+                        100.0 * MAX_UNEXPLAINED
                     ),
                 );
                 Err(EmRejection::Inconsistent)
@@ -893,6 +886,20 @@ mod tests {
     }
 
     #[test]
+    fn forced_unrolled_em_is_refused() {
+        // `estimate` takes no counted loops, so it cannot unroll: a forced
+        // `EmUnrolled` must be refused, not run as plain EM.
+        let (cfg, bc, ec, samples) = diamond_samples(0.7, 200);
+        let opts = EstimateOptions {
+            method: Some(Method::EmUnrolled),
+            ..Default::default()
+        };
+        let r = estimate(&cfg, &bc, &ec, &samples, opts);
+        assert_eq!(r, Err(EstimateError::UnrolledNeedsLoops));
+        assert!(r.unwrap_err().to_string().contains("counted loops"));
+    }
+
+    #[test]
     fn auto_falls_back_to_moments_on_explosion() {
         let cfg = while_loop();
         let bc = vec![2u64, 3, 10, 1];
@@ -912,7 +919,6 @@ mod tests {
         opts.em.fb = FbParams {
             mass_eps: 1e-12,
             max_entries: 3,
-            ..FbParams::default()
         };
         let e = estimate(&cfg, &bc, &ec, &samples, opts).unwrap();
         assert_eq!(e.method, Method::Moments);
@@ -1055,7 +1061,6 @@ mod tests {
         opts.base.em.fb = FbParams {
             mass_eps: 1e-12,
             max_entries: 3,
-            ..FbParams::default()
         };
         opts
     }

@@ -65,20 +65,6 @@ pub struct FbParams {
     /// Cap on total `(block, time)` expansions per dynamic program
     /// (runaway-loop guard).
     pub max_entries: usize,
-    /// Largest time key the DPs keep (inclusive); entries beyond it are
-    /// dropped **silently** (not counted as truncated — they are not lost
-    /// to approximation, they are provably unreachable by the caller).
-    ///
-    /// [`e_step`] sets this to the upper edge of the largest observed
-    /// tick's [`duration_window`]: a forward arrival `t`, a backward
-    /// remainder `s`, or a duration key `d` beyond that bound can never
-    /// enter any tick score (`t ≤ d ≤ hi`, `s ≤ d ≤ hi`), so the capped
-    /// E-step is **bit-identical** to the uncapped one while the DPs skip
-    /// every table entry past the observation horizon — on long unrolled
-    /// chains that is the majority of the support. `u64::MAX` (the
-    /// default) keeps the full support, e.g. for duration-distribution
-    /// queries.
-    pub time_cap: u64,
 }
 
 impl Default for FbParams {
@@ -86,7 +72,6 @@ impl Default for FbParams {
         FbParams {
             mass_eps: 1e-9,
             max_entries: 4_000_000,
-            time_cap: u64::MAX,
         }
     }
 }
@@ -369,6 +354,7 @@ pub fn compute_tables(
         edge_costs,
         probs,
         params,
+        u64::MAX,
     )?;
     Ok(scratch.tables)
 }
@@ -388,6 +374,12 @@ pub fn compute_tables(
 /// the tables keep their bits. The window serves a list whose keys span
 /// at most [`pmf::DENSE_SPAN_FACTOR`] (8) × its length — the same bound
 /// the point path puts on `g(v)`'s span — and any wider list is sorted.
+///
+/// Both propagations keep only time keys up to `time_cap` (inclusive);
+/// entries beyond it are dropped **silently** (not counted as truncated —
+/// they are not lost to approximation, they are provably unreachable by
+/// the caller). [`compute_tables`] keeps the full support (`u64::MAX`);
+/// [`e_step_planned`] caps at its observation horizon.
 fn fill_tables(
     plan: &FbPlan,
     s: &mut FbScratch,
@@ -395,6 +387,7 @@ fn fill_tables(
     edge_costs: &[u64],
     probs: &BranchProbs,
     params: FbParams,
+    time_cap: u64,
 ) -> Result<(), FbError> {
     let n = plan.terms.len();
     if block_costs.len() != n {
@@ -423,7 +416,7 @@ fn fill_tables(
     s.reset_frontiers(n);
     s.cur[plan.entry].push((0, 1.0));
     s.acc[plan.entry].push((0, 1.0));
-    propagate(&plan.out_edges, s, params)?;
+    propagate(&plan.out_edges, s, params, time_cap)?;
     FbScratch::finish(
         &mut s.acc,
         &mut s.tables.forward,
@@ -434,13 +427,13 @@ fn fill_tables(
     s.reset_frontiers(n);
     for b in (0..n).filter(|&b| plan.terms[b] == Terminator::Return) {
         let c = block_costs[b];
-        if c > params.time_cap {
+        if c > time_cap {
             continue; // past the observation horizon: unreachable by any score
         }
         s.cur[b].push((c, 1.0));
         s.acc[b].push((c, 1.0));
     }
-    propagate(&plan.in_edges, s, params)?;
+    propagate(&plan.in_edges, s, params, time_cap)?;
     FbScratch::finish(
         &mut s.acc,
         &mut s.tables.backward,
@@ -469,6 +462,7 @@ fn propagate(
     adj: &[Vec<(usize, usize)>],
     s: &mut FbScratch,
     params: FbParams,
+    time_cap: u64,
 ) -> Result<(), FbError> {
     let FbScratch {
         cur,
@@ -510,7 +504,7 @@ fn propagate(
                         continue;
                     }
                     let t2 = t + step[ei];
-                    if t2 > params.time_cap {
+                    if t2 > time_cap {
                         continue; // past the observation horizon: unreachable by any score
                     }
                     next[v].push((t2, m));
@@ -612,17 +606,25 @@ pub fn e_step_planned(
     cpt: u64,
     params: FbParams,
 ) -> Result<(f64, usize), FbError> {
-    // Cap the DPs at the largest observed tick's window: no table entry
-    // beyond it can enter any score (see [`FbParams::time_cap`]), so this
-    // changes no output bit — it only stops the DPs from expanding support
-    // past the observation horizon.
-    let mut params = params;
-    if let Some(&(t_max, _)) = counted.last() {
-        if let Ok((_, hi)) = crate::quantize::try_duration_window(t_max, cpt) {
-            params.time_cap = params.time_cap.min(hi);
-        }
-    }
-    fill_tables(plan, scratch, block_costs, edge_costs, probs, params)?;
+    // Cap the DPs at the upper edge `hi` of the largest observed tick's
+    // window: a forward arrival `t`, a backward remainder `s` or a duration
+    // key `d` beyond it can never enter any tick score (`t ≤ d ≤ hi`,
+    // `s ≤ d ≤ hi`), so this changes no output bit — it only stops the DPs
+    // from expanding support past the observation horizon, on long
+    // unrolled chains the majority of it.
+    let time_cap = counted
+        .last()
+        .and_then(|&(t_max, _)| crate::quantize::try_duration_window(t_max, cpt).ok())
+        .map_or(u64::MAX, |(_, hi)| hi);
+    fill_tables(
+        plan,
+        scratch,
+        block_costs,
+        edge_costs,
+        probs,
+        params,
+        time_cap,
+    )?;
     let FbScratch {
         tables,
         edge_probs,
@@ -918,7 +920,6 @@ mod tests {
         let params = FbParams {
             mass_eps: 1e-300,
             max_entries: 4,
-            ..FbParams::default()
         };
         assert!(matches!(
             compute_tables(&cfg, &bc, &ec, &probs, params),

@@ -16,7 +16,7 @@
 //! experiment E7 shows exactly where it breaks; it earns its keep on
 //! single-decision procedures and as a sanity cross-check.
 
-use crate::samples::{DurationSamples, TimingSamples};
+use crate::samples::DurationSamples;
 use ct_cfg::graph::{Cfg, EdgeKind, Terminator};
 use ct_cfg::profile::BranchProbs;
 use ct_stats::matrix::Matrix;
@@ -146,23 +146,10 @@ pub fn estimate_flow<S: DurationSamples + ?Sized>(
     })
 }
 
-/// Runs [`estimate_flow`] for a batch of procedures in parallel
-/// (`ct_stats::parallel`), one result per input in input order.
-///
-/// Each tuple is one independent NNLS problem — a whole program's worth of
-/// procedures is estimated in one fan-out. Results are position-stable, so
-/// parallel and serial execution are indistinguishable to callers.
-pub fn estimate_flow_many(
-    procedures: Vec<(&Cfg, &[u64], &[u64], &TimingSamples)>,
-) -> Vec<Result<FlowResult, FlowError>> {
-    ct_stats::parallel::par_map(procedures, |(cfg, block_costs, edge_costs, samples)| {
-        estimate_flow(cfg, block_costs, edge_costs, samples)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::samples::TimingSamples;
     use ct_cfg::builder::{diamond, linear, while_loop};
     use ct_cfg::graph::BlockId;
 
@@ -212,27 +199,6 @@ mod tests {
         let r = estimate_flow(&cfg, &bc, &ec, &samples).unwrap();
         assert!(r.probs.is_empty());
         assert!((r.edge_traversals[0] - 1.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn batch_estimation_matches_individual_runs() {
-        let d = diamond();
-        let w = while_loop();
-        let d_bc = vec![10u64, 100, 200, 5];
-        let d_ec = vec![0u64; 4];
-        let w_bc = vec![2u64, 3, 10, 1];
-        let w_ec = vec![0u64; w.edges().len()];
-        let d_samples = TimingSamples::new(vec![140; 100], 1);
-        let w_samples = TimingSamples::new(vec![45; 50], 1);
-        let batch = estimate_flow_many(vec![
-            (&d, &d_bc[..], &d_ec[..], &d_samples),
-            (&w, &w_bc[..], &w_ec[..], &w_samples),
-        ]);
-        assert_eq!(batch.len(), 2);
-        let d_solo = estimate_flow(&d, &d_bc, &d_ec, &d_samples).unwrap();
-        let w_solo = estimate_flow(&w, &w_bc, &w_ec, &w_samples).unwrap();
-        assert_eq!(batch[0].as_ref().unwrap(), &d_solo);
-        assert_eq!(batch[1].as_ref().unwrap(), &w_solo);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! factorization applies. `|M(ω)| ≤ Q` entrywise, so the system is
 //! nonsingular whenever the chain is absorbing.
 
-use crate::chain::{coordinate_descent, golden_section, ChainPlan, Target};
+use crate::chain::{coordinate_descent, golden_section, ChainPlan, Target, MIN_PROB};
 use crate::samples::DurationSamples;
 use ct_cfg::graph::Cfg;
 use ct_cfg::profile::BranchProbs;
@@ -50,7 +50,7 @@ pub enum GntError {
         /// Measured curvature ratio (largest over smallest per-coordinate
         /// curvature; `inf` encodes a flat or non-convex direction).
         conditioning: f64,
-        /// The configured acceptance budget.
+        /// The acceptance budget, [`MAX_CONDITIONING`].
         budget: f64,
     },
 }
@@ -287,39 +287,6 @@ impl CfModel {
     }
 }
 
-/// Options for the GNT characteristic-function fit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GntOptions {
-    /// Number of frequencies on the grid `ω_j = j·ω_max/J`, `j = 1..=J`.
-    pub frequencies: usize,
-    /// Top of the frequency grid as a multiple of `1/σ` (sample standard
-    /// deviation in cycles): frequencies beyond a few `1/σ` probe structure
-    /// finer than the data resolves.
-    pub freq_scale: f64,
-    /// Coordinate-descent sweeps over the parameter vector.
-    pub sweeps: usize,
-    /// Golden-section iterations per coordinate.
-    pub line_iters: usize,
-    /// Probability clamp.
-    pub min_prob: f64,
-    /// Largest accepted curvature ratio before the inversion is declared
-    /// ill-conditioned (see [`GntError::IllConditioned`]).
-    pub max_conditioning: f64,
-}
-
-impl Default for GntOptions {
-    fn default() -> Self {
-        GntOptions {
-            frequencies: 8,
-            freq_scale: 2.0,
-            sweeps: 12,
-            line_iters: 24,
-            min_prob: 1e-3,
-            max_conditioning: 1e6,
-        }
-    }
-}
-
 /// The outcome of a GNT fit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GntResult {
@@ -338,6 +305,15 @@ pub struct GntResult {
     pub confidence: f64,
 }
 
+/// Number of frequencies on the grid `ω_j = j·ω_max/J`, `j = 1..=J`.
+const FREQUENCIES: usize = 8;
+/// Top of the frequency grid as a multiple of `1/σ` (sample standard
+/// deviation in cycles): frequencies beyond a few `1/σ` probe structure
+/// finer than the data resolves.
+const FREQ_SCALE: f64 = 2.0;
+/// Largest accepted curvature ratio before the inversion is declared
+/// ill-conditioned (see [`GntError::IllConditioned`]).
+pub const MAX_CONDITIONING: f64 = 1e6;
 /// Curvature below this is indistinguishable from flat: the coordinate does
 /// not influence the transform at the probed frequencies.
 const MIN_CURVATURE: f64 = 1e-7;
@@ -359,7 +335,6 @@ pub fn estimate_gnt<S: DurationSamples + ?Sized>(
     block_costs: &[u64],
     edge_costs: &[u64],
     samples: &S,
-    opts: GntOptions,
 ) -> Result<GntResult, GntError> {
     let stats = samples.suff_stats();
     if stats.is_empty() {
@@ -375,9 +350,8 @@ pub fn estimate_gnt<S: DurationSamples + ?Sized>(
     // Frequency grid scaled to the sample spread: the transform carries its
     // shape information over |ω| ≲ 1/σ and pure oscillation beyond.
     let sigma = stats.variance_cycles().max(1.0).sqrt();
-    let j_max = opts.frequencies.max(1);
-    let omegas: Vec<f64> = (1..=j_max)
-        .map(|j| opts.freq_scale * j as f64 / (j_max as f64 * sigma))
+    let omegas: Vec<f64> = (1..=FREQUENCIES)
+        .map(|j| FREQ_SCALE * j as f64 / (FREQUENCIES as f64 * sigma))
         .collect();
 
     // Empirical CF of the *observed* cycles (ticks × resolution) and the
@@ -416,7 +390,6 @@ pub fn estimate_gnt<S: DurationSamples + ?Sized>(
         let (dr, di) = (mr * q - er, mi * q - ei);
         dr * dr + di * di
     };
-    let frequencies = omegas.len();
     let mut model = CfModel::new(plan, omegas)?;
     // The objective `h` along one parameter from where its lines were
     // drawn, with no solve at all. `None` lines (singular at the base
@@ -432,22 +405,21 @@ pub fn estimate_gnt<S: DurationSamples + ?Sized>(
                 None => return f64::INFINITY,
             }
         }
-        acc / frequencies as f64
+        acc / FREQUENCIES as f64
     };
 
     let mut theta = BranchProbs::uniform(cfg, 0.5).as_slice().to_vec();
     // The starting objective, by one solve per frequency.
-    let start = (0..frequencies)
+    let start = (0..FREQUENCIES)
         .try_fold(0.0, |acc, j| {
             Ok::<_, GntError>(acc + mismatch(j, model.cf(j, &theta)?))
         })
-        .map_or(f64::INFINITY, |acc| acc / frequencies as f64);
-    let (lo, hi) = (opts.min_prob, 1.0 - opts.min_prob);
-    let mut lines = Vec::with_capacity(frequencies);
-    let (best, sweeps_done) = coordinate_descent(&mut theta, start, opts.sweeps, |k, theta| {
+        .map_or(f64::INFINITY, |acc| acc / FREQUENCIES as f64);
+    let mut lines = Vec::with_capacity(FREQUENCIES);
+    let (best, sweeps_done) = coordinate_descent(&mut theta, start, |k, theta| {
         let base = theta[k];
         let drawn = model.lines(k, theta, &mut lines).then_some(&lines[..]);
-        golden_section(lo, hi, opts.line_iters, |x| along(drawn, x - base))
+        golden_section(|x| along(drawn, x - base))
     });
 
     // Conditioning: per-coordinate second-difference curvature at the
@@ -461,7 +433,7 @@ pub fn estimate_gnt<S: DurationSamples + ?Sized>(
         let (mut min_c, mut max_c) = (f64::INFINITY, f64::NEG_INFINITY);
         for k in 0..theta.len() {
             let base = theta[k];
-            let center = base.clamp(opts.min_prob + delta, 1.0 - opts.min_prob - delta);
+            let center = base.clamp(MIN_PROB + delta, 1.0 - MIN_PROB - delta);
             let drawn = model.lines(k, &theta, &mut lines).then_some(&lines[..]);
             let at = |x: f64| along(drawn, x - base);
             let (f_lo, f_mid, f_hi) = (at(center - delta), at(center), at(center + delta));
@@ -477,12 +449,12 @@ pub fn estimate_gnt<S: DurationSamples + ?Sized>(
     };
     // NaN-safe refusal: a non-finite ratio (degenerate curvature spectrum)
     // must land here, not slip past a plain `>` comparison.
-    if !conditioning.is_finite() || conditioning > opts.max_conditioning {
+    if !conditioning.is_finite() || conditioning > MAX_CONDITIONING {
         ct_obs::emit(
             "gnt.fit",
             vec![
                 ("verdict", "ill_conditioned".into()),
-                ("frequencies", frequencies.into()),
+                ("frequencies", FREQUENCIES.into()),
                 ("objective", best.into()),
                 ("conditioning", conditioning.into()),
                 ("sweeps", sweeps_done.into()),
@@ -490,7 +462,7 @@ pub fn estimate_gnt<S: DurationSamples + ?Sized>(
         );
         return Err(GntError::IllConditioned {
             conditioning,
-            budget: opts.max_conditioning,
+            budget: MAX_CONDITIONING,
         });
     }
 
@@ -498,18 +470,14 @@ pub fn estimate_gnt<S: DurationSamples + ?Sized>(
     // by 2, near 0 for a good fit), conditioning term from how far the
     // curvature ratio sits below the refusal budget (log scale).
     let fit_term = (1.0 - best.max(0.0).sqrt() / RMS_SCALE).clamp(0.0, 1.0);
-    let cond_term = if opts.max_conditioning > 1.0 {
-        (1.0 - conditioning.max(1.0).ln() / opts.max_conditioning.ln()).clamp(0.0, 1.0)
-    } else {
-        1.0
-    };
+    let cond_term = (1.0 - conditioning.max(1.0).ln() / MAX_CONDITIONING.ln()).clamp(0.0, 1.0);
     let confidence = fit_term * cond_term;
 
     ct_obs::emit(
         "gnt.fit",
         vec![
             ("verdict", "ok".into()),
-            ("frequencies", frequencies.into()),
+            ("frequencies", FREQUENCIES.into()),
             ("objective", best.into()),
             ("conditioning", conditioning.into()),
             ("confidence", confidence.into()),
@@ -582,7 +550,7 @@ mod tests {
         let mut ticks = vec![115u64; 750];
         ticks.extend(vec![215u64; 250]);
         let samples = TimingSamples::new(ticks, 1);
-        let r = estimate_gnt(&cfg, &bc, &ec, &samples, GntOptions::default()).unwrap();
+        let r = estimate_gnt(&cfg, &bc, &ec, &samples).unwrap();
         let est = r.probs.as_slice()[0];
         assert!((est - 0.75).abs() < 0.02, "estimated {est}");
         assert!(r.confidence > 0.5, "confidence {}", r.confidence);
@@ -604,7 +572,7 @@ mod tests {
         ticks.push(6 + 13 * 12);
         assert_eq!(ticks.len(), 4096);
         let samples = TimingSamples::new(ticks, 1);
-        let r = estimate_gnt(&cfg, &bc, &ec, &samples, GntOptions::default()).unwrap();
+        let r = estimate_gnt(&cfg, &bc, &ec, &samples).unwrap();
         let est = r.probs.prob_true(BlockId(1)).unwrap();
         assert!((est - 0.5).abs() < 0.04, "estimated {est}");
     }
@@ -619,7 +587,7 @@ mod tests {
         let mut ticks = vec![115u64 / 8; 700];
         ticks.extend(vec![215u64 / 8; 300]);
         let samples = TimingSamples::new(ticks, 8);
-        let r = estimate_gnt(&cfg, &bc, &ec, &samples, GntOptions::default()).unwrap();
+        let r = estimate_gnt(&cfg, &bc, &ec, &samples).unwrap();
         let est = r.probs.as_slice()[0];
         assert!((est - 0.7).abs() < 0.05, "estimated {est}");
     }
@@ -629,7 +597,7 @@ mod tests {
         let cfg = diamond();
         let samples = TimingSamples::new(vec![], 1);
         assert_eq!(
-            estimate_gnt(&cfg, &[1; 4], &[0; 4], &samples, GntOptions::default()),
+            estimate_gnt(&cfg, &[1; 4], &[0; 4], &samples),
             Err(GntError::NoSamples)
         );
     }
@@ -644,13 +612,7 @@ mod tests {
         stats.push(u64::MAX - 1);
         assert!(stats.saturated());
         assert_eq!(
-            estimate_gnt(
-                &cfg,
-                &[10, 100, 200, 5],
-                &[0; 4],
-                &stats,
-                GntOptions::default()
-            ),
+            estimate_gnt(&cfg, &[10, 100, 200, 5], &[0; 4], &stats),
             Err(GntError::SaturatedMoments)
         );
     }
@@ -664,7 +626,7 @@ mod tests {
         let bc = vec![10u64, 100, 100, 5];
         let ec = vec![0u64; 4];
         let samples = TimingSamples::new(vec![115u64; 200], 1);
-        match estimate_gnt(&cfg, &bc, &ec, &samples, GntOptions::default()) {
+        match estimate_gnt(&cfg, &bc, &ec, &samples) {
             Err(GntError::IllConditioned { conditioning, .. }) => {
                 assert!(conditioning.is_infinite() || conditioning > 1e6);
             }
@@ -689,7 +651,7 @@ mod tests {
         let cfg = diamond();
         let samples = TimingSamples::new(vec![115u64; 50], 1);
         assert_eq!(
-            estimate_gnt(&cfg, &[10, 100], &[0; 4], &samples, GntOptions::default()),
+            estimate_gnt(&cfg, &[10, 100], &[0; 4], &samples),
             Err(GntError::Shape("block cost length".into()))
         );
     }

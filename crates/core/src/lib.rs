@@ -80,14 +80,14 @@ pub use estimator::{
 pub use fb::{
     compute_tables, e_step, e_step_planned, FbError, FbParams, FbPlan, FbScratch, FbTables,
 };
-pub use flow_nnls::{estimate_flow, estimate_flow_many, FlowResult};
-pub use gnt::{estimate_gnt, model_cf, GntError, GntOptions, GntResult};
+pub use flow_nnls::{estimate_flow, FlowResult};
+pub use gnt::{estimate_gnt, model_cf, GntError, GntResult};
 pub use incremental::IncrementalEm;
-pub use moments::{estimate_moments, model_moments, MomentsError, MomentsOptions, MomentsResult};
+pub use moments::{estimate_moments, model_moments, MomentsError, MomentsResult};
 pub use quantize::{
     convolved_tick_score, duration_window, pmf_tick_score_soa, tick_likelihood,
     try_duration_window, WindowError,
 };
 pub use samples::{DurationSamples, SampleIssue, TimingSamples, TrimPolicy};
-pub use stream::{BatchTag, ResolutionMismatch, SampleBatch, SuffStats};
+pub use stream::{BatchTag, ResolutionMismatch, SuffStats};
 pub use unrolled::{estimate_unrolled, UnrolledError};

@@ -154,29 +154,8 @@ impl MomentsModel {
     }
 }
 
-/// Options for the moments search.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MomentsOptions {
-    /// Coordinate-descent sweeps over the parameter vector.
-    pub sweeps: usize,
-    /// Golden-section iterations per coordinate.
-    pub line_iters: usize,
-    /// Probability clamp.
-    pub min_prob: f64,
-    /// Weight of the variance term relative to the mean term.
-    pub variance_weight: f64,
-}
-
-impl Default for MomentsOptions {
-    fn default() -> Self {
-        MomentsOptions {
-            sweeps: 12,
-            line_iters: 24,
-            min_prob: 1e-3,
-            variance_weight: 0.5,
-        }
-    }
-}
+/// Weight of the variance term relative to the mean term.
+const VARIANCE_WEIGHT: f64 = 0.5;
 
 /// The outcome of a moments fit.
 #[derive(Debug, Clone, PartialEq)]
@@ -204,7 +183,6 @@ pub fn estimate_moments<S: DurationSamples + ?Sized>(
     block_costs: &[u64],
     edge_costs: &[u64],
     samples: &S,
-    opts: MomentsOptions,
 ) -> Result<MomentsResult, MomentsError> {
     let stats = samples.suff_stats();
     if stats.is_empty() {
@@ -227,7 +205,7 @@ pub fn estimate_moments<S: DurationSamples + ?Sized>(
             Ok((m, v)) => {
                 let dm = (m - sample_mean) / mean_scale;
                 let dv = (v - sample_var) / var_scale;
-                dm * dm + opts.variance_weight * dv * dv
+                dm * dm + VARIANCE_WEIGHT * dv * dv
             }
             Err(_) => f64::INFINITY,
         }
@@ -235,9 +213,8 @@ pub fn estimate_moments<S: DurationSamples + ?Sized>(
 
     let mut theta = BranchProbs::uniform(cfg, 0.5).as_slice().to_vec();
     let start = objective(&theta);
-    let (lo, hi) = (opts.min_prob, 1.0 - opts.min_prob);
-    let (best, sweeps) = coordinate_descent(&mut theta, start, opts.sweeps, |k, theta| {
-        golden_section(lo, hi, opts.line_iters, |x| {
+    let (best, sweeps) = coordinate_descent(&mut theta, start, |k, theta| {
+        golden_section(|x| {
             theta[k] = x;
             objective(theta)
         })
@@ -306,7 +283,7 @@ mod tests {
         let mut ticks = vec![115u64; 750];
         ticks.extend(vec![215u64; 250]);
         let samples = TimingSamples::new(ticks, 1);
-        let r = estimate_moments(&cfg, &bc, &ec, &samples, MomentsOptions::default()).unwrap();
+        let r = estimate_moments(&cfg, &bc, &ec, &samples).unwrap();
         let est = r.probs.as_slice()[0];
         assert!((est - 0.75).abs() < 0.02, "estimated {est}");
     }
@@ -329,7 +306,7 @@ mod tests {
         ticks.push(6 + 13 * 12);
         assert_eq!(ticks.len(), 4096, "fixture must carry the full mass");
         let samples = TimingSamples::new(ticks, 1);
-        let r = estimate_moments(&cfg, &bc, &ec, &samples, MomentsOptions::default()).unwrap();
+        let r = estimate_moments(&cfg, &bc, &ec, &samples).unwrap();
         let est = r.probs.prob_true(BlockId(1)).unwrap();
         assert!((est - 0.5).abs() < 0.04, "estimated {est}");
     }
@@ -341,7 +318,7 @@ mod tests {
         let ec = vec![0u64; 4];
         let samples = TimingSamples::new(vec![], 1);
         assert_eq!(
-            estimate_moments(&cfg, &bc, &ec, &samples, MomentsOptions::default()),
+            estimate_moments(&cfg, &bc, &ec, &samples),
             Err(MomentsError::NoSamples)
         );
     }
@@ -358,7 +335,7 @@ mod tests {
         stats.push(u64::MAX - 1);
         assert!(stats.saturated());
         assert_eq!(
-            estimate_moments(&cfg, &bc, &ec, &stats, MomentsOptions::default()),
+            estimate_moments(&cfg, &bc, &ec, &stats),
             Err(MomentsError::SaturatedMoments)
         );
     }
@@ -380,13 +357,7 @@ mod tests {
         let cfg = diamond();
         let samples = TimingSamples::new(vec![115u64; 50], 1);
         assert_eq!(
-            estimate_moments(
-                &cfg,
-                &[10, 100],
-                &[0; 4],
-                &samples,
-                MomentsOptions::default()
-            ),
+            estimate_moments(&cfg, &[10, 100], &[0; 4], &samples),
             Err(MomentsError::Shape("block cost length".into()))
         );
     }

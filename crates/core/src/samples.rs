@@ -143,35 +143,10 @@ impl TimingSamples {
         })
     }
 
-    /// Checks the sample set is usable as estimator input: non-empty, and
-    /// every tick convertible to cycles without overflowing `u64` (the
-    /// quantization kernel needs `(tick + 1) · cycles_per_tick`).
-    ///
-    /// # Errors
-    ///
-    /// The first [`SampleIssue`] found.
-    pub fn validate(&self) -> Result<(), SampleIssue> {
-        if self.ticks.is_empty() {
-            return Err(SampleIssue::Empty);
-        }
-        for &t in &self.ticks {
-            if t.checked_add(1)
-                .and_then(|t1| t1.checked_mul(self.cycles_per_tick))
-                .is_none()
-            {
-                return Err(SampleIssue::TickOverflow {
-                    tick: t,
-                    cycles_per_tick: self.cycles_per_tick,
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Robust outlier trimming: returns the samples inside the
     /// quantile-fence window of `policy`, in arrival order, plus the number
     /// dropped. Ticks that overflow the cycle counter (see
-    /// [`TimingSamples::validate`]) are dropped before the fences are
+    /// [`SampleIssue::TickOverflow`]) are dropped before the fences are
     /// estimated, so a stuck-at counter cannot drag them out.
     pub fn trimmed(&self, policy: TrimPolicy) -> (TimingSamples, usize) {
         let keep = trim_filter(&self.counted(), self.cycles_per_tick, policy);
@@ -221,12 +196,21 @@ impl TimingSamples {
     }
 }
 
+/// True when tick `t`'s cycle conversion `(t + 1) · cycles_per_tick`
+/// overflows `u64` — a stuck-at counter or a corrupted record, never a real
+/// duration (the quantization kernel needs that product).
+pub(crate) fn tick_overflows(t: u64, cycles_per_tick: u64) -> bool {
+    t.checked_add(1)
+        .and_then(|t1| t1.checked_mul(cycles_per_tick))
+        .is_none()
+}
+
 /// The keep-predicate of `policy`'s robust trim over a distinct-tick
 /// histogram `counted` (ascending, as [`TimingSamples::counted`] returns it)
 /// observed at `cycles_per_tick`: true for a tick inside the quantile-fence
 /// window of [`fences`].
 ///
-/// Overflowing ticks (see [`TimingSamples::validate`]) are dropped
+/// Overflowing ticks ([`tick_overflows`]) are dropped
 /// unconditionally *before* the fences are estimated: they can never be
 /// real durations, and at contamination rates beyond the fence quantile
 /// they would otherwise poison the quantiles themselves (a stuck-at
@@ -238,20 +222,15 @@ pub(crate) fn trim_filter(
     cycles_per_tick: u64,
     policy: TrimPolicy,
 ) -> impl Fn(u64) -> bool {
-    let overflow = move |t: u64| {
-        t.checked_add(1)
-            .and_then(|t1| t1.checked_mul(cycles_per_tick))
-            .is_none()
-    };
     let sane: Vec<(u64, usize)> = counted
         .iter()
         .copied()
-        .filter(|&(t, _)| !overflow(t))
+        .filter(|&(t, _)| !tick_overflows(t, cycles_per_tick))
         .collect();
     let window = fences(&sane, policy);
     move |t| {
         let x = t as f64;
-        !overflow(t) && window.is_some_and(|(lo, hi)| x >= lo && x <= hi)
+        !tick_overflows(t, cycles_per_tick) && window.is_some_and(|(lo, hi)| x >= lo && x <= hi)
     }
 }
 
@@ -363,20 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_flags_empty_and_overflow() {
-        assert_eq!(
-            TimingSamples::new(vec![], 1).validate(),
-            Err(SampleIssue::Empty)
-        );
-        let s = TimingSamples::new(vec![u64::MAX / 2], 8);
-        assert!(matches!(
-            s.validate(),
-            Err(SampleIssue::TickOverflow { .. })
-        ));
-        assert_eq!(TimingSamples::new(vec![5, 6], 244).validate(), Ok(()));
-    }
-
-    #[test]
     fn trimming_keeps_bimodal_bulk_and_drops_spikes() {
         // Legit two-path durations 115/215 plus channel garbage.
         let mut ticks = vec![115u64; 70];
@@ -388,7 +353,7 @@ mod tests {
         assert_eq!(dropped, 2);
         assert_eq!(t.len(), 100);
         assert!(t.ticks().contains(&215), "slow path survives trimming");
-        assert_eq!(t.validate(), Ok(()));
+        assert_eq!(SuffStats::from_samples(&t).validate(), Ok(()));
     }
 
     #[test]
@@ -403,7 +368,7 @@ mod tests {
         let (t, dropped) = s.trimmed(TrimPolicy::default());
         assert_eq!(dropped, 30);
         assert_eq!(t.len(), 70);
-        assert_eq!(t.validate(), Ok(()));
+        assert_eq!(SuffStats::from_samples(&t).validate(), Ok(()));
     }
 
     #[test]

@@ -1,20 +1,15 @@
-//! Streaming sample ingestion: append-only tick batches and mergeable
-//! sufficient statistics.
+//! Streaming sample ingestion: mergeable sufficient statistics.
 //!
 //! The paper's deployment story ships end-to-end timestamps off-mote; at
 //! fleet scale those records arrive as *batches from many motes*, not one
-//! monolithic vector. This module splits the monolithic
-//! [`crate::samples::TimingSamples`] container into:
-//!
-//! - [`SampleBatch`] — an append-only buffer one source (one mote, one
-//!   radio batch) fills in arrival order; and
-//! - [`SuffStats`] — the sufficient statistics of any number of batches:
-//!   sample count, the distinct-tick histogram, exact integer moment
-//!   accumulators, and validation state. [`SuffStats::merge`] is
-//!   associative and commutative, so a base station can reduce per-mote
-//!   statistics in any order (tree reduction, arrival order, thread-racing
-//!   workers) and always obtain the statistics of the monolithic stream —
-//!   bitwise.
+//! monolithic vector. [`SuffStats`] holds the sufficient statistics of any
+//! number of batches: sample count, the distinct-tick histogram, exact
+//! integer moment accumulators, and validation state. [`SuffStats::merge`]
+//! is associative and commutative, so a base station can reduce per-mote
+//! statistics in any order (tree reduction, arrival order, thread-racing
+//! workers) and always obtain the statistics of the monolithic stream —
+//! bitwise. A [`BatchTag`] names one batch's delivery, so ingest can drop
+//! redeliveries.
 //!
 //! `SuffStats` is the only sample form the estimators read: every entry
 //! point converts its [`crate::samples::DurationSamples`] input to it once
@@ -27,7 +22,9 @@
 //! addition of non-negative values is still associative and commutative),
 //! never floats, so no summation-order effects exist.
 
-use crate::samples::{trim_filter, DurationSamples, SampleIssue, TimingSamples, TrimPolicy};
+use crate::samples::{
+    tick_overflows, trim_filter, DurationSamples, SampleIssue, TimingSamples, TrimPolicy,
+};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -48,108 +45,6 @@ pub struct BatchTag {
     pub mote: u64,
     /// The batch's sequence number within that mote's stream.
     pub seq: u64,
-}
-
-/// An append-only buffer of tick samples from one source, in arrival order.
-///
-/// A batch is the unit of ingestion: one mote's radio payload, one flash-log
-/// segment. Batches reduce to [`SuffStats`] via [`SampleBatch::stats`] and
-/// materialize to [`TimingSamples`] (preserving arrival order) via
-/// [`SampleBatch::into_samples`].
-///
-/// A batch may carry a [`BatchTag`] naming its producer and sequence number;
-/// tagged batches are the unit of the fleet's at-least-once delivery
-/// contract (redeliveries repeat the tag, so ingest can deduplicate).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SampleBatch {
-    ticks: Vec<u64>,
-    cycles_per_tick: u64,
-    tag: Option<BatchTag>,
-}
-
-impl SampleBatch {
-    /// An empty batch at `cycles_per_tick` resolution.
-    ///
-    /// # Errors
-    ///
-    /// [`SampleIssue::ZeroResolution`] if `cycles_per_tick == 0`.
-    pub fn new(cycles_per_tick: u64) -> Result<SampleBatch, SampleIssue> {
-        if cycles_per_tick == 0 {
-            return Err(SampleIssue::ZeroResolution);
-        }
-        Ok(SampleBatch {
-            ticks: Vec::new(),
-            cycles_per_tick,
-            tag: None,
-        })
-    }
-
-    /// Stamps the batch with its delivery identity (builder style).
-    pub fn tagged(mut self, tag: BatchTag) -> SampleBatch {
-        self.tag = Some(tag);
-        self
-    }
-
-    /// The batch's delivery identity, if stamped.
-    pub fn tag(&self) -> Option<BatchTag> {
-        self.tag
-    }
-
-    /// Appends one tick sample.
-    pub fn push(&mut self, tick: u64) {
-        self.ticks.push(tick);
-    }
-
-    /// Appends many tick samples in order.
-    pub fn extend(&mut self, ticks: impl IntoIterator<Item = u64>) {
-        self.ticks.extend(ticks);
-    }
-
-    /// Wraps an existing monolithic sample set as a batch (same order).
-    pub fn from_samples(samples: &TimingSamples) -> SampleBatch {
-        SampleBatch {
-            ticks: samples.ticks().to_vec(),
-            cycles_per_tick: samples.cycles_per_tick(),
-            tag: None,
-        }
-    }
-
-    /// Materializes the batch as a monolithic sample set, preserving
-    /// arrival order.
-    pub fn into_samples(self) -> TimingSamples {
-        // The constructor's only failure is zero resolution, excluded by
-        // `SampleBatch::new`.
-        TimingSamples::new(self.ticks, self.cycles_per_tick)
-    }
-
-    /// Reduces the batch to its sufficient statistics.
-    pub fn stats(&self) -> SuffStats {
-        let mut s = SuffStats::new(self.cycles_per_tick);
-        for &t in &self.ticks {
-            s.push(t);
-        }
-        s
-    }
-
-    /// The buffered ticks, in arrival order.
-    pub fn ticks(&self) -> &[u64] {
-        &self.ticks
-    }
-
-    /// Timer resolution in cycles per tick.
-    pub fn cycles_per_tick(&self) -> u64 {
-        self.cycles_per_tick
-    }
-
-    /// Number of buffered samples.
-    pub fn len(&self) -> usize {
-        self.ticks.len()
-    }
-
-    /// True when the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ticks.is_empty()
-    }
 }
 
 /// Two statistics at different timer resolutions cannot be merged: their
@@ -304,10 +199,7 @@ impl SuffStats {
                 true
             }
         };
-        if t.checked_add(1)
-            .and_then(|t1| t1.checked_mul(self.cycles_per_tick))
-            .is_none()
-        {
+        if tick_overflows(t, self.cycles_per_tick) {
             self.overflowing = self.overflowing.saturating_add(c);
         }
         clamped
@@ -566,22 +458,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn batch_roundtrips_to_samples_preserving_order() {
-        let mut b = SampleBatch::new(8).unwrap();
-        b.extend([5, 3, 5, 9]);
-        b.push(1);
-        assert_eq!(b.len(), 5);
-        let s = b.clone().into_samples();
-        assert_eq!(s.ticks(), &[5, 3, 5, 9, 1]);
-        assert_eq!(SampleBatch::from_samples(&s), b);
-    }
-
-    #[test]
-    fn batch_rejects_zero_resolution() {
-        assert_eq!(SampleBatch::new(0), Err(SampleIssue::ZeroResolution));
-    }
-
-    #[test]
     fn stats_match_monolithic_view() {
         let samples = TimingSamples::new(vec![115, 215, 115, 115, 215], 8);
         let stats = SuffStats::from_samples(&samples);
@@ -739,19 +615,6 @@ mod tests {
         let err =
             SuffStats::tree_reduce(4, vec![SuffStats::new(4), SuffStats::new(8)]).unwrap_err();
         assert_eq!(err, ResolutionMismatch { ours: 4, theirs: 8 });
-    }
-
-    #[test]
-    fn batch_tag_is_optional_and_preserved() {
-        let tag = BatchTag { mote: 3, seq: 7 };
-        let mut b = SampleBatch::new(8).unwrap().tagged(tag);
-        b.extend([5, 3]);
-        assert_eq!(b.tag(), Some(tag));
-        assert_eq!(SampleBatch::new(8).unwrap().tag(), None);
-        // The tag is delivery metadata: the statistics ignore it.
-        let mut untagged = SampleBatch::new(8).unwrap();
-        untagged.extend([5, 3]);
-        assert_eq!(b.stats(), untagged.stats());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! event stream cannot race other tests.
 
 use ct_cfg::builder::diamond;
-use ct_core::gnt::{estimate_gnt, GntError, GntOptions};
+use ct_core::gnt::{estimate_gnt, GntError};
 use ct_core::TimingSamples;
 use ct_obs::Value;
 
@@ -13,13 +13,7 @@ fn ill_conditioned_fit_emits_one_refused_gnt_fit_event() {
     let cfg = diamond();
     let samples = TimingSamples::new(vec![115u64; 200], 1);
     ct_obs::set_stream_enabled(true);
-    let r = estimate_gnt(
-        &cfg,
-        &[10, 100, 100, 5],
-        &[0; 4],
-        &samples,
-        GntOptions::default(),
-    );
+    let r = estimate_gnt(&cfg, &[10, 100, 100, 5], &[0; 4], &samples);
     ct_obs::set_stream_enabled(false);
     assert!(matches!(r, Err(GntError::IllConditioned { .. })), "{r:?}");
 

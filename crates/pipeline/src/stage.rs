@@ -20,7 +20,6 @@ use ct_core::accuracy::{compare, AccuracyReport};
 use ct_core::estimator::{estimate, estimate_robust, Estimate as CoreEstimate, Method};
 use ct_core::estimator::{EstimateError, EstimateOptions, RobustEstimate};
 use ct_core::samples::{DurationSamples, TimingSamples};
-use ct_core::stream::SampleBatch;
 use ct_core::unrolled::estimate_unrolled;
 use ct_ir::instr::ProcId;
 use ct_ir::program::Program;
@@ -275,12 +274,6 @@ impl AppRun {
     /// The target procedure's CFG.
     pub fn cfg(&self) -> &Cfg {
         &self.program.procs[self.pid.index()].cfg
-    }
-
-    /// The run's tick stream as an append-only ingestion batch
-    /// (arrival order preserved).
-    pub fn batch(&self) -> SampleBatch {
-        SampleBatch::from_samples(&self.samples)
     }
 }
 

@@ -4,7 +4,7 @@
 //! monolithic stream.
 
 use ct_core::samples::TimingSamples;
-use ct_core::stream::{SampleBatch, SuffStats};
+use ct_core::stream::SuffStats;
 use ct_stats::parallel::par_map_with;
 use proptest::prelude::*;
 
@@ -22,9 +22,9 @@ fn chunks(ticks: &[u64], cuts: &[usize]) -> Vec<Vec<u64>> {
 }
 
 fn stats_of(ticks: &[u64], cpt: u64) -> SuffStats {
-    let mut b = SampleBatch::new(cpt).expect("positive resolution");
-    b.extend(ticks.iter().copied());
-    b.stats()
+    let mut s = SuffStats::new(cpt);
+    ticks.iter().for_each(|&t| s.push(t));
+    s
 }
 
 proptest! {

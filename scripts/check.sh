@@ -68,6 +68,13 @@ echo "== perfbench service smoke (served bits, dedup, drained staleness) =="
 # drained service reports zero staleness; any failed check exits non-zero.
 python3 perfbench/run.py --workload service --seed 1 --seconds 3 --trace 0 > /dev/null
 
+echo "== perfbench pipeline smoke (unrolled EM, point-path E-step, placement) =="
+# The only workload that runs unrolled EM and the point-path E-step, and
+# the only one that reads Method::EmUnrolled. Every flow's replay PMU must
+# equal the layout cost model and every pass must repeat the first
+# bitwise; a failed flow or check exits non-zero.
+python3 perfbench/run.py --workload pipeline --seed 1 --seconds 3 --trace 0 > /dev/null
+
 echo "== e15 smoke grid (chaos harness: crash/duplicate/straggler recovery) =="
 # e15 enforces its own claims by exit status: checkpoint-cycled recovery is
 # bitwise exact, duplicates never change results, >= 80% coverage stays

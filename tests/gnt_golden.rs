@@ -23,8 +23,8 @@
 //! `cargo test --release --test gnt_golden -- --ignored` and review the
 //! diff.
 
-use ct_core::gnt::{estimate_gnt, GntError, GntOptions};
-use ct_core::moments::{estimate_moments, MomentsError, MomentsOptions};
+use ct_core::gnt::{estimate_gnt, GntError, MAX_CONDITIONING};
+use ct_core::moments::{estimate_moments, MomentsError};
 use ct_core::TrimPolicy;
 use ct_faults::{FaultKind, FaultPlan};
 use ct_pipeline::{RunConfig, Session};
@@ -103,7 +103,7 @@ fn cell_record(app: &str, fault: Option<FaultKind>, seed: u64) -> String {
     let (cfg, bc, ec) = (run.cfg(), &run.block_costs, &run.edge_costs);
 
     let mut out = format!("cell {app} {label}\n");
-    match estimate_gnt(cfg, bc, ec, &trimmed, GntOptions::default()) {
+    match estimate_gnt(cfg, bc, ec, &trimmed) {
         Ok(r) => {
             let _ = writeln!(out, "  gnt verdict ok");
             let _ = writeln!(out, "  gnt probs {}", hexes(r.probs.as_slice()));
@@ -119,7 +119,7 @@ fn cell_record(app: &str, fault: Option<FaultKind>, seed: u64) -> String {
             }
         }
     }
-    match estimate_moments(cfg, bc, ec, &trimmed, MomentsOptions::default()) {
+    match estimate_moments(cfg, bc, ec, &trimmed) {
         Ok(r) => {
             let _ = writeln!(out, "  moments verdict ok");
             let _ = writeln!(out, "  moments probs {}", hexes(r.probs.as_slice()));
@@ -175,7 +175,7 @@ fn fact(cell: &[&str], key: &str) -> Option<f64> {
 /// fit term (at most 1) times `1 − ln(conditioning)/ln(budget)`, so near
 /// the budget its relative drift grows as `1/ln(budget/conditioning)`.
 fn confidence_tolerance(want: &[&str], got: &[&str], confidence: f64) -> f64 {
-    let budget = GntOptions::default().max_conditioning;
+    let budget = MAX_CONDITIONING;
     let shift = match (
         fact(want, "gnt conditioning "),
         fact(got, "gnt conditioning "),

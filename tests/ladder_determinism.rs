@@ -44,7 +44,6 @@ fn strangled() -> RobustOptions {
     opts.base.em.fb = FbParams {
         mass_eps: 1e-12,
         max_entries: 3,
-        ..FbParams::default()
     };
     opts
 }
