@@ -10,6 +10,7 @@ use crate::gnt::{estimate_gnt, GntError, GntResult};
 use crate::moments::{estimate_moments, MomentsError};
 use crate::samples::{DurationSamples, SampleIssue, TrimPolicy};
 use crate::stream::SuffStats;
+use crate::unrolled::UnrolledError;
 use ct_cfg::graph::Cfg;
 use ct_cfg::profile::BranchProbs;
 use std::error::Error;
@@ -117,6 +118,9 @@ pub enum EstimateError {
     /// program's counted loops, which [`estimate`] does not take (see
     /// [`crate::unrolled::estimate_unrolled`]).
     UnrolledNeedsLoops,
+    /// A forced [`Method::EmUnrolled`] had counted loops, and the unrolled
+    /// estimator failed.
+    Unrolled(UnrolledError),
 }
 
 impl fmt::Display for EstimateError {
@@ -131,6 +135,7 @@ impl fmt::Display for EstimateError {
                 f,
                 "em+unroll needs the program's counted loops; use estimate_unrolled"
             ),
+            EstimateError::Unrolled(e) => write!(f, "em+unroll estimator: {e}"),
         }
     }
 }

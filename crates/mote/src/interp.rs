@@ -16,8 +16,9 @@ use crate::trace::Profiler;
 use ct_cfg::graph::{BlockId, Cfg, Terminator};
 use ct_cfg::layout::{EdgeTransfer, Layout};
 use ct_ir::ast::{BinOp, UnOp};
-use ct_ir::instr::{Instr, Intrinsic, ProcId};
+use ct_ir::instr::{GlobalId, Instr, Intrinsic, ProcId};
 use ct_ir::program::Program;
+use ct_ir::types::Ty;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -116,25 +117,89 @@ struct TermEdgeIds {
     on_false: usize,
 }
 
+/// What one decoded op does: a source instruction as written, or one of
+/// the fused pairs [`decode_block`] forms inside a block.
+#[derive(Clone, Copy)]
+enum Op {
+    /// One source instruction.
+    Plain(Instr),
+    /// `PushConst k; Binary op`: `op` with the constant `k` as its right
+    /// operand, applied to the stack top in place.
+    BinaryConst(BinOp, i64),
+    /// `Cast ty; StoreLocal n`.
+    CastStoreLocal(Ty, u16),
+    /// `Cast ty; StoreGlobal g`.
+    CastStoreGlobal(Ty, GlobalId),
+}
+
+/// One op of a procedure's decoded image, with the (boot-time constant)
+/// charges of the source instructions it stands for.
+#[derive(Clone, Copy)]
+struct Decoded {
+    op: Op,
+    /// Summed cycle cost of the source instructions.
+    cost: u64,
+    /// Cycle cost of the first source instruction: what a trap between
+    /// the two halves of a fused pair has charged.
+    first_cost: u64,
+    /// Source instructions this op stands for (1 or 2); the step budget
+    /// counts these.
+    len: u64,
+}
+
+/// Decodes one block's instructions into `out`, fusing `PushConst k;
+/// Binary op` and `Cast ty; StoreLocal n` / `Cast ty; StoreGlobal g`.
+/// Pairs never straddle blocks, so every block entry is an op boundary.
+fn decode_block(block: &[Instr], cost_model: &dyn CostModel, out: &mut Vec<Decoded>) {
+    let mut rest = block;
+    while let Some((&first, tail)) = rest.split_first() {
+        let (op, second) = match (first, tail.first()) {
+            (Instr::PushConst(k), Some(&s @ Instr::Binary(op))) => {
+                (Op::BinaryConst(op, k), Some(s))
+            }
+            (Instr::Cast(ty), Some(&s @ Instr::StoreLocal(n))) => {
+                (Op::CastStoreLocal(ty, n), Some(s))
+            }
+            (Instr::Cast(ty), Some(&s @ Instr::StoreGlobal(g))) => {
+                (Op::CastStoreGlobal(ty, g), Some(s))
+            }
+            _ => (Op::Plain(first), None),
+        };
+        let first_cost = cost_model.instr_cost(&first);
+        let len = 1 + usize::from(second.is_some());
+        out.push(Decoded {
+            op,
+            cost: first_cost + second.map_or(0, |s| cost_model.instr_cost(&s)),
+            first_cost,
+            len: len as u64,
+        });
+        rest = &rest[len..];
+    }
+}
+
 /// Boot-time-resolved executable image of one procedure.
 ///
-/// Everything the dispatch loop reads per instruction or per block lives
-/// here, flat and behind one `Arc`: `call_inner` clones the handle once per
+/// Everything the dispatch loop reads per op or per block lives here, flat
+/// and behind one `Arc`: `call_inner` clones the handle once per
 /// invocation and hands the loop an owned view, so the hot path never
-/// re-borrows `self` — the block's instructions become a plain slice
-/// iteration (no per-instruction triple indexing, no bounds checks the
-/// optimizer can't drop) while `&mut self` stays free for RAM, the cycle
-/// counter and the PMU.
+/// re-borrows `self` — the block's ops become a plain slice iteration (no
+/// per-instruction triple indexing, no bounds checks the optimizer can't
+/// drop) while `&mut self` stays free for RAM, the cycle counter and the
+/// PMU.
 struct ProcCode {
-    /// All blocks' instructions, paired with their (boot-time constant)
-    /// cycle costs, concatenated in block order.
-    code: Vec<(Instr, u64)>,
+    /// All blocks' decoded ops (see [`decode_block`]), concatenated in
+    /// block order.
+    code: Vec<Decoded>,
     /// Per block: half-open `[start, end)` range into `code`.
     span: Vec<(u32, u32)>,
     /// Per block: the terminator, copied out of the CFG.
     term: Vec<Terminator>,
     /// Per block: pre-resolved terminator edge indices.
     term_edges: Vec<TermEdgeIds>,
+    /// The cost model's branch base and return costs, read once at boot
+    /// instead of through the trait object at every terminator.
+    branch_base: u64,
+    return_cost: u64,
 }
 
 /// A simulated mote: program image, CPU cost model, flash layout, RAM,
@@ -221,7 +286,7 @@ impl Mote {
                 let mut span = Vec::with_capacity(p.code.len());
                 for block in &p.code {
                     let s = flat.len() as u32;
-                    flat.extend(block.iter().map(|i| (*i, cost_model.instr_cost(i))));
+                    decode_block(block, cost_model.as_ref(), &mut flat);
                     span.push((s, flat.len() as u32));
                 }
                 let by_pair: HashMap<(u32, u32), usize> = p
@@ -253,6 +318,8 @@ impl Mote {
                     span,
                     term,
                     term_edges,
+                    branch_base: cost_model.branch_base(),
+                    return_cost: cost_model.return_cost(),
                 })
             })
             .collect();
@@ -337,26 +404,31 @@ impl Mote {
 
     /// Calls `proc` with `args`, observing through `profiler`.
     ///
+    /// Generic over the profiler so a concrete one (say, a
+    /// [`PairProfiler`](crate::trace::PairProfiler) of ground truth and
+    /// timing) inlines into the dispatch loop; `&mut dyn Profiler` works
+    /// too.
+    ///
     /// # Errors
     ///
     /// Returns a [`TrapError`] on runtime faults (including an argument
     /// count that does not match the callee); the mote's memory may be
     /// partially updated but remains usable.
-    pub fn call(
+    pub fn call<P: Profiler + ?Sized>(
         &mut self,
         proc: ProcId,
         args: &[i64],
-        profiler: &mut dyn Profiler,
+        profiler: &mut P,
     ) -> Result<Option<i64>, TrapError> {
         self.steps_left = self.config.step_limit;
         self.call_inner(proc, args, profiler, 0)
     }
 
-    fn call_inner(
+    fn call_inner<P: Profiler + ?Sized>(
         &mut self,
         proc: ProcId,
         args: &[i64],
-        profiler: &mut dyn Profiler,
+        profiler: &mut P,
         depth: usize,
     ) -> Result<Option<i64>, TrapError> {
         let entry = self.program.procs[proc.index()].cfg.entry();
@@ -421,116 +493,85 @@ impl Mote {
     }
 
     #[allow(clippy::too_many_arguments)] // hot path: flat args beat a context struct rebuilt per block
-    fn exec_block(
+    fn exec_block<P: Profiler + ?Sized>(
         &mut self,
         proc: ProcId,
         block: BlockId,
         pc: &ProcCode,
         locals: &mut [i64],
         stack: &mut Vec<i64>,
-        profiler: &mut dyn Profiler,
+        profiler: &mut P,
         depth: usize,
     ) -> Result<ControlFlow, TrapError> {
         let trap = |kind: TrapKind| TrapError { kind, proc, block };
+        let underflow = || trap(TrapKind::StackUnderflow);
         let (s, e) = pc.span[block.index()];
 
-        for &(instr, cost) in &pc.code[s as usize..e as usize] {
-            if self.steps_left == 0 {
-                return Err(trap(TrapKind::StepLimitExceeded));
+        for d in &pc.code[s as usize..e as usize] {
+            if self.steps_left < d.len {
+                return Err(trap(self.charge_partial_op(d, stack)));
             }
-            self.steps_left -= 1;
-            self.cycles += cost;
-            match instr {
-                Instr::PushConst(v) => stack.push(v),
-                Instr::LoadLocal(n) => stack.push(locals[n as usize]),
-                Instr::StoreLocal(n) => {
-                    let v = stack.pop().ok_or_else(|| trap(TrapKind::StackUnderflow))?;
-                    locals[n as usize] = v;
+            self.steps_left -= d.len;
+            self.cycles += d.cost;
+            match d.op {
+                Op::Plain(Instr::PushConst(v)) => stack.push(v),
+                Op::Plain(Instr::LoadLocal(n)) => stack.push(locals[n as usize]),
+                Op::Plain(Instr::StoreLocal(n)) => {
+                    locals[n as usize] = stack.pop().ok_or_else(underflow)?;
                 }
-                Instr::LoadGlobal(g) => stack.push(self.globals.load(g)),
-                Instr::StoreGlobal(g) => {
-                    let v = stack.pop().ok_or_else(|| trap(TrapKind::StackUnderflow))?;
+                Op::Plain(Instr::LoadGlobal(g)) => stack.push(self.globals.load(g)),
+                Op::Plain(Instr::StoreGlobal(g)) => {
+                    let v = stack.pop().ok_or_else(underflow)?;
                     self.globals.store(g, v);
                 }
-                Instr::LoadElem(g) => {
-                    let idx = stack.pop().ok_or_else(|| trap(TrapKind::StackUnderflow))?;
+                Op::Plain(Instr::LoadElem(g)) => {
+                    let idx = stack.pop().ok_or_else(underflow)?;
                     let v = self
                         .globals
                         .load_elem(g, idx)
                         .ok_or_else(|| trap(TrapKind::IndexOutOfBounds { index: idx }))?;
                     stack.push(v);
                 }
-                Instr::StoreElem(g) => {
-                    let v = stack.pop().ok_or_else(|| trap(TrapKind::StackUnderflow))?;
-                    let idx = stack.pop().ok_or_else(|| trap(TrapKind::StackUnderflow))?;
+                Op::Plain(Instr::StoreElem(g)) => {
+                    let v = stack.pop().ok_or_else(underflow)?;
+                    let idx = stack.pop().ok_or_else(underflow)?;
                     if !self.globals.store_elem(g, idx, v) {
                         return Err(trap(TrapKind::IndexOutOfBounds { index: idx }));
                     }
                 }
-                Instr::Unary(op) => {
-                    let v = stack.pop().ok_or_else(|| trap(TrapKind::StackUnderflow))?;
-                    stack.push(match op {
+                Op::Plain(Instr::Unary(op)) => {
+                    let v = stack.last_mut().ok_or_else(underflow)?;
+                    *v = match op {
                         UnOp::Neg => v.wrapping_neg(),
-                        UnOp::Not => (v == 0) as i64,
-                        UnOp::BitNot => !v,
-                    });
-                }
-                Instr::Binary(op) => {
-                    let r = stack.pop().ok_or_else(|| trap(TrapKind::StackUnderflow))?;
-                    let l = stack.pop().ok_or_else(|| trap(TrapKind::StackUnderflow))?;
-                    let v = match op {
-                        BinOp::Add => l.wrapping_add(r),
-                        BinOp::Sub => l.wrapping_sub(r),
-                        BinOp::Mul => l.wrapping_mul(r),
-                        BinOp::Div => {
-                            if r == 0 {
-                                return Err(trap(TrapKind::DivideByZero));
-                            }
-                            l.wrapping_div(r)
-                        }
-                        BinOp::Rem => {
-                            if r == 0 {
-                                return Err(trap(TrapKind::DivideByZero));
-                            }
-                            l.wrapping_rem(r)
-                        }
-                        BinOp::BitAnd => l & r,
-                        BinOp::BitOr => l | r,
-                        BinOp::BitXor => l ^ r,
-                        // MCU shifters are loop-shifts: each count moves one
-                        // bit, so counts at or beyond the accumulator width
-                        // shift everything out (Shr sign-fills) instead of
-                        // aliasing mod 64 — `x << 65` on a 16-bit operand
-                        // must not behave like `x << 1`. Negative counts,
-                        // reinterpreted as huge unsigned values, shift out
-                        // too.
-                        BinOp::Shl => match u32::try_from(r) {
-                            Ok(n) if n < 64 => l.wrapping_shl(n),
-                            _ => 0,
-                        },
-                        BinOp::Shr => match u32::try_from(r) {
-                            Ok(n) if n < 64 => l.wrapping_shr(n),
-                            _ => -i64::from(l < 0),
-                        },
-                        BinOp::Lt => (l < r) as i64,
-                        BinOp::Le => (l <= r) as i64,
-                        BinOp::Gt => (l > r) as i64,
-                        BinOp::Ge => (l >= r) as i64,
-                        BinOp::Eq => (l == r) as i64,
-                        BinOp::Ne => (l != r) as i64,
-                        BinOp::And => ((l != 0) && (r != 0)) as i64,
-                        BinOp::Or => ((l != 0) || (r != 0)) as i64,
+                        UnOp::Not => (*v == 0) as i64,
+                        UnOp::BitNot => !*v,
                     };
-                    stack.push(v);
                 }
-                Instr::Cast(ty) => {
-                    let v = stack.pop().ok_or_else(|| trap(TrapKind::StackUnderflow))?;
-                    stack.push(ty.wrap(v));
+                Op::Plain(Instr::Binary(op)) => {
+                    let r = stack.pop().ok_or_else(underflow)?;
+                    let l = stack.last_mut().ok_or_else(underflow)?;
+                    *l = binop(op, *l, r).map_err(trap)?;
                 }
-                Instr::Call(callee) => {
+                Op::BinaryConst(op, r) => {
+                    let l = stack.last_mut().ok_or_else(underflow)?;
+                    *l = binop(op, *l, r).map_err(trap)?;
+                }
+                Op::Plain(Instr::Cast(ty)) => {
+                    let v = stack.last_mut().ok_or_else(underflow)?;
+                    *v = ty.wrap(*v);
+                }
+                Op::CastStoreLocal(ty, n) => match stack.pop() {
+                    Some(v) => locals[n as usize] = ty.wrap(v),
+                    None => return Err(trap(self.uncharge_store(d))),
+                },
+                Op::CastStoreGlobal(ty, g) => match stack.pop() {
+                    Some(v) => self.globals.store(g, ty.wrap(v)),
+                    None => return Err(trap(self.uncharge_store(d))),
+                },
+                Op::Plain(Instr::Call(callee)) => {
                     let argc = self.program.procs[callee.index()].params.len();
                     if stack.len() < argc {
-                        return Err(trap(TrapKind::StackUnderflow));
+                        return Err(underflow());
                     }
                     let args: Vec<i64> = stack.split_off(stack.len() - argc);
                     let result = self.call_inner(callee, &args, profiler, depth + 1)?;
@@ -538,9 +579,9 @@ impl Mote {
                         stack.push(v);
                     }
                 }
-                Instr::Intrinsic(intr) => self.exec_intrinsic(intr, stack, &trap)?,
-                Instr::Pop => {
-                    stack.pop().ok_or_else(|| trap(TrapKind::StackUnderflow))?;
+                Op::Plain(Instr::Intrinsic(intr)) => self.exec_intrinsic(intr, stack, &trap)?,
+                Op::Plain(Instr::Pop) => {
+                    stack.pop().ok_or_else(underflow)?;
                 }
             }
         }
@@ -548,10 +589,10 @@ impl Mote {
         // Terminator.
         match pc.term[block.index()] {
             Terminator::Return => {
-                self.cycles += self.cost_model.return_cost();
+                self.cycles += pc.return_cost;
                 self.pmu.record_return(proc);
                 let v = if self.program.procs[proc.index()].ret.is_some() {
-                    Some(stack.pop().ok_or_else(|| trap(TrapKind::StackUnderflow))?)
+                    Some(stack.pop().ok_or_else(underflow)?)
                 } else {
                     None
                 };
@@ -563,8 +604,8 @@ impl Mote {
                 Ok(ControlFlow::Continue(t))
             }
             Terminator::Branch { on_true, on_false } => {
-                self.cycles += self.cost_model.branch_base();
-                let cond = stack.pop().ok_or_else(|| trap(TrapKind::StackUnderflow))?;
+                self.cycles += pc.branch_base;
+                let cond = stack.pop().ok_or_else(underflow)?;
                 let ids = pc.term_edges[block.index()];
                 let (next, ei) = if cond != 0 {
                     (on_true, ids.on_true)
@@ -577,12 +618,40 @@ impl Mote {
         }
     }
 
-    fn take_edge(&mut self, proc: ProcId, ei: usize, profiler: &mut dyn Profiler) {
+    fn take_edge<P: Profiler + ?Sized>(&mut self, proc: ProcId, ei: usize, profiler: &mut P) {
         self.cycles += self.edge_costs[proc.index()][ei];
         let t = self.edge_transfers[proc.index()][ei];
         self.pmu.record_transfer(proc, t);
         let overhead = profiler.on_edge(proc, ei);
         self.cycles += overhead;
+    }
+
+    /// The trap of a step budget too small for all of `d`. It charges the
+    /// source instructions that still fit, as the unfused sequence would
+    /// have: only a fused pair's first half can fit, and when that half is
+    /// a cast on an empty stack, the cast's underflow traps first.
+    #[cold]
+    fn charge_partial_op(&mut self, d: &Decoded, stack: &[i64]) -> TrapKind {
+        if self.steps_left == 0 {
+            return TrapKind::StepLimitExceeded;
+        }
+        self.steps_left -= 1;
+        self.cycles += d.first_cost;
+        match d.op {
+            Op::CastStoreLocal(..) | Op::CastStoreGlobal(..) if stack.is_empty() => {
+                TrapKind::StackUnderflow
+            }
+            _ => TrapKind::StepLimitExceeded,
+        }
+    }
+
+    /// The underflow of a fused `cast; store` whose cast found the stack
+    /// empty: the store never ran, so its step and cycles are handed back.
+    #[cold]
+    fn uncharge_store(&mut self, d: &Decoded) -> TrapKind {
+        self.steps_left += 1;
+        self.cycles -= d.cost - d.first_cost;
+        TrapKind::StackUnderflow
     }
 
     fn exec_intrinsic(
@@ -618,6 +687,44 @@ impl Mote {
         }
         Ok(())
     }
+}
+
+/// Evaluates `l op r`: the one definition of the binary operators, shared
+/// by the plain and the constant-operand op.
+#[inline]
+fn binop(op: BinOp, l: i64, r: i64) -> Result<i64, TrapKind> {
+    Ok(match op {
+        BinOp::Add => l.wrapping_add(r),
+        BinOp::Sub => l.wrapping_sub(r),
+        BinOp::Mul => l.wrapping_mul(r),
+        BinOp::Div | BinOp::Rem if r == 0 => return Err(TrapKind::DivideByZero),
+        BinOp::Div => l.wrapping_div(r),
+        BinOp::Rem => l.wrapping_rem(r),
+        BinOp::BitAnd => l & r,
+        BinOp::BitOr => l | r,
+        BinOp::BitXor => l ^ r,
+        // MCU shifters are loop-shifts: each count moves one bit, so
+        // counts at or beyond the accumulator width shift everything out
+        // (Shr sign-fills) instead of aliasing mod 64 — `x << 65` on a
+        // 16-bit operand must not behave like `x << 1`. Negative counts,
+        // reinterpreted as huge unsigned values, shift out too.
+        BinOp::Shl => match u32::try_from(r) {
+            Ok(n) if n < 64 => l.wrapping_shl(n),
+            _ => 0,
+        },
+        BinOp::Shr => match u32::try_from(r) {
+            Ok(n) if n < 64 => l.wrapping_shr(n),
+            _ => -i64::from(l < 0),
+        },
+        BinOp::Lt => (l < r) as i64,
+        BinOp::Le => (l <= r) as i64,
+        BinOp::Gt => (l > r) as i64,
+        BinOp::Ge => (l >= r) as i64,
+        BinOp::Eq => (l == r) as i64,
+        BinOp::Ne => (l != r) as i64,
+        BinOp::And => ((l != 0) && (r != 0)) as i64,
+        BinOp::Or => ((l != 0) || (r != 0)) as i64,
+    })
 }
 
 enum ControlFlow {

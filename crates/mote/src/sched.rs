@@ -105,11 +105,11 @@ impl Scheduler {
     /// # Panics
     ///
     /// Panics if no timers are bound.
-    pub fn run_events(
+    pub fn run_events<P: Profiler + ?Sized>(
         &mut self,
         mote: &mut Mote,
         n: u64,
-        profiler: &mut dyn Profiler,
+        profiler: &mut P,
     ) -> Result<(), TrapError> {
         assert!(!self.timers.is_empty(), "scheduler has no timers bound");
         for _ in 0..n {

@@ -21,9 +21,9 @@ use rand::SeedableRng;
 /// # Errors
 ///
 /// [`PipelineError::Trap`] if the workload traps.
-pub fn run_with_profiler(
+pub fn run_with_profiler<P: Profiler + ?Sized>(
     config: &RunConfig,
-    profiler: &mut dyn Profiler,
+    profiler: &mut P,
 ) -> Result<u64, PipelineError> {
     run_with_profiler_pmu(config, profiler).map(|(cycles, _)| cycles)
 }
@@ -36,9 +36,9 @@ pub fn run_with_profiler(
 /// # Errors
 ///
 /// [`PipelineError::Trap`] if the workload traps.
-pub fn run_with_profiler_pmu(
+pub fn run_with_profiler_pmu<P: Profiler + ?Sized>(
     config: &RunConfig,
-    profiler: &mut dyn Profiler,
+    profiler: &mut P,
 ) -> Result<(u64, ct_mote::pmu::PmuSnapshot), PipelineError> {
     let compiled = Compile.run(config, ())?;
     let deployed = Deploy::default().run(config, compiled)?;

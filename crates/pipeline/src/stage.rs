@@ -434,11 +434,16 @@ impl Stage for EstimateStage {
 /// trying the counted-loop unrolled model first when `unroll` is set, trip
 /// counts are proved, and no explicit method is forced — exactly what a
 /// profile-guided compiler with the program's IR in hand would do —
-/// falling back to the plain estimator on any unrolled failure.
+/// falling back to the plain estimator on any unrolled failure. A forced
+/// [`Method::EmUnrolled`] runs the unrolled estimator whenever counted
+/// loops exist, whatever `unroll` says, and does not fall back.
 ///
 /// # Errors
 ///
-/// [`PipelineError::Estimate`] when the plain estimator fails hard.
+/// [`PipelineError::Estimate`] when the plain estimator fails hard, with
+/// [`EstimateError::Unrolled`] when a forced unrolled estimate fails, and
+/// with [`EstimateError::UnrolledNeedsLoops`] when one is forced on a
+/// procedure without counted loops.
 pub fn estimate_probs<S: DurationSamples + ?Sized>(
     cfg: &Cfg,
     counted_loops: &[(BlockId, u64)],
@@ -449,8 +454,9 @@ pub fn estimate_probs<S: DurationSamples + ?Sized>(
     unroll: bool,
 ) -> Result<CoreEstimate, PipelineError> {
     let stats = samples.suff_stats();
-    if unroll && opts.method.is_none() && !counted_loops.is_empty() {
-        if let Ok(u) = estimate_unrolled(
+    let forced = opts.method == Some(Method::EmUnrolled);
+    if (forced || (unroll && opts.method.is_none())) && !counted_loops.is_empty() {
+        match estimate_unrolled(
             cfg,
             counted_loops,
             block_costs,
@@ -458,7 +464,9 @@ pub fn estimate_probs<S: DurationSamples + ?Sized>(
             &*stats,
             opts.em,
         ) {
-            return Ok(CoreEstimate::from_em(u, Method::EmUnrolled));
+            Ok(u) => return Ok(CoreEstimate::from_em(u, Method::EmUnrolled)),
+            Err(e) if forced => return Err(EstimateError::Unrolled(e).into()),
+            Err(_) => {}
         }
     }
     Ok(estimate(cfg, block_costs, edge_costs, &*stats, opts)?)

@@ -44,6 +44,15 @@ cargo test --release -p ct-service --quiet
 cargo test --release -p ct-pipeline --quiet
 cargo test --release -p ct-obs --quiet
 
+echo "== mote, apps, IR and graph-substrate tests (every target) =="
+# ct-mote's property tests hold the interpreter against Rust oracles and pin
+# its cycle charging (a trap inside a fused op charges what the unfused
+# instructions would); ct-apps' tests check the apps against their reference
+# implementations; ct-ir, ct-cfg, ct-profilers, ct-placement and ct-markov
+# hold the compiler, CFG, baseline-profiler, layout and Markov-chain layers.
+cargo test --release --quiet -p ct-mote -p ct-apps -p ct-ir -p ct-cfg -p ct-profilers \
+    -p ct-placement -p ct-markov
+
 echo "== e13 smoke sweep (fault-injection pipeline end to end) =="
 cargo build --release -p ct-bench --bin e13_faults
 E13_SMOKE=1 ./target/release/e13_faults > /dev/null
