@@ -40,6 +40,19 @@ impl PenaltyModel {
             jump_cycles: 2,
         }
     }
+
+    /// Extra cycles of one transfer realized as `kind`: `0` for a
+    /// fall-through, the taken penalty for a taken branch (over a jump or
+    /// not), the jump cost for a materialized jump.
+    pub fn cost(&self, kind: TransferKind) -> u64 {
+        match kind {
+            TransferKind::FallThrough => 0,
+            TransferKind::TakenBranch | TransferKind::TakenBranchOverJump => {
+                self.taken_branch_extra
+            }
+            TransferKind::Jump => self.jump_cycles,
+        }
+    }
 }
 
 impl Default for PenaltyModel {
@@ -168,12 +181,7 @@ impl Layout {
         from: BlockId,
         to: BlockId,
     ) -> u64 {
-        match self.transfer_kind(cfg, from, to) {
-            TransferKind::FallThrough => 0,
-            TransferKind::TakenBranch => penalties.taken_branch_extra,
-            TransferKind::Jump => penalties.jump_cycles,
-            TransferKind::TakenBranchOverJump => penalties.taken_branch_extra,
-        }
+        penalties.cost(self.transfer_kind(cfg, from, to))
     }
 
     /// Classifies the machine-level transfer realizing CFG edge `from → to`
@@ -232,8 +240,10 @@ impl Layout {
     }
 
     /// Classifies every CFG edge's machine-level transfer under this layout,
-    /// indexed by [`Cfg::edges`] order — the per-edge facts both the virtual
-    /// PMU and the predictor-aware cost evaluators consume.
+    /// indexed by [`Cfg::edges`] order — the per-edge facts the
+    /// predictor-aware cost evaluators consume. (The mote's virtual PMU
+    /// classifies its placed image on its own, so the two can check each
+    /// other.)
     ///
     /// For a conditional branch the *taken-target* depends on the polarity
     /// the layout forces (see [`Layout::transfer_kind`]): the successor that

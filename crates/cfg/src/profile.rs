@@ -72,6 +72,27 @@ impl EdgeProfile {
         }
     }
 
+    /// The counts added since `earlier`, a reading of the same counters
+    /// taken before this one (the inverse of [`EdgeProfile::merge`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profiles have different shapes or any count of
+    /// `earlier` exceeds this one's.
+    pub fn since(&self, earlier: &EdgeProfile) -> EdgeProfile {
+        assert_eq!(
+            self.counts.len(),
+            earlier.counts.len(),
+            "profile shape mismatch"
+        );
+        let counts = self.counts.iter().zip(&earlier.counts);
+        EdgeProfile {
+            counts: counts
+                .map(|(a, b)| a.checked_sub(*b).expect("earlier reading exceeds this one"))
+                .collect(),
+        }
+    }
+
     /// Visit count of every block implied by the edge counts, given the
     /// number of procedure invocations (which is the entry block's visit
     /// count — the entry has no incoming edges).

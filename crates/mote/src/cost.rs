@@ -15,7 +15,7 @@
 //! fixed and known (see DESIGN.md, substitution table).
 
 use ct_cfg::graph::Terminator;
-use ct_cfg::layout::{BranchPredictor, Layout, PenaltyModel, TransferKind};
+use ct_cfg::layout::{BranchPredictor, PenaltyModel};
 use ct_ir::ast::BinOp;
 use ct_ir::instr::{Instr, Intrinsic};
 use ct_ir::program::Procedure;
@@ -151,7 +151,8 @@ impl CostModel for Msp430Cost {
 
 /// Static per-block cycle costs of a procedure: instruction costs plus the
 /// terminator's base cost. Layout-dependent transfer penalties are *not*
-/// included — they are per-edge costs (see [`edge_costs`]).
+/// included — they are per-edge costs (see
+/// [`Mote::static_edge_costs`](crate::interp::Mote::static_edge_costs)).
 pub fn block_costs(proc: &Procedure, model: &dyn CostModel) -> Vec<u64> {
     proc.cfg
         .iter()
@@ -171,34 +172,16 @@ pub fn block_costs(proc: &Procedure, model: &dyn CostModel) -> Vec<u64> {
         .collect()
 }
 
-/// Static per-edge transfer costs under a concrete layout (indexed by the
-/// CFG's edge order): 0 for fall-throughs, the taken-branch penalty for taken
-/// branches, the jump cost for materialized jumps.
-pub fn edge_costs(proc: &Procedure, model: &dyn CostModel, layout: &Layout) -> Vec<u64> {
-    let pen = model.penalties();
-    proc.cfg
-        .edges()
-        .iter()
-        .map(|e| match layout.transfer_kind(&proc.cfg, e.from, e.to) {
-            TransferKind::FallThrough => 0,
-            TransferKind::TakenBranch | TransferKind::TakenBranchOverJump => pen.taken_branch_extra,
-            TransferKind::Jump => pen.jump_cycles,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ct_cfg::layout::Layout;
+
+    const SAMPLE: &str = "module M { var a: u16; proc f(x: u16) {
+        if (x > 5) { a = a + x; } else { a = 0; }
+    } }";
 
     fn sample_proc() -> Procedure {
-        let p = ct_ir::compile_source(
-            "module M { var a: u16; proc f(x: u16) {
-                if (x > 5) { a = a + x; } else { a = 0; }
-            } }",
-        )
-        .unwrap();
+        let p = ct_ir::compile_source(SAMPLE).unwrap();
         p.procs.into_iter().next().unwrap()
     }
 
@@ -246,20 +229,22 @@ mod tests {
 
     #[test]
     fn edge_costs_reflect_layout() {
-        let proc = sample_proc();
+        use crate::interp::Mote;
+        use ct_cfg::graph::BlockId;
+        use ct_cfg::layout::Layout;
+        use ct_ir::instr::ProcId;
+        let mut mote = Mote::new(ct_ir::compile_source(SAMPLE).unwrap(), Box::new(AvrCost));
+        let cfg = mote.program().procs[0].cfg.clone();
         // Lowering emits [cond, join, then, else]; the natural layout leaves
         // both branch targets displaced, so every edge pays a transfer.
-        let natural = edge_costs(&proc, &AvrCost, &Layout::natural(&proc.cfg));
-        assert_eq!(natural.len(), proc.cfg.edges().len());
+        let natural = mote.static_edge_costs(ProcId(0)).to_vec();
+        assert_eq!(natural.len(), cfg.edges().len());
         assert!(natural.iter().all(|&c| c > 0), "{natural:?}");
         // Placing the then-arm right after the condition makes its edge free.
-        use ct_cfg::graph::BlockId;
-        let hot = Layout::from_order(
-            &proc.cfg,
-            vec![BlockId(0), BlockId(2), BlockId(1), BlockId(3)],
-        )
-        .unwrap();
-        let optimized = edge_costs(&proc, &AvrCost, &hot);
+        let hot =
+            Layout::from_order(&cfg, vec![BlockId(0), BlockId(2), BlockId(1), BlockId(3)]).unwrap();
+        mote.set_layout(ProcId(0), hot);
+        let optimized = mote.static_edge_costs(ProcId(0));
         assert!(optimized.contains(&0), "{optimized:?}");
         assert!(optimized.iter().sum::<u64>() < natural.iter().sum::<u64>());
     }

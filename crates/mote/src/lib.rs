@@ -6,7 +6,8 @@
 //! paper measured on (TelosB/MicaZ class), rebuilt in software.
 //!
 //! - [`cost`] — MCU instruction-timing models (AVR- and MSP430-class) and the
-//!   static block/edge cycle costs the estimators consume.
+//!   static block cycle costs the estimators consume (the mote derives the
+//!   layout-dependent edge costs from its placed image).
 //! - [`timer`] — the quantizing hardware timer (32.768 kHz crystal and
 //!   friends) that end-to-end measurements read.
 //! - [`devices`] — ADC input sources (the nondeterminism driving branches),
@@ -19,8 +20,10 @@
 //! - [`trace`] — profiling hooks: omniscient ground truth and Code
 //!   Tomography's entry/exit timestamp layer (with overhead accounting).
 //! - [`pmu`] — the virtual performance-monitoring unit: zero-overhead
-//!   branch/jump/call counters and per-procedure cycle attribution, the
-//!   measured side of every predicted-vs-measured comparison.
+//!   branch/jump/call counters folded from per-edge hits, and
+//!   per-procedure cycle attribution, the measured side of every
+//!   predicted-vs-measured comparison. Its edge hits are the run's ground
+//!   truth ([`Mote::ground_truth`]).
 //! - [`sched`] — the TinyOS-style event-driven OS (timers, packet arrivals,
 //!   run-to-completion handlers).
 //! - [`harness`] — one-call measurement runs producing ground truth, timing
@@ -65,11 +68,13 @@ pub mod sched;
 pub mod timer;
 pub mod trace;
 
-pub use cost::{block_costs, edge_costs, AvrCost, CostModel, Msp430Cost};
+pub use cost::{block_costs, AvrCost, CostModel, Msp430Cost};
 pub use energy::EnergyModel;
 pub use harness::{profile_events, profile_invocations, ProfiledRun};
 pub use interp::{ExecConfig, Mote, TrapError, TrapKind};
 pub use pmu::{Pmu, PmuCounters, PmuSnapshot};
 pub use sched::{RxProcess, Scheduler, TimerBinding};
 pub use timer::VirtualTimer;
-pub use trace::{GroundTruthProfiler, NullProfiler, PairProfiler, Profiler, TimingProfiler};
+pub use trace::{
+    GroundTruth, GroundTruthProfiler, NullProfiler, PairProfiler, Profiler, TimingProfiler,
+};

@@ -1,5 +1,5 @@
-//! The virtual performance-monitoring unit: a hardware-counter bank the
-//! interpreter samples at every control transfer.
+//! The virtual performance-monitoring unit: a hardware-counter bank beside
+//! the interpreter.
 //!
 //! Real MCUs in this class have no PMU — which is exactly why the paper
 //! must *estimate* branch behavior from timing. The simulator, however,
@@ -12,13 +12,22 @@
 //!
 //! - **Zero overhead.** Counting charges no cycles, perturbs no RNG, and
 //!   touches no interpreter state — the PMU is pure bookkeeping beside the
-//!   cycle counter, like [`GroundTruthProfiler`](crate::trace::GroundTruthProfiler).
+//!   cycle counter.
 //! - **Always on.** There is no gate to flip; a gated PMU would make
 //!   "with counters" and "without counters" distinct configurations to
 //!   keep bitwise-identical, which is a contract nobody needs.
 //! - **Deterministic.** Counters are a pure function of the executed path
 //!   and the installed layouts, so a seeded run reproduces them bitwise at
 //!   any thread count.
+//! - **Folded at snapshot.** Calls, returns and exclusive cycles count as
+//!   they happen. Every other counter is linear in per-edge traversal
+//!   counts, so a block exit only bumps its edge's hit count and
+//!   [`Pmu::snapshot`] folds the hits through a per-edge transfer table:
+//!   the mote's own reading of its placed image, so comparing the PMU with
+//!   a `LayoutCost` checks two classifications against each other.
+//!   `Mote::set_layout` banks a procedure's pending hits under its old
+//!   table first. The hits since a [`Pmu::reset`] are the exact edge
+//!   profile ([`Pmu::edge_hits`]).
 //!
 //! Mispredictions are counted under *both* static predictor models
 //! side by side ([`BranchPredictor::AlwaysNotTaken`] — what the
@@ -28,6 +37,7 @@
 
 use ct_cfg::layout::{BranchPredictor, EdgeTransfer, TransferKind};
 use ct_ir::instr::ProcId;
+use std::ops::Range;
 
 /// One procedure's (or the whole mote's) counter bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -141,27 +151,54 @@ struct PmuFrame {
 }
 
 /// The live counter bank inside a [`Mote`](crate::interp::Mote).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Pmu {
+    /// Per procedure: calls, returns, cycles, and the transfer counters
+    /// banked under earlier layouts.
     procs: Vec<PmuCounters>,
     stack: Vec<PmuFrame>,
+    /// Per edge (global id: procedures' edges in a row): traversals since
+    /// the reset, the part of them already banked, and the transfer under
+    /// the installed layout.
+    pub(crate) edge_hits: Vec<u64>,
+    banked_hits: Vec<u64>,
+    transfers: Vec<EdgeTransfer>,
+    /// Per procedure: the global id of its first edge, plus one end entry.
+    edge_base: Vec<usize>,
 }
 
 impl Pmu {
-    /// A PMU shaped for `n_procs` procedures, all counters zero.
-    pub fn new(n_procs: usize) -> Pmu {
+    /// A PMU over one transfer table per procedure, all counters zero.
+    pub(crate) fn new(tables: Vec<Vec<EdgeTransfer>>) -> Pmu {
+        let mut edge_base = vec![0];
+        edge_base.extend(tables.iter().scan(0, |end, t| {
+            *end += t.len();
+            Some(*end)
+        }));
+        let n_edges = edge_base[tables.len()];
         Pmu {
-            procs: vec![PmuCounters::default(); n_procs],
+            procs: vec![PmuCounters::default(); tables.len()],
             stack: Vec::new(),
+            edge_hits: vec![0; n_edges],
+            banked_hits: vec![0; n_edges],
+            transfers: tables.concat(),
+            edge_base,
         }
     }
 
-    /// Zeroes every counter and clears the activation stack.
+    /// The global ids of `proc`'s edges.
+    pub(crate) fn edges(&self, proc: ProcId) -> Range<usize> {
+        self.edge_base[proc.index()]..self.edge_base[proc.index() + 1]
+    }
+
+    /// Zeroes every counter and edge hit and clears the activation stack.
     pub fn reset(&mut self) {
         for c in &mut self.procs {
             *c = PmuCounters::default();
         }
         self.stack.clear();
+        self.edge_hits.fill(0);
+        self.banked_hits.fill(0);
     }
 
     /// Records a procedure activation starting at mote clock `cycles`.
@@ -190,44 +227,72 @@ impl Pmu {
         }
     }
 
-    /// Samples one control transfer of `proc`.
-    pub(crate) fn record_transfer(&mut self, proc: ProcId, t: EdgeTransfer) {
-        let c = &mut self.procs[proc.index()];
-        match t.kind {
-            TransferKind::FallThrough => c.fall_throughs += 1,
-            TransferKind::Jump => c.jumps += 1,
-            TransferKind::TakenBranch | TransferKind::TakenBranchOverJump => {}
-        }
-        if t.conditional {
-            if t.taken {
-                c.cond_taken += 1;
-            } else {
-                c.cond_not_taken += 1;
-            }
-            if BranchPredictor::AlwaysNotTaken.mispredicts(t.taken, t.backward_target) {
-                c.mispred_ant += 1;
-            }
-            if BranchPredictor::Btfnt.mispredicts(t.taken, t.backward_target) {
-                c.mispred_btfnt += 1;
-            }
-        }
-    }
-
     /// Samples a `Return` terminator of `proc`.
     pub(crate) fn record_return(&mut self, proc: ProcId) {
         self.procs[proc.index()].returns += 1;
     }
 
-    /// Copies the counter bank out (per-proc plus total).
+    /// Installs `proc`'s transfer table for a new layout, first banking
+    /// the hits its edges took under the old one.
+    pub(crate) fn install(&mut self, proc: ProcId, table: &[EdgeTransfer]) {
+        self.procs[proc.index()] = self.folded(proc);
+        let edges = self.edges(proc);
+        self.banked_hits[edges.clone()].copy_from_slice(&self.edge_hits[edges.clone()]);
+        self.transfers[edges].copy_from_slice(table);
+    }
+
+    /// `proc`'s counters with its hits not yet banked folded in under the
+    /// installed table.
+    fn folded(&self, proc: ProcId) -> PmuCounters {
+        let mut c = self.procs[proc.index()];
+        for g in self.edges(proc) {
+            let n = self.edge_hits[g] - self.banked_hits[g];
+            fold_transfer(&mut c, self.transfers[g], n);
+        }
+        c
+    }
+
+    /// Traversals of each of `proc`'s edges (indexed like `Cfg::edges`)
+    /// since the last reset: the exact edge profile.
+    pub fn edge_hits(&self, proc: ProcId) -> &[u64] {
+        &self.edge_hits[self.edges(proc)]
+    }
+
+    /// Activations of `proc` since the last reset.
+    pub fn calls(&self, proc: ProcId) -> u64 {
+        self.procs[proc.index()].calls
+    }
+
+    /// Copies the counter bank out (per-proc plus total), folding the
+    /// pending edge hits through the transfer table.
     pub fn snapshot(&self) -> PmuSnapshot {
+        let procs: Vec<PmuCounters> = (0..self.procs.len())
+            .map(|i| self.folded(ProcId(i as u32)))
+            .collect();
         let mut total = PmuCounters::default();
-        for c in &self.procs {
+        for c in &procs {
             total.merge(c);
         }
-        PmuSnapshot {
-            procs: self.procs.clone(),
-            total,
+        PmuSnapshot { procs, total }
+    }
+}
+
+/// Adds `n` traversals of an edge realized as `t` to `c`.
+fn fold_transfer(c: &mut PmuCounters, t: EdgeTransfer, n: u64) {
+    match t.kind {
+        TransferKind::FallThrough => c.fall_throughs += n,
+        TransferKind::Jump => c.jumps += n,
+        TransferKind::TakenBranch | TransferKind::TakenBranchOverJump => {}
+    }
+    if t.conditional {
+        if t.taken {
+            c.cond_taken += n;
+        } else {
+            c.cond_not_taken += n;
         }
+        let mispredicts = |p: BranchPredictor| u64::from(p.mispredicts(t.taken, t.backward_target));
+        c.mispred_ant += n * mispredicts(BranchPredictor::AlwaysNotTaken);
+        c.mispred_btfnt += n * mispredicts(BranchPredictor::Btfnt);
     }
 }
 

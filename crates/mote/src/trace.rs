@@ -6,14 +6,15 @@
 //! E3) is measured instead of assumed.
 //!
 //! Two profilers live here because they are intrinsic to the mote:
-//! [`GroundTruthProfiler`] (free, omniscient — only a simulator can have it)
-//! and [`TimingProfiler`] (Code Tomography's entry/exit timestamps). The
+//! [`GroundTruthProfiler`] (free, omniscient — only a simulator can have it;
+//! runs read the same [`GroundTruth`] off the PMU instead) and
+//! [`TimingProfiler`] (Code Tomography's entry/exit timestamps). The
 //! *baseline* on-device profilers (edge counters, Ball–Larus, sampling) are
 //! in `ct-profilers`.
 
 use crate::timer::VirtualTimer;
 use ct_cfg::graph::{BlockId, Cfg};
-use ct_cfg::profile::EdgeProfile;
+use ct_cfg::profile::{BranchProbs, EdgeProfile};
 use ct_ir::instr::ProcId;
 use ct_ir::program::Program;
 
@@ -51,25 +52,46 @@ pub struct NullProfiler;
 
 impl Profiler for NullProfiler {}
 
-/// Omniscient exact edge profiler — the simulator's ground truth. Costs zero
-/// cycles because no real instrumentation exists; it is the reference against
-/// which estimated profiles are scored.
-#[derive(Debug, Clone)]
-pub struct GroundTruthProfiler {
-    profiles: Vec<EdgeProfile>,
-    invocations: Vec<u64>,
+/// The simulator's ground truth: each procedure's exact edge profile and
+/// invocation count, the reference estimated profiles are scored against.
+/// Runs read it off the PMU's edge hits ([`Mote::ground_truth`](crate::interp::Mote::ground_truth)); as a
+/// [`Profiler`] (spelled [`GroundTruthProfiler`]) it counts traversal by
+/// traversal through the hooks instead, the reference that reading is
+/// tested against. Either way it costs zero cycles.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GroundTruth {
+    pub(crate) profiles: Vec<EdgeProfile>,
+    pub(crate) invocations: Vec<u64>,
 }
 
-impl GroundTruthProfiler {
-    /// Shapes a profiler for every procedure of `program`.
-    pub fn new(program: &Program) -> GroundTruthProfiler {
-        GroundTruthProfiler {
+/// [`GroundTruth`] used as a per-traversal profiler.
+pub type GroundTruthProfiler = GroundTruth;
+
+impl GroundTruth {
+    /// Zero counts shaped for every procedure of `program`.
+    pub fn new(program: &Program) -> GroundTruth {
+        GroundTruth {
             profiles: program
                 .procs
                 .iter()
                 .map(|p| EdgeProfile::zeroed(&p.cfg))
                 .collect(),
             invocations: vec![0; program.procs.len()],
+        }
+    }
+
+    /// What happened after `earlier`, a reading of the same mote with no
+    /// PMU reset in between.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `earlier` is not such a reading.
+    pub fn since(&self, earlier: &GroundTruth) -> GroundTruth {
+        let profiles = self.profiles.iter().zip(&earlier.profiles);
+        let invocations = self.invocations.iter().zip(&earlier.invocations);
+        GroundTruth {
+            profiles: profiles.map(|(now, then)| now.since(then)).collect(),
+            invocations: invocations.map(|(now, then)| now - then).collect(),
         }
     }
 
@@ -84,12 +106,12 @@ impl GroundTruthProfiler {
     }
 
     /// Ground-truth branch probabilities for `proc`.
-    pub fn branch_probs(&self, proc: ProcId, cfg: &Cfg) -> ct_cfg::profile::BranchProbs {
+    pub fn branch_probs(&self, proc: ProcId, cfg: &Cfg) -> BranchProbs {
         self.profiles[proc.index()].branch_probs(cfg)
     }
 }
 
-impl Profiler for GroundTruthProfiler {
+impl Profiler for GroundTruth {
     fn on_proc_enter(&mut self, proc: ProcId, _cycles: u64) -> u64 {
         self.invocations[proc.index()] += 1;
         0
@@ -176,8 +198,8 @@ impl Profiler for TimingProfiler {
     }
 }
 
-/// Runs two profilers side by side (e.g. ground truth + timing) in one run,
-/// charging the overhead of both.
+/// Runs two profilers side by side (e.g. a baseline profiler + timing) in
+/// one run, charging the overhead of both.
 #[derive(Debug)]
 pub struct PairProfiler<'a, A: Profiler, B: Profiler> {
     /// First profiler.

@@ -18,14 +18,16 @@ fn boot(src: &str) -> Mote {
 /// (every constant is nonzero, so `/` and `%` never trap).
 const OPS: [&str; 10] = ["+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>"];
 
-/// A one-block procedure of `x = x op k`, `y = x op k` and `g = x op k`
-/// statements: every statement lowers to `load; push k; binary; cast;
-/// store`, so it holds a `push; binary` and a `cast; store` pair.
-fn straight_line_source(stmts: &[(usize, u16, usize)]) -> String {
+/// A one-block procedure of `v = u op k` statements, `v` one of `x`, `y`
+/// and `g` and `u` one of `x` and `g`: every statement lowers to `load;
+/// push k; binary; cast; store`, so it holds a `load; push; binary`
+/// triple (local or global) and a `cast; store` pair.
+fn straight_line_source(stmts: &[(usize, u16, usize, usize)]) -> String {
     let mut body = String::new();
-    for &(op, k, target) in stmts {
+    for &(op, k, target, source) in stmts {
         let lhs = ["x", "y", "g"][target];
-        body.push_str(&format!("{lhs} = x {} {k};\n", OPS[op]));
+        let rhs = ["x", "g"][source];
+        body.push_str(&format!("{lhs} = {rhs} {} {k};\n", OPS[op]));
     }
     format!(
         "module M {{ var g: u16; proc f(a: u16) -> u16 {{
@@ -69,7 +71,8 @@ fn prefix_cost(model: &dyn CostModel, code: &[Instr], n: usize) -> u64 {
     code[..n].iter().map(|i| model.instr_cost(i)).sum()
 }
 
-/// A trap inside a fused `cast; store` or `push k; binary` charges what the
+/// A trap inside a fused `cast; store`, `push k; binary` or `load; push k;
+/// binary` (with or without a `cast; store` behind it) charges what the
 /// unfused sequence would: an underflow in the cast charges the cast but
 /// not the store, an underflow in the binary charges the push too, and a
 /// step budget that ends between the halves charges the first half only.
@@ -121,6 +124,19 @@ fn traps_inside_fused_pairs_charge_the_unfused_prefix() {
                 Instr::PushConst(0),
                 Instr::Binary(BinOp::Rem),
                 Instr::Pop,
+            ],
+            TrapKind::DivideByZero,
+            3,
+        ),
+        // A local update dividing by a constant zero traps in the divide,
+        // before its cast and store.
+        (
+            vec![
+                Instr::LoadLocal(0),
+                Instr::PushConst(0),
+                Instr::Binary(BinOp::Div),
+                Instr::Cast(Ty::U16),
+                Instr::StoreLocal(0),
             ],
             TrapKind::DivideByZero,
             3,
@@ -243,13 +259,17 @@ proptest! {
     }
 
     /// A step budget charges exactly the source instructions it covers,
-    /// fused pairs or not: on a straight-line procedure, the trap at
+    /// fused or not (a budget can end inside a pair or either way inside a
+    /// triple): on a straight-line procedure, the trap at
     /// `step_limit` leaves the cycle counter at the sum of the first
     /// `step_limit` instruction costs (no profiler, so no overhead), and
     /// a budget that covers every instruction runs to the return.
     #[test]
     fn step_limit_traps_charge_exact_instruction_prefixes(
-        stmts in proptest::collection::vec((0usize..10, 1u16..=u16::MAX, 0usize..3), 1..10),
+        stmts in proptest::collection::vec(
+            (0usize..10, 1u16..=u16::MAX, 0usize..3, 0usize..2),
+            1..10,
+        ),
         a in 0u16..=u16::MAX,
         msp in 0u8..2,
     ) {
@@ -266,6 +286,11 @@ proptest! {
                 | [Instr::Cast(_), Instr::StoreLocal(_) | Instr::StoreGlobal(_)]
         )).count();
         prop_assert!(fusable >= 2 * stmts.len());
+        let triples = code.windows(3).filter(|w| matches!(
+            w,
+            [Instr::LoadLocal(_) | Instr::LoadGlobal(_), Instr::PushConst(_), Instr::Binary(_)]
+        )).count();
+        prop_assert!(triples >= stmts.len());
         for limit in 0..code.len() {
             let (r, cycles) = run_limited(&program, model(), limit as u64, &[a as i64]);
             prop_assert_eq!(r, Err(TrapKind::StepLimitExceeded));

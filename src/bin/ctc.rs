@@ -18,9 +18,7 @@ use code_tomography::mote::cost::AvrCost;
 use code_tomography::mote::devices::UniformAdc;
 use code_tomography::mote::interp::Mote;
 use code_tomography::mote::timer::VirtualTimer;
-use code_tomography::mote::trace::{
-    GroundTruthProfiler, NullProfiler, PairProfiler, TimingProfiler,
-};
+use code_tomography::mote::trace::{NullProfiler, TimingProfiler};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -149,14 +147,9 @@ fn cmd_estimate(args: &[String]) -> CmdResult {
     let mut mote = Mote::new(program.clone(), Box::new(AvrCost));
     mote.devices.adc = Box::new(UniformAdc { lo: 0, hi: 1023 });
     let timer = VirtualTimer::new(cpt);
-    let mut truth = GroundTruthProfiler::new(&program);
     let mut timing = TimingProfiler::new(&program, timer, 0);
     for _ in 0..n {
-        let mut pair = PairProfiler {
-            a: &mut truth,
-            b: &mut timing,
-        };
-        mote.call(pid, &[], &mut pair)?;
+        mote.call(pid, &[], &mut timing)?;
     }
 
     let proc = program.proc(pid);
@@ -188,7 +181,8 @@ fn cmd_estimate(args: &[String]) -> CmdResult {
         "estimated `{}` from {n} samples at {cpt} cycles/tick ({method}):\n",
         proc.name
     );
-    let true_probs = truth.branch_probs(pid, &proc.cfg);
+    // A fresh mote: everything its PMU counted is this run.
+    let true_probs = mote.ground_truth().branch_probs(pid, &proc.cfg);
     print!(
         "{}",
         code_tomography::core::report::branch_table(&proc.cfg, &probs, &true_probs)
