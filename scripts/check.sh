@@ -47,7 +47,9 @@ cargo test --release -p ct-obs --quiet
 echo "== mote, apps, IR and graph-substrate tests (every target) =="
 # ct-mote's property tests hold the interpreter against Rust oracles and pin
 # its cycle charging (a trap inside a fused op charges what the unfused
-# instructions would); ct-apps' tests check the apps against their reference
+# instructions would); its edge_fold tests hold the PMU folded from edge
+# hits, and the ground truth read off them, against a per-traversal
+# oracle; ct-apps' tests check the apps against their reference
 # implementations; ct-ir, ct-cfg, ct-profilers, ct-placement and ct-markov
 # hold the compiler, CFG, baseline-profiler, layout and Markov-chain layers.
 cargo test --release --quiet -p ct-mote -p ct-apps -p ct-ir -p ct-cfg -p ct-profilers \
@@ -79,9 +81,11 @@ python3 perfbench/run.py --workload service --seed 1 --seconds 3 --trace 0 > /de
 
 echo "== perfbench pipeline smoke (unrolled EM, point-path E-step, placement) =="
 # The only workload that runs unrolled EM and the point-path E-step, and
-# the only one that reads Method::EmUnrolled. Every flow's replay PMU must
-# equal the layout cost model and every pass must repeat the first
-# bitwise; a failed flow or check exits non-zero.
+# the only one that reads Method::EmUnrolled. Every flow's replay PMU (the
+# mote's own classification of its placed image, folded over its per-edge
+# hits) must equal the layout cost model (ct-cfg's classification over the
+# ground-truth profile), and every pass must repeat the first bitwise; a
+# failed flow or check exits non-zero.
 python3 perfbench/run.py --workload pipeline --seed 1 --seconds 3 --trace 0 > /dev/null
 
 echo "== e15 smoke grid (chaos harness: crash/duplicate/straggler recovery) =="
