@@ -596,11 +596,9 @@ impl Fleet {
                 .map_err(|e| PipelineError::from(EstimateError::Em(e)))?;
             batch_iterations.push(r.iterations);
             ingested_this_run += 1;
-            if policy.enabled() && core.batches() % policy.every == 0 {
-                if let Some(path) = &policy.path {
-                    core.checkpoint(fingerprint, &batch_iterations)
-                        .save_observed(path);
-                }
+            if let Some(path) = policy.due(core.batches() - 1, core.batches()) {
+                core.checkpoint(fingerprint, &batch_iterations)
+                    .save_observed(path);
             }
             if policy.halt_after == Some(ingested_this_run) {
                 halted = true;

@@ -11,12 +11,11 @@ use crate::api::{EstimateRequest, EstimateResponse, ServiceError};
 use crate::checkpoint::Checkpoint;
 use crate::config::ServiceConfig;
 use crate::reduce::ReduceTier;
-use crate::shard::{route, Shard};
+use crate::shard::{ledger_union, route, Shard};
 use ct_cfg::graph::Cfg;
 use ct_core::em::{EmOptions, EmResult};
 use ct_core::fb::FbError;
 use ct_core::stream::{BatchTag, SuffStats};
-use std::collections::BTreeSet;
 
 /// The in-process estimation service: K shard accumulators and a reduce
 /// tier, driven synchronously by the caller.
@@ -28,21 +27,15 @@ use std::collections::BTreeSet;
 /// count (see the determinism argument on [`ReduceTier`]).
 #[derive(Debug, Clone)]
 pub struct ServiceCore {
-    shards: Vec<Shard>,
-    reduce: ReduceTier,
+    pub(crate) shards: Vec<Shard>,
+    pub(crate) reduce: ReduceTier,
 }
 
 impl ServiceCore {
     /// An empty service with `config.shards` shard accumulators at
     /// `cycles_per_tick` resolution.
     pub fn new(config: &ServiceConfig, cycles_per_tick: u64, opts: EmOptions) -> ServiceCore {
-        let shards = (0..config.shards.max(1))
-            .map(|i| Shard::new(i, cycles_per_tick))
-            .collect();
-        ServiceCore {
-            shards,
-            reduce: ReduceTier::new(cycles_per_tick, opts),
-        }
+        ServiceCore::seeded(config, ReduceTier::new(cycles_per_tick, opts), Vec::new())
     }
 
     /// Rebuilds a service from a validated checkpoint and its revalidated
@@ -50,20 +43,25 @@ impl ServiceCore {
     /// the accumulator, warm start, batch count, generation, and serve
     /// cache; every ledger tag is seeded into its routing shard so
     /// at-least-once replay drops everything the snapshot already folded
-    /// in.
+    /// in. The threaded [`EstimationService`](crate::EstimationService)
+    /// restores through here too.
     pub fn restore(
         config: &ServiceConfig,
         opts: EmOptions,
-        ck: Checkpoint,
+        mut ck: Checkpoint,
         last: Option<EmResult>,
     ) -> ServiceCore {
-        let reduce = ReduceTier::restore(opts, ck, last);
-        let shard_count = config.shards.max(1);
-        let mut shards: Vec<Shard> = (0..shard_count)
+        let ledger = std::mem::take(&mut ck.ledger);
+        ServiceCore::seeded(config, ReduceTier::restore(opts, ck, last), ledger)
+    }
+
+    fn seeded(config: &ServiceConfig, reduce: ReduceTier, ledger: Vec<BatchTag>) -> ServiceCore {
+        let count = config.shards.max(1);
+        let mut shards: Vec<Shard> = (0..count)
             .map(|i| Shard::new(i, reduce.cycles_per_tick()))
             .collect();
-        for &tag in reduce.ledger() {
-            shards[route(tag, shard_count)].seed_ledger([tag]);
+        for tag in ledger {
+            shards[route(tag, count)].seed_ledger([tag]);
         }
         ServiceCore { shards, reduce }
     }
@@ -88,7 +86,7 @@ impl ServiceCore {
     ///
     /// Propagates [`FbError`] from the reduction.
     pub fn reduce(&mut self) -> Result<u64, FbError> {
-        let harvests = self.shards.iter_mut().map(Shard::harvest).collect();
+        let harvests = self.shards.iter_mut().map(|s| s.harvest(false)).collect();
         self.reduce.absorb(harvests)
     }
 
@@ -125,15 +123,24 @@ impl ServiceCore {
             .serve(req, cfg, block_costs, edge_costs, staleness)
     }
 
-    /// Snapshots the reduce tier (cut a reduce boundary first — pending
-    /// shard deltas are by design not part of a snapshot).
-    pub fn checkpoint(&self, fingerprint: u64, batch_iterations: &[usize]) -> Checkpoint {
-        self.reduce.checkpoint(fingerprint, batch_iterations)
+    /// Cuts a reduce boundary and snapshots it: every shard hands over its
+    /// pending delta with a copy of its ledger, the reduce tier absorbs
+    /// the round, and the snapshot's ledger is the union of the copies.
+    pub fn checkpoint(&mut self, fingerprint: u64, batch_iterations: &[usize]) -> Checkpoint {
+        let mut harvests: Vec<_> = self.shards.iter_mut().map(|s| s.harvest(true)).collect();
+        let ledger = ledger_union(&mut harvests);
+        // Every shard was built at the tier's resolution and refuses any
+        // other on ingest, so the absorb cannot fail; were it to, the
+        // ledger would outnumber the batches and `load_valid` would refuse
+        // the snapshot.
+        let _ = self.reduce.absorb(harvests);
+        self.reduce
+            .checkpoint(fingerprint, batch_iterations, ledger)
     }
 
     /// Batches accepted by shards but not yet absorbed by a reduce.
     pub fn pending(&self) -> u64 {
-        self.shards.iter().map(|s| s.pending() as u64).sum()
+        self.shards.iter().map(Shard::pending).sum()
     }
 
     /// Batches accepted across all shards over the service's lifetime.
@@ -144,11 +151,6 @@ impl ServiceCore {
     /// Duplicate deliveries dropped across all shards.
     pub fn dedup_dropped(&self) -> u64 {
         self.shards.iter().map(Shard::dedup_dropped).sum()
-    }
-
-    /// The shard count K.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The cumulative statistics at the last reduce boundary.
@@ -169,11 +171,6 @@ impl ServiceCore {
     /// Completed reduce generations.
     pub fn generation(&self) -> u64 {
         self.reduce.generation()
-    }
-
-    /// The union dedup ledger at the last reduce boundary.
-    pub fn ledger(&self) -> &BTreeSet<BatchTag> {
-        self.reduce.ledger()
     }
 }
 
@@ -221,7 +218,7 @@ mod tests {
             assert_eq!(core.pending(), 0);
             assert_eq!(core.stats(), &mono, "shards={shards} diverged");
             assert_eq!(core.batches(), 24);
-            assert_eq!(core.ledger().len(), 24);
+            assert_eq!(core.checkpoint(0, &[]).ledger.len(), 24);
         }
     }
 

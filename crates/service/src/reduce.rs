@@ -10,7 +10,6 @@ use ct_core::em::{EmOptions, EmResult};
 use ct_core::fb::FbError;
 use ct_core::stream::{BatchTag, SuffStats};
 use ct_core::IncrementalEm;
-use std::collections::BTreeSet;
 
 /// The generation-stamped global accumulator.
 ///
@@ -25,12 +24,7 @@ use std::collections::BTreeSet;
 /// guarantee.
 #[derive(Debug, Clone)]
 pub struct ReduceTier {
-    cycles_per_tick: u64,
     inc: IncrementalEm,
-    /// Union dedup ledger of every tag folded into the accumulator —
-    /// mirrored here (shards keep their own) so checkpoints can be cut at
-    /// reduce boundaries without touching the ingest tier.
-    ledger: BTreeSet<BatchTag>,
     generation: u64,
     /// The generation `inc.last()` was computed from, if any — the serve
     /// cache: repeated requests against an unchanged generation replay the
@@ -42,9 +36,7 @@ impl ReduceTier {
     /// An empty tier at `cycles_per_tick` resolution.
     pub fn new(cycles_per_tick: u64, opts: EmOptions) -> ReduceTier {
         ReduceTier {
-            cycles_per_tick,
             inc: IncrementalEm::new(cycles_per_tick, opts),
-            ledger: BTreeSet::new(),
             generation: 0,
             cached_generation: None,
         }
@@ -58,26 +50,26 @@ impl ReduceTier {
     /// when [`Checkpoint::cached`] says it was current when the snapshot
     /// was cut — a stale warm start (the snapshot absorbed generations
     /// after the last serve) must trigger a re-estimate on the first
-    /// serve, exactly as it would have in the interrupted process.
+    /// serve, exactly as it would have in the interrupted process. The
+    /// snapshot's ledger is not read here: it belongs to the shards (see
+    /// [`ServiceCore::restore`](crate::ServiceCore::restore)).
     pub fn restore(opts: EmOptions, ck: Checkpoint, last: Option<EmResult>) -> ReduceTier {
         ct_obs::Counter::new("ckpt.restored").incr();
         ct_obs::emit("ckpt.restored", vec![("batches", ck.batches.into())]);
         let cached_generation = (ck.cached && last.is_some()).then_some(ck.generations);
         ReduceTier {
-            cycles_per_tick: ck.stats.cycles_per_tick(),
             inc: IncrementalEm::restore(ck.stats, last, ck.batches, opts),
-            ledger: ck.ledger.into_iter().collect(),
             generation: ck.generations,
             cached_generation,
         }
     }
 
     /// Absorbs one round of shard harvests: tree-reduces the deltas, folds
-    /// the result into the cumulative statistics, extends the union
-    /// ledger, and — when the round carried at least one fresh batch —
-    /// stamps a new generation. Empty rounds are free no-ops (no
-    /// generation bump), so a polling coordinator can reduce as often as
-    /// it likes without perturbing anything deterministic.
+    /// the result into the cumulative statistics, and — when the round
+    /// carried at least one fresh batch — stamps a new generation. Empty
+    /// rounds are free no-ops (no generation bump), so a polling
+    /// coordinator can reduce as often as it likes without perturbing
+    /// anything deterministic.
     ///
     /// Returns the number of fresh batches absorbed. Emits the
     /// `svc.reduce.generations` counter, the `svc.reduce.latency_us`
@@ -93,24 +85,21 @@ impl ReduceTier {
         let started = std::time::Instant::now();
         let mut fresh = 0u64;
         let mut deltas = Vec::with_capacity(harvests.len());
-        let mut tags: Vec<BatchTag> = Vec::new();
         let mut sorted = harvests;
         // Deterministic tree shape: leaves in shard order, whatever order
         // the replies arrived in. (Merge commutativity makes even this
         // unnecessary for bitwise equality; it keeps the shape canonical.)
         sorted.sort_by_key(|h| h.shard);
         for h in sorted {
-            fresh += h.fresh.len() as u64;
-            tags.extend(h.fresh);
+            fresh += h.fresh;
             deltas.push(h.delta);
         }
         if fresh == 0 {
             return Ok(0);
         }
-        let reduced = SuffStats::tree_reduce(self.cycles_per_tick, deltas)
+        let reduced = SuffStats::tree_reduce(self.cycles_per_tick(), deltas)
             .map_err(|e| FbError::Shape(e.to_string()))?;
         self.inc.ingest_counted(&reduced, fresh)?;
-        self.ledger.extend(tags);
         self.generation += 1;
         ct_obs::Counter::new("svc.reduce.generations").incr();
         let elapsed = started.elapsed();
@@ -202,16 +191,21 @@ impl ReduceTier {
         })
     }
 
-    /// Snapshots the tier as a [`Checkpoint`]. `batch_iterations` is the
-    /// caller's per-batch iteration trail (the fleet client records one
-    /// entry per batch; the service's on-demand path passes an empty
-    /// trail).
-    pub fn checkpoint(&self, fingerprint: u64, batch_iterations: &[usize]) -> Checkpoint {
+    /// Snapshots the tier as a [`Checkpoint`]. `ledger` is the union of the
+    /// ledger copies ([`ShardHarvest::ledger`]) of the round just absorbed,
+    /// ascending. `batch_iterations` is the caller's per-batch
+    /// iteration trail (the fleet client records one entry per batch; the
+    /// service's on-demand path passes an empty trail).
+    pub fn checkpoint(
+        &self,
+        fingerprint: u64,
+        batch_iterations: &[usize],
+        ledger: Vec<BatchTag>,
+    ) -> Checkpoint {
         Checkpoint {
             fingerprint,
             stats: self.inc.stats().clone(),
-            // BTreeSet iterates ascending — the order the decoder requires.
-            ledger: self.ledger.iter().copied().collect(),
+            ledger,
             batch_iterations: batch_iterations.to_vec(),
             batches: self.inc.batches(),
             generations: self.generation,
@@ -243,14 +237,9 @@ impl ReduceTier {
         self.generation
     }
 
-    /// The union dedup ledger at the last reduce boundary.
-    pub fn ledger(&self) -> &BTreeSet<BatchTag> {
-        &self.ledger
-    }
-
     /// The tier's timer resolution.
     pub fn cycles_per_tick(&self) -> u64 {
-        self.cycles_per_tick
+        self.inc.stats().cycles_per_tick()
     }
 }
 
@@ -274,14 +263,14 @@ mod tests {
         let mut tier = ReduceTier::new(1, EmOptions::default());
         let mut shard = Shard::new(0, 1);
         shard.ingest(tag(0, 0), &delta_of(&[115])).unwrap();
-        assert_eq!(tier.absorb(vec![shard.harvest()]).unwrap(), 1);
+        assert_eq!(tier.absorb(vec![shard.harvest(false)]).unwrap(), 1);
         assert_eq!(tier.generation(), 1);
         assert_eq!(tier.batches(), 1);
         // An empty round is a no-op: no generation bump, no state change.
-        assert_eq!(tier.absorb(vec![shard.harvest()]).unwrap(), 0);
+        assert_eq!(tier.absorb(vec![shard.harvest(false)]).unwrap(), 0);
         assert_eq!(tier.absorb(vec![]).unwrap(), 0);
         assert_eq!(tier.generation(), 1);
-        assert_eq!(tier.ledger().len(), 1);
+        assert_eq!(tier.batches(), 1);
     }
 
     #[test]
@@ -305,7 +294,7 @@ mod tests {
             .map(|i| if i % 3 == 0 { 215 } else { 115 })
             .collect();
         shard.ingest(tag(0, 0), &delta_of(&ticks)).unwrap();
-        tier.absorb(vec![shard.harvest()]).unwrap();
+        tier.absorb(vec![shard.harvest(false)]).unwrap();
 
         let req = EstimateRequest::latest("diamond");
         let a = tier.serve(&req, &cfg, &bc, &ec, 0).unwrap();
@@ -318,7 +307,7 @@ mod tests {
 
         // A new generation invalidates the cache and re-estimates.
         shard.ingest(tag(0, 1), &delta_of(&[115, 115])).unwrap();
-        tier.absorb(vec![shard.harvest()]).unwrap();
+        tier.absorb(vec![shard.harvest(false)]).unwrap();
         let c = tier.serve(&req, &cfg, &bc, &ec, 3).unwrap();
         assert_eq!(c.generation, 2);
         assert_eq!(c.batches, 2);
@@ -335,12 +324,12 @@ mod tests {
         shard
             .ingest(tag(0, 0), &delta_of(&[115, 215, 115]))
             .unwrap();
-        tier.absorb(vec![shard.harvest()]).unwrap();
+        tier.absorb(vec![shard.harvest(false)]).unwrap();
         let served = tier
             .serve(&EstimateRequest::latest("d"), &cfg, &bc, &ec, 0)
             .unwrap();
 
-        let ck = tier.checkpoint(7, &[]);
+        let ck = tier.checkpoint(7, &[], vec![tag(0, 0)]);
         assert_eq!(ck.generations, 1);
         assert!(ck.cached, "serve cache was current at the snapshot");
         let last = ck.last.as_ref().map(|e| e.to_em(&cfg).unwrap());
@@ -369,16 +358,16 @@ mod tests {
         shard
             .ingest(tag(0, 0), &delta_of(&[115, 215, 115]))
             .unwrap();
-        tier.absorb(vec![shard.harvest()]).unwrap();
+        tier.absorb(vec![shard.harvest(false)]).unwrap();
         let stale = tier
             .serve(&EstimateRequest::latest("d"), &cfg, &bc, &ec, 0)
             .unwrap();
         shard
             .ingest(tag(0, 1), &delta_of(&[215, 215, 215, 215]))
             .unwrap();
-        tier.absorb(vec![shard.harvest()]).unwrap();
+        tier.absorb(vec![shard.harvest(false)]).unwrap();
 
-        let ck = tier.checkpoint(7, &[]);
+        let ck = tier.checkpoint(7, &[], vec![tag(0, 0), tag(0, 1)]);
         assert_eq!(ck.generations, 2);
         assert!(
             !ck.cached,

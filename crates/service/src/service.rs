@@ -12,7 +12,8 @@
 //! `svc.backpressure`), [`IngestHandle::try_ingest`] returns a typed
 //! [`IngestError::QueueFull`]. Harvest requests ride the same queues, so
 //! FIFO ordering makes a harvest a consistent cut: it observes every batch
-//! enqueued before it, and the delta/fresh-tag pair is taken atomically.
+//! enqueued before it, and the delta, its batch count and (for a
+//! checkpoint) the ledger copy are taken in one step.
 //!
 //! ## Determinism
 //!
@@ -37,8 +38,9 @@
 use crate::api::{EstimateRequest, EstimateResponse, IngestError, ServiceError};
 use crate::checkpoint::{Checkpoint, CheckpointPolicy};
 use crate::config::ServiceConfig;
+use crate::engine::ServiceCore;
 use crate::reduce::ReduceTier;
-use crate::shard::{route, Shard, ShardHarvest};
+use crate::shard::{ledger_union, route, Shard, ShardHarvest};
 use ct_cfg::graph::Cfg;
 use ct_core::em::EmOptions;
 use ct_core::stream::{BatchTag, SuffStats};
@@ -51,32 +53,18 @@ use std::thread::JoinHandle;
 enum ShardMsg {
     /// One tagged batch delta to ingest.
     Batch(BatchTag, SuffStats),
-    /// Harvest request: reply with the delta and fresh tags on `0`.
-    Harvest(mpsc::Sender<ShardReply>),
+    /// Harvest request: reply on `0` with the harvest, carrying a ledger
+    /// copy when `1` is set (a checkpoint is being cut). A sticky ingest
+    /// failure (resolution mismatch) since the last harvest replies as the
+    /// error instead: rejected batches are dropped, counted under
+    /// `svc.ingest.rejected`, and surfaced so the coordinator fails loudly
+    /// instead of silently under-counting.
+    Harvest(mpsc::Sender<Result<ShardHarvest, String>>, bool),
     /// Exit after processing everything already queued.
     Shutdown,
 }
 
-/// A worker's answer to a harvest request.
-struct ShardReply {
-    harvest: ShardHarvest,
-    /// A sticky ingest failure (resolution mismatch) observed since the
-    /// last harvest: rejected batches are dropped, counted under
-    /// `svc.ingest.rejected`, and surfaced here so the coordinator fails
-    /// loudly instead of silently under-counting.
-    err: Option<String>,
-}
-
-fn worker(
-    index: usize,
-    cycles_per_tick: u64,
-    seeded: Vec<BatchTag>,
-    rx: Receiver<ShardMsg>,
-    depth: Arc<AtomicU64>,
-    stall_us: u64,
-) {
-    let mut shard = Shard::new(index, cycles_per_tick);
-    shard.seed_ledger(seeded);
+fn worker(mut shard: Shard, rx: Receiver<ShardMsg>, depth: Arc<AtomicU64>, stall_us: u64) {
     let mut sticky_err: Option<String> = None;
     while let Ok(msg) = rx.recv() {
         match msg {
@@ -105,17 +93,14 @@ fn worker(
                     }
                 }
             }
-            ShardMsg::Harvest(reply) => {
-                let r = ShardReply {
-                    harvest: shard.harvest(),
-                    err: sticky_err.take(),
-                };
+            ShardMsg::Harvest(reply, copy_ledger) => {
+                let harvest = shard.harvest(copy_ledger);
                 // The harvest atomically hands the fresh batches to the
                 // reduce tier; they stop being stale the moment they leave
                 // the shard.
-                depth.fetch_sub(r.harvest.fresh.len() as u64, Ordering::Relaxed);
+                depth.fetch_sub(harvest.fresh, Ordering::Relaxed);
                 // The coordinator may already have given up; nothing to do.
-                let _ = reply.send(r);
+                let _ = reply.send(sticky_err.take().map_or(Ok(harvest), Err));
             }
             ShardMsg::Shutdown => break,
         }
@@ -251,7 +236,7 @@ impl EstimationService {
     ) -> EstimationService {
         EstimationService::launch(
             config,
-            ReduceTier::new(cycles_per_tick, opts),
+            ServiceCore::new(config, cycles_per_tick, opts),
             CheckpointPolicy::disabled(),
             0,
             false,
@@ -272,46 +257,39 @@ impl EstimationService {
         policy: CheckpointPolicy,
         fingerprint: u64,
     ) -> EstimationService {
-        let (tier, restored) = match policy.load_valid(fingerprint, cycles_per_tick, cfg) {
-            Some((ck, last)) => (ReduceTier::restore(opts, ck, last), true),
-            None => (ReduceTier::new(cycles_per_tick, opts), false),
+        let (core, restored) = match policy.load_valid(fingerprint, cycles_per_tick, cfg) {
+            Some((ck, last)) => (ServiceCore::restore(config, opts, ck, last), true),
+            None => (ServiceCore::new(config, cycles_per_tick, opts), false),
         };
-        EstimationService::launch(config, tier, policy, fingerprint, restored)
+        EstimationService::launch(config, core, policy, fingerprint, restored)
     }
 
     fn launch(
         config: &ServiceConfig,
-        tier: ReduceTier,
+        core: ServiceCore,
         policy: CheckpointPolicy,
         fingerprint: u64,
         restored: bool,
     ) -> EstimationService {
-        let shards = config.shards.max(1);
-        let cycles_per_tick = tier.cycles_per_tick();
-        let mut seeded: Vec<Vec<BatchTag>> = vec![Vec::new(); shards];
-        for &tag in tier.ledger() {
-            seeded[route(tag, shards)].push(tag);
-        }
-        let mut senders = Vec::with_capacity(shards);
-        let mut depths = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for (i, tags) in seeded.into_iter().enumerate() {
+        let (shards, tier) = (core.shards, core.reduce);
+        let mut senders = Vec::with_capacity(shards.len());
+        let mut depths = Vec::with_capacity(shards.len());
+        let mut workers = Vec::with_capacity(shards.len());
+        let depth_hists = Arc::new(
+            (0..shards.len())
+                .map(|i| format!("svc.shard.{i}.queue_depth"))
+                .collect::<Vec<String>>(),
+        );
+        for shard in shards {
             let (tx, rx) = mpsc::sync_channel(config.queue_depth.max(1));
             let depth = Arc::new(AtomicU64::new(0));
             let d = Arc::clone(&depth);
             let stall = config.ingest_stall_us;
-            workers.push(std::thread::spawn(move || {
-                worker(i, cycles_per_tick, tags, rx, d, stall);
-            }));
+            workers.push(std::thread::spawn(move || worker(shard, rx, d, stall)));
             senders.push(tx);
             depths.push(depth);
         }
         let last_ckpt = tier.batches();
-        let depth_hists = Arc::new(
-            (0..shards)
-                .map(|i| format!("svc.shard.{i}.queue_depth"))
-                .collect::<Vec<String>>(),
-        );
         EstimationService {
             senders,
             depths,
@@ -343,10 +321,12 @@ impl EstimationService {
 
     /// Harvests every shard and absorbs the round into the reduce tier —
     /// the periodic reduce a coordinator polls. Returns the number of
-    /// fresh batches absorbed (0 for a quiet round). When the checkpoint
-    /// policy is enabled and the absorbed batch count crossed a multiple
-    /// of [`CheckpointPolicy::every`], a snapshot is cut at this reduce
-    /// boundary — off the ingest hot path by construction.
+    /// fresh batches absorbed (0 for a quiet round). When the absorbed
+    /// batch count crossed a multiple of [`CheckpointPolicy::every`]
+    /// ([`CheckpointPolicy::due`]), a second round harvests the shards
+    /// with their ledger copies and cuts a snapshot (see
+    /// [`EstimationService::snapshot`]) — off the ingest hot path by
+    /// construction.
     ///
     /// # Errors
     ///
@@ -354,39 +334,47 @@ impl EstimationService {
     /// [`ServiceError::Estimation`] when a worker rejected a batch
     /// (resolution mismatch) or the reduction itself fails.
     pub fn reduce(&mut self) -> Result<u64, ServiceError> {
+        let mut fresh = self.tier.absorb(self.harvest(false)?)?;
+        let batches = self.tier.batches();
+        if self.policy.due(self.last_ckpt, batches).is_some() {
+            fresh += self.cut()?.0;
+        }
+        Ok(fresh)
+    }
+
+    /// One harvest round over every shard, in reply order.
+    fn harvest(&self, copy_ledger: bool) -> Result<Vec<ShardHarvest>, ServiceError> {
         let (tx, rx) = mpsc::channel();
         for (i, s) in self.senders.iter().enumerate() {
-            s.send(ShardMsg::Harvest(tx.clone()))
+            s.send(ShardMsg::Harvest(tx.clone(), copy_ledger))
                 .map_err(|_| ServiceError::Shard(format!("shard {i} queue closed")))?;
         }
         drop(tx);
-        let mut harvests = Vec::with_capacity(self.senders.len());
-        let mut sticky: Option<String> = None;
-        for _ in 0..self.senders.len() {
-            let reply = rx
-                .recv()
-                .map_err(|_| ServiceError::Shard("harvest reply channel closed".into()))?;
-            if let Some(e) = reply.err {
-                sticky = Some(e);
-            }
-            harvests.push(reply.harvest);
-        }
-        if let Some(e) = sticky {
-            return Err(ServiceError::Estimation(ct_core::fb::FbError::Shape(e)));
-        }
+        (0..self.senders.len())
+            .map(|_| match rx.recv() {
+                Ok(Ok(harvest)) => Ok(harvest),
+                Ok(Err(e)) => Err(ServiceError::Estimation(ct_core::fb::FbError::Shape(e))),
+                Err(_) => Err(ServiceError::Shard("harvest reply channel closed".into())),
+            })
+            .collect()
+    }
+
+    /// Harvests every shard with its ledger copy, absorbs the round, and
+    /// snapshots the result (persisted when the policy has a path).
+    /// Returns the fresh batches absorbed and the snapshot. Each shard
+    /// copies its ledger in the harvest that hands over its delta, so the
+    /// snapshot's ledger covers exactly its batches while producers keep
+    /// ingesting.
+    fn cut(&mut self) -> Result<(u64, Checkpoint), ServiceError> {
+        let mut harvests = self.harvest(true)?;
+        let ledger = ledger_union(&mut harvests);
         let fresh = self.tier.absorb(harvests)?;
-        if fresh > 0
-            && self.policy.enabled()
-            && self.tier.batches() / self.policy.every > self.last_ckpt / self.policy.every
-        {
-            if let Some(path) = self.policy.path.as_ref() {
-                self.tier
-                    .checkpoint(self.fingerprint, &[])
-                    .save_observed(path);
-                self.last_ckpt = self.tier.batches();
-            }
+        let ck = self.tier.checkpoint(self.fingerprint, &[], ledger);
+        if let Some(path) = self.policy.path.as_ref() {
+            ck.save_observed(path);
+            self.last_ckpt = ck.batches;
         }
-        Ok(fresh)
+        Ok((fresh, ck))
     }
 
     /// The `Drain` control verb: one final reduce after producers have
@@ -409,13 +397,7 @@ impl EstimationService {
     ///
     /// Propagates [`EstimationService::reduce`] errors.
     pub fn snapshot(&mut self) -> Result<Checkpoint, ServiceError> {
-        self.reduce()?;
-        let ck = self.tier.checkpoint(self.fingerprint, &[]);
-        if let Some(path) = self.policy.path.as_ref() {
-            ck.save_observed(path);
-            self.last_ckpt = self.tier.batches();
-        }
-        Ok(ck)
+        Ok(self.cut()?.1)
     }
 
     /// The `Dump` control verb: writes the flight recorder's recent-event

@@ -17,17 +17,17 @@ pub fn route(tag: BatchTag, shards: usize) -> usize {
 /// The ledger covers the shard's whole lifetime while the delta covers one
 /// harvest interval — that asymmetry is what keeps harvests cheap (the
 /// delta is taken, the ledger stays) and dedup exact (a redelivery is
-/// recognized across harvest boundaries).
+/// recognized across harvest boundaries). The shard ledgers are the
+/// service's only ledger: a checkpoint copies them out in the harvest that
+/// cuts it (see [`Shard::harvest`]).
 #[derive(Debug, Clone)]
 pub struct Shard {
     index: usize,
     cycles_per_tick: u64,
     delta: SuffStats,
     ledger: BTreeSet<BatchTag>,
-    /// Tags accepted since the last harvest (delivered to the reduce tier
-    /// together with the delta, so ledger union and statistics stay
-    /// consistent at every reduce boundary).
-    fresh: Vec<BatchTag>,
+    /// Batches accepted since the last harvest (the batches `delta` covers).
+    fresh: u64,
     accepted: u64,
     dedup_dropped: u64,
     /// Precomputed `svc.shard.<i>.*` counter names plus the values already
@@ -39,17 +39,21 @@ pub struct Shard {
     flushed_dedup: u64,
 }
 
-/// What one harvest takes from a shard: the delta statistics and the tags
-/// they cover, atomically paired so the reduce tier's global ledger and
-/// global statistics can never disagree.
+/// What one harvest takes from a shard, in one step: the delta statistics,
+/// the number of batches they cover and, when the harvest cuts a
+/// checkpoint, a copy of the whole ledger — so the snapshot's ledger and
+/// statistics cover the same batches however producers interleave.
 #[derive(Debug)]
 pub struct ShardHarvest {
     /// The harvested shard's index.
     pub shard: usize,
     /// Statistics accepted since the previous harvest.
     pub delta: SuffStats,
-    /// The tags those statistics cover, in acceptance order.
-    pub fresh: Vec<BatchTag>,
+    /// Batches those statistics cover.
+    pub fresh: u64,
+    /// Every tag the shard has folded in, ascending — copied only when the
+    /// harvest cuts a checkpoint, empty otherwise.
+    pub ledger: Vec<BatchTag>,
 }
 
 impl Shard {
@@ -60,7 +64,7 @@ impl Shard {
             cycles_per_tick,
             delta: SuffStats::new(cycles_per_tick),
             ledger: BTreeSet::new(),
-            fresh: Vec::new(),
+            fresh: 0,
             accepted: 0,
             dedup_dropped: 0,
             counter_accepted: format!("svc.shard.{index}.accepted"),
@@ -101,7 +105,7 @@ impl Shard {
         }
         // Resolution was checked above; the merge cannot fail.
         let _ = self.delta.merge(delta);
-        self.fresh.push(tag);
+        self.fresh += 1;
         self.accepted += 1;
         ct_obs::Counter::new("svc.ingest.accepted").incr();
         // Batch size is a property of the accepted stream, not of
@@ -111,12 +115,14 @@ impl Shard {
         Ok(true)
     }
 
-    /// Takes the delta and its fresh tags, leaving the shard accumulating
-    /// a new interval (the ledger is untouched — dedup spans harvests).
-    /// Also flushes the shard's per-shard telemetry counters
+    /// Takes the delta and its batch count, leaving the shard accumulating
+    /// a new interval (the ledger stays — dedup spans harvests). With
+    /// `copy_ledger` the harvest also carries a copy of the ledger, taken
+    /// at the same point as the delta: that is how a checkpoint reads its
+    /// ledger. Also flushes the shard's per-shard telemetry counters
     /// (`svc.shard.<i>.accepted` / `.dedup`) as deltas since the previous
     /// harvest.
-    pub fn harvest(&mut self) -> ShardHarvest {
+    pub fn harvest(&mut self, copy_ledger: bool) -> ShardHarvest {
         if self.accepted > self.flushed_accepted {
             ct_obs::counter_add(
                 &self.counter_accepted,
@@ -132,12 +138,12 @@ impl Shard {
             shard: self.index,
             delta: self.delta.take(),
             fresh: std::mem::take(&mut self.fresh),
+            ledger: if copy_ledger {
+                self.ledger.iter().copied().collect()
+            } else {
+                Vec::new()
+            },
         }
-    }
-
-    /// The shard's index in the service topology.
-    pub fn index(&self) -> usize {
-        self.index
     }
 
     /// Batches accepted over the shard's lifetime.
@@ -156,9 +162,21 @@ impl Shard {
     }
 
     /// Batches accepted since the last harvest.
-    pub fn pending(&self) -> usize {
-        self.fresh.len()
+    pub fn pending(&self) -> u64 {
+        self.fresh
     }
+}
+
+/// Takes the ledger copies out of a round harvested for a checkpoint and
+/// merges them, ascending: the checkpoint's ledger. Shards hold disjoint
+/// tags (routing is by mote), so the union is a sort, not a dedup.
+pub(crate) fn ledger_union(harvests: &mut [ShardHarvest]) -> Vec<BatchTag> {
+    let mut ledger: Vec<BatchTag> = harvests
+        .iter_mut()
+        .flat_map(|h| std::mem::take(&mut h.ledger))
+        .collect();
+    ledger.sort_unstable();
+    ledger
 }
 
 #[cfg(test)]
@@ -188,15 +206,22 @@ mod tests {
         let mut s = Shard::new(0, 1);
         assert!(s.ingest(tag(0, 0), &delta_of(&[5])).unwrap());
         assert!(!s.ingest(tag(0, 0), &delta_of(&[5])).unwrap());
-        let h = s.harvest();
-        assert_eq!(h.fresh, vec![tag(0, 0)]);
+        let h = s.harvest(false);
+        assert_eq!(h.fresh, 1);
         assert_eq!(h.delta.len(), 1);
+        assert!(h.ledger.is_empty(), "no ledger copy unless asked");
         // The same tag after a harvest is still a duplicate.
         assert!(!s.ingest(tag(0, 0), &delta_of(&[5])).unwrap());
         assert_eq!(s.dedup_dropped(), 2);
         assert_eq!(s.accepted(), 1);
         assert_eq!(s.pending(), 0);
-        assert_eq!(s.harvest().delta.len(), 0, "nothing fresh after dedup");
+        let h = s.harvest(true);
+        assert_eq!(
+            (h.fresh, h.delta.len()),
+            (0, 0),
+            "nothing fresh after dedup"
+        );
+        assert_eq!(h.ledger, vec![tag(0, 0)], "the copy spans harvests");
     }
 
     #[test]
@@ -206,7 +231,9 @@ mod tests {
         assert!(!s.ingest(tag(2, 0), &delta_of(&[7])).unwrap());
         assert!(s.ingest(tag(2, 1), &delta_of(&[9])).unwrap());
         assert_eq!(s.ledger_len(), 3);
-        assert_eq!(s.harvest().fresh, vec![tag(2, 1)]);
+        let h = s.harvest(true);
+        assert_eq!(h.fresh, 1);
+        assert_eq!(h.ledger, vec![tag(2, 0), tag(2, 1), tag(6, 1)]);
     }
 
     #[test]
