@@ -19,7 +19,7 @@ impl EdgeProfile {
     /// A zeroed profile shaped for `cfg`.
     pub fn zeroed(cfg: &Cfg) -> EdgeProfile {
         EdgeProfile {
-            counts: vec![0; cfg.edges().len()],
+            counts: vec![0; cfg.edge_count()],
         }
     }
 
@@ -29,7 +29,7 @@ impl EdgeProfile {
     ///
     /// Panics if `counts.len()` differs from the edge count of `cfg`.
     pub fn from_counts(cfg: &Cfg, counts: Vec<u64>) -> EdgeProfile {
-        assert_eq!(counts.len(), cfg.edges().len(), "edge count mismatch");
+        assert_eq!(counts.len(), cfg.edge_count(), "edge count mismatch");
         EdgeProfile { counts }
     }
 
