@@ -12,8 +12,7 @@
 //!   branch probabilities.
 //! - [`absorbing`] — fundamental matrix, expected visits, absorption
 //!   probabilities.
-//! - [`visits`] — CFG-level visit counts, edge traversal frequencies and
-//!   expected durations.
+//! - [`visits`] — CFG-level visit counts and edge traversal frequencies.
 //! - [`passage`] — mean/variance of the total duration and its exact
 //!   integer-support distribution.
 //! - [`sample`] — Monte-Carlo trajectories and durations.
@@ -24,15 +23,15 @@
 //! use ct_cfg::builder::while_loop;
 //! use ct_cfg::graph::BlockId;
 //! use ct_cfg::profile::BranchProbs;
-//! use ct_markov::visits::expected_duration;
+//! use ct_markov::visits::expected_visits;
 //!
 //! let cfg = while_loop();
 //! let mut probs = BranchProbs::uniform(&cfg, 0.5);
 //! probs.set_prob_true(BlockId(1), 0.75); // loop continues 75% of the time
-//! // entry=2cy, header=3cy, body=10cy, exit=1cy
-//! let d = expected_duration(&cfg, &probs, &[2, 3, 10, 1]).unwrap();
-//! // 2 + 4·3 + 3·10 + 1 = 45
-//! assert!((d - 45.0).abs() < 1e-9);
+//! // entry, header, body, exit: the header runs 1/(1−0.75) = 4 times
+//! let v = expected_visits(&cfg, &probs).unwrap();
+//! assert!((v[1] - 4.0).abs() < 1e-9);
+//! assert!((v[2] - 3.0).abs() < 1e-9);
 //! ```
 
 pub mod absorbing;

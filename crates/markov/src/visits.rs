@@ -56,21 +56,6 @@ pub fn expected_edge_traversals(cfg: &Cfg, probs: &BranchProbs) -> Result<Vec<f6
         .collect())
 }
 
-/// Expected end-to-end duration per invocation: `Σ_b visits(b) · cost(b)`.
-///
-/// # Errors
-///
-/// Propagates [`ChainError`].
-///
-/// # Panics
-///
-/// Panics if `costs.len() != cfg.len()`.
-pub fn expected_duration(cfg: &Cfg, probs: &BranchProbs, costs: &[u64]) -> Result<f64, ChainError> {
-    assert_eq!(costs.len(), cfg.len(), "one cost per block required");
-    let visits = expected_visits(cfg, probs)?;
-    Ok(visits.iter().zip(costs).map(|(v, &c)| v * c as f64).sum())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,14 +100,6 @@ mod tests {
         assert!((e[1] - 0.2).abs() < 1e-9);
         assert!((e[2] - 0.8).abs() < 1e-9);
         assert!((e[3] - 0.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn expected_duration_weights_costs() {
-        let cfg = diamond();
-        let probs = BranchProbs::from_vec(&cfg, vec![0.5]);
-        let d = expected_duration(&cfg, &probs, &[10, 100, 200, 1]).unwrap();
-        assert!((d - (10.0 + 150.0 + 1.0)).abs() < 1e-9);
     }
 
     #[test]

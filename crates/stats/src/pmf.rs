@@ -202,29 +202,6 @@ fn sum_sorted_duplicates(entries: &mut Vec<Entry>) {
     entries.truncate(w + 1);
 }
 
-/// Removes entries with mass below `eps`; returns the total (finite) mass
-/// removed.
-///
-/// NaN mass is treated as prunable: `m < eps` is false for NaN, so a
-/// poisoned entry would otherwise silently survive every pruning pass and
-/// propagate through each subsequent convolution. NaN entries are dropped
-/// but excluded from the returned truncation total, which stays finite.
-pub fn prune(entries: &mut Vec<Entry>, eps: f64) -> f64 {
-    let mut truncated = 0.0;
-    entries.retain(|&(_, m)| {
-        if m.is_nan() {
-            return false;
-        }
-        if m < eps {
-            truncated += m;
-            false
-        } else {
-            true
-        }
-    });
-    truncated
-}
-
 /// Total probability mass.
 pub fn total_mass(pmf: &[Entry]) -> f64 {
     pmf.iter().map(|&(_, m)| m).sum()
@@ -281,13 +258,6 @@ impl Pmf {
         self.mass.clear();
         self.keys.extend(entries.iter().map(|&(d, _)| d));
         self.mass.extend(entries.iter().map(|&(_, m)| m));
-    }
-
-    /// Builds from an arbitrary contribution list, coalescing duplicates
-    /// with the same stable summation order as [`coalesce`].
-    pub fn from_unsorted(mut entries: Vec<Entry>) -> Pmf {
-        coalesce(&mut entries);
-        Pmf::from_sorted(entries)
     }
 
     /// Number of support points.
@@ -562,26 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_accounts_truncated_mass() {
-        let mut v = vec![(1, 0.5), (2, 1e-12), (3, 0.5), (4, 2e-12)];
-        let t = prune(&mut v, 1e-9);
-        assert_eq!(v, vec![(1, 0.5), (3, 0.5)]);
-        assert!((t - 3e-12).abs() < 1e-24);
-    }
-
-    #[test]
-    fn prune_drops_nan_mass() {
-        // `NaN < eps` is false, so NaN used to survive pruning and poison
-        // every downstream convolution. It must be dropped, and the
-        // truncation total must stay finite (NaN mass is not a mass).
-        let mut v = vec![(1, 0.5), (2, f64::NAN), (3, 0.25), (4, 1e-12)];
-        let t = prune(&mut v, 1e-9);
-        assert_eq!(v, vec![(1, 0.5), (3, 0.25)]);
-        assert!(t.is_finite());
-        assert!((t - 1e-12).abs() < 1e-24);
-    }
-
-    #[test]
     fn slice_range_is_inclusive() {
         let v = vec![(1, 0.1), (3, 0.2), (5, 0.3), (9, 0.4)];
         assert_eq!(slice_range(&v, 3, 5), &[(3, 0.2), (5, 0.3)]);
@@ -656,10 +606,9 @@ mod tests {
 
     #[test]
     fn pmf_roundtrip_and_bits_eq() {
-        let raw = vec![(5, 0.25), (3, 0.5), (5, 0.125), (3, 0.1), (7, 0.025)];
-        let mut coalesced = raw.clone();
+        let mut coalesced = vec![(5, 0.25), (3, 0.5), (5, 0.125), (3, 0.1), (7, 0.025)];
         coalesce(&mut coalesced);
-        let p = Pmf::from_unsorted(raw);
+        let p = Pmf::from_sorted(coalesced.clone());
         assert_eq!(p.entries(), coalesced);
         assert_eq!(p.len(), 3);
         assert!((p.total_mass() - 1.0).abs() < 1e-12);
