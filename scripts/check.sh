@@ -44,7 +44,7 @@ cargo test --release -p ct-service --quiet
 cargo test --release -p ct-pipeline --quiet
 cargo test --release -p ct-obs --quiet
 
-echo "== mote, apps, IR and graph-substrate tests (every target) =="
+echo "== mote, apps, IR, graph-substrate, fault and bench tests (every target) =="
 # ct-mote's property tests hold the interpreter against Rust oracles and pin
 # its cycle charging (a trap inside a fused op charges what the unfused
 # instructions would); its edge_fold tests hold the PMU folded from edge
@@ -52,8 +52,10 @@ echo "== mote, apps, IR and graph-substrate tests (every target) =="
 # oracle; ct-apps' tests check the apps against their reference
 # implementations; ct-ir, ct-cfg, ct-profilers, ct-placement and ct-markov
 # hold the compiler, CFG, baseline-profiler, layout and Markov-chain layers.
+# ct-faults' determinism proptests hold every fault model bitwise
+# reproducible; ct-bench's tests hold the experiment harness helpers.
 cargo test --release --quiet -p ct-mote -p ct-apps -p ct-ir -p ct-cfg -p ct-profilers \
-    -p ct-placement -p ct-markov
+    -p ct-placement -p ct-markov -p ct-faults -p ct-bench
 
 echo "== e13 smoke sweep (fault-injection pipeline end to end) =="
 cargo build --release -p ct-bench --bin e13_faults
