@@ -17,37 +17,40 @@
 //!
 //! ## Engine layout
 //!
-//! Both tables are computed by one frontier-propagation routine over flat
-//! sorted-vec PMFs (`ct_stats::pmf`) instead of `BTreeMap` frontiers:
+//! One frontier propagation over flat sorted-vec PMFs (`ct_stats::pmf`)
+//! walks the time-expanded chain a step at a time and keeps each step's
+//! coalesced frontier as one layer of a trellis of `(block, t, mass)`
+//! states. Both entry points run on it:
 //!
-//! - the forward table by a propagation from the entry block over the
-//!   out-edges;
-//! - **all** backward tables by the same propagation over the in-edges,
-//!   seeded at the Return blocks — `g(u)` receives `p_e · (c_u + c_e ⊕ g(v))`
-//!   along each edge `u → v`, so every block's remaining-duration PMF
-//!   materializes in a single pass (the first generation ran an independent
-//!   DP per block; that engine survives as [`crate::fb_reference`]);
-//! - the E-step computes **one** windowed convolution
-//!   `h_e(d) = Σ_t f(u,t) · g(v, d − t − c_u − c_e)` per edge and scores all
-//!   observed ticks against it, instead of rescanning the `f ⊗ g` product
-//!   for every `(sample, edge)` pair; a convolution on its dense path is
-//!   never compacted into a PMF — each tick reads its own few cells of the
-//!   window straight back, skipping the empty ones as the compaction
-//!   would, so the counts are bit-identical;
-//! - when the observed ticks' windows cover few durations of a wide range
-//!   (a cycle-accurate timer and a few dozen distinct ticks across
-//!   thousands of cycles), an edge evaluates `h_e` **only at those
-//!   durations** instead of sweeping the range — the likelihood needs
-//!   nothing else, and each point sums the sweep's own products in the
-//!   sweep's order, so the counts are bit-identical.
+//! - the E-step ([`e_step_planned`]) propagates once from the entry over
+//!   the out-edges. It reads the duration PMF off the layers' arrivals at
+//!   the Return blocks (`t + c_r`), scores each distinct tick against it,
+//!   and folds the ticks into one weight per covered duration,
+//!   `w(d) = Σ n · L(tick, d) / z(tick)`. One backward sweep over the
+//!   layers in reverse then gives each state `β(r, t) = w(t + c_r)` at a
+//!   Return block and `β(u, t) = Σ_e p_e · β(x, t + c_u + c_e)` elsewhere,
+//!   reading the next layer, and adds `f(u, t) · p_e · β(x, t + c_u + c_e)`
+//!   to edge `e`'s count on the way. No backward table is built and no
+//!   edge convolves anything: the sweep visits each transition of the
+//!   forward pass once more.
+//! - The sweep decides every transition as the forward pass did (pruned
+//!   below `mass_eps`, cut at the observation horizon), so the counts are
+//!   the exact posterior of the chain the forward pass walked: every block
+//!   but the entry and the Returns is entered as often as it is left, to
+//!   rounding.
+//! - [`compute_tables`] runs the same propagation from the entry, and over
+//!   the in-edges from the Return blocks seeded at `c_r`, and folds each
+//!   block's runs across the layers into its forward and backward tables
+//!   (the first generation ran an independent DP per block; that engine
+//!   survives as [`crate::fb_reference`]).
 //!
 //! What an EM run does not change — edges, adjacency, return blocks, branch
 //! slots and the parameter each slot shares — is an [`FbPlan`], built once
 //! per run. Everything an E-step writes lives in an [`FbScratch`] that every
 //! iteration refills in place, so a warm E-step allocates nothing.
-//! [`compute_tables`] and [`e_step`] build both for a single call.
+//! [`e_step`] builds both for a single call.
 
-use crate::quantize::{convolved_tick_score, duration_window, pmf_tick_score_soa, tick_likelihood};
+use crate::quantize::{duration_window, pmf_tick_score_soa, tick_likelihood, try_duration_window};
 use crate::samples::DurationSamples;
 use ct_cfg::graph::{BlockId, Cfg, EdgeKind, Terminator};
 use ct_cfg::profile::BranchProbs;
@@ -55,6 +58,7 @@ use ct_stats::pmf::{self, Pmf};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// Tuning knobs for the time-expanded dynamic programs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,10 +122,6 @@ impl Error for FbError {}
 pub type SparsePmf = Vec<(u64, f64)>;
 
 /// Forward and backward tables for one parameter vector.
-///
-/// Tables are stored structure-of-arrays ([`Pmf`]): the E-step's convolution
-/// and scoring inner loops run over contiguous mass slices, and
-/// contiguous-support blocks skip binary-search windowing.
 #[derive(Debug, Clone, Default)]
 pub struct FbTables {
     /// `forward[b]`: arrival distribution at block `b`.
@@ -139,7 +139,7 @@ impl FbTables {
     }
 }
 
-/// What never changes while EM iterates on one CFG: its edges, in/out
+/// What never changes while EM iterates on one CFG: its edges, out-edge
 /// adjacency, return blocks, branch slots and which slots share one
 /// parameter. Built once per EM run and shared by every E-step of the run.
 #[derive(Debug, Clone)]
@@ -151,8 +151,6 @@ pub struct FbPlan {
     edges: Vec<(usize, usize)>,
     /// Per block: `(edge, target)` of its out-edges.
     out_edges: Vec<Vec<(usize, usize)>>,
-    /// Per block: `(edge, source)` of its in-edges.
-    in_edges: Vec<Vec<(usize, usize)>>,
     branch_blocks: Vec<BlockId>,
     /// Per branch slot (the [`BranchProbs`] order): `(true edge, false edge)`.
     arms: Vec<(usize, usize)>,
@@ -172,7 +170,6 @@ impl FbPlan {
             entry: cfg.entry().index(),
             edges: Vec::new(),
             out_edges: vec![Vec::new(); n],
-            in_edges: vec![Vec::new(); n],
             branch_blocks: cfg.branch_blocks(),
             arms: Vec::new(),
             ties: Vec::new(),
@@ -181,7 +178,6 @@ impl FbPlan {
             let (u, v) = (e.from.index(), e.to.index());
             plan.edges.push((u, v));
             plan.out_edges[u].push((e.index, v));
-            plan.in_edges[v].push((e.index, u));
             if e.kind == EdgeKind::BranchTrue {
                 // `Cfg::edges` emits a branch's false edge right after its
                 // true edge, and branch blocks in index order.
@@ -251,44 +247,124 @@ impl FbPlan {
     }
 }
 
-/// Everything an E-step writes: frontiers, tables, edge probabilities, the
-/// coalescing and convolution buffers, the explained ticks and the counts.
-/// Held across the iterations of an EM run, it is refilled in place, so a
-/// warm E-step allocates nothing. That holds for the coalescing too: an
-/// accumulator is summed in the scratch's dense window
-/// ([`pmf::coalesce_dense`]), and a list the window does not take is
-/// sorted by [`pmf::coalesce_sort`], which leaves only lists of at most 256
-/// entries to the standard library's stable sort (they fit its stack
+/// The time-expanded chain as a propagation leaves it: one layer per step,
+/// each the step's coalesced frontier, block by block in index order and in
+/// ascending time within a block. A finished propagation ends in an empty
+/// layer, so every nonempty layer has a next one.
+#[derive(Debug, Clone, Default)]
+struct Trellis {
+    /// Run bounds: block `b`'s states in the layer that starts at run
+    /// `base = k·n` are `start[base + b] .. start[base + b + 1]`.
+    start: Vec<usize>,
+    /// Per state: its time `t`.
+    time: Vec<u64>,
+    /// Per state: its mass.
+    mass: Vec<f64>,
+    /// Probability mass lost to `mass_eps` pruning.
+    truncated: f64,
+}
+
+impl Trellis {
+    /// Empties the trellis and makes its first layer over `n` blocks mass
+    /// 1 at time `seed(b)` in each block `b` where that is `Some`.
+    fn seed(&mut self, n: usize, seed: impl Fn(usize) -> Option<u64>) {
+        self.start.clear();
+        self.time.clear();
+        self.mass.clear();
+        self.truncated = 0.0;
+        self.start.push(0);
+        for b in 0..n {
+            if let Some(t) = seed(b) {
+                self.time.push(t);
+                self.mass.push(1.0);
+            }
+            self.start.push(self.time.len());
+        }
+    }
+
+    /// Block `b`'s states in the layer that starts at run `base`.
+    fn run(&self, base: usize, b: usize) -> Range<usize> {
+        self.start[base + b]..self.start[base + b + 1]
+    }
+
+    /// The number of layers over `n` blocks.
+    fn layers(&self, n: usize) -> usize {
+        (self.start.len() - 1) / n
+    }
+
+    /// Each block's table: its runs across the layers, in layer order,
+    /// coalesced ([`pmf::coalesce_dense`]).
+    fn fold(&self, n: usize, merge: &mut SparsePmf) -> Vec<Pmf> {
+        let mut window = Vec::new();
+        (0..n)
+            .map(|b| {
+                let mut acc: SparsePmf = (0..self.layers(n))
+                    .flat_map(|k| self.run(k * n, b))
+                    .map(|i| (self.time[i], self.mass[i]))
+                    .collect();
+                pmf::coalesce_dense(&mut acc, &mut window, merge);
+                Pmf::from_sorted(acc)
+            })
+            .collect()
+    }
+}
+
+/// Where a state at time `t` with mass `mass` goes over an edge of
+/// probability `p` and cost `step`: `Ok((t + step, mass · p))` when the
+/// transition is kept, `Err(lost)` when it is not — `lost` is the mass
+/// pruned below `mass_eps`, and 0 for an edge never taken or an arrival past
+/// `time_cap`. The propagation and the E-step's backward sweep both decide
+/// here, so the sweep walks exactly the transitions the trellis holds.
+#[inline]
+fn transition(
+    t: u64,
+    mass: f64,
+    p: f64,
+    step: u64,
+    mass_eps: f64,
+    time_cap: u64,
+) -> Result<(u64, f64), f64> {
+    if p <= 0.0 {
+        return Err(0.0);
+    }
+    let m = mass * p;
+    if m < mass_eps {
+        return Err(m);
+    }
+    let t2 = t + step;
+    if t2 > time_cap {
+        return Err(0.0); // past the observation horizon: unreachable by any score
+    }
+    Ok((t2, m))
+}
+
+/// Everything an E-step writes: the trellis and its `β`, the next layer's
+/// arrivals, edge probabilities and steps, the duration PMF with its
+/// weights, and the counts. Held across the iterations of an EM run, it is
+/// refilled in place, so a warm E-step allocates nothing. That holds for
+/// the coalescing too: [`pmf::coalesce_sort`] leaves only lists of at most
+/// 256 entries to the standard library's stable sort (they fit its stack
 /// scratch) and merge-sorts longer ones through the scratch's own buffer.
 /// Any leftover state — including a pass cut short by an error — is
 /// cleared before it is read.
 #[derive(Debug, Clone, Default)]
 pub struct FbScratch {
-    tables: FbTables,
-    cur: Vec<SparsePmf>,
+    trellis: Trellis,
+    /// Per trellis state: `β`, the weighted probability of what follows it.
+    beta: Vec<f64>,
+    /// Per block: the next layer's arrivals, before they are coalesced.
     next: Vec<SparsePmf>,
-    acc: Vec<SparsePmf>,
-    /// The dense coalesce's window over one accumulator's key span.
-    window: Vec<f64>,
     /// The merge sort's second buffer, for lists of over 256 entries.
     merge: SparsePmf,
     edge_probs: Vec<f64>,
     /// Per edge: source block cost + edge cost.
     step: Vec<u64>,
-    /// `h_e` when the convolution takes its sparse path.
-    conv: Pmf,
-    /// The convolution's dense window, which the ticks are scored from.
-    conv_buf: Vec<f64>,
-    conv_terms: Vec<pmf::Entry>,
-    /// `(tick, multiplicity, normalizer)` of every explained distinct tick.
-    explained: Vec<(u64, usize, f64)>,
-    /// Every duration the explained ticks' windows cover, ascending (filled
-    /// only when the E-step takes the point path).
-    points: Vec<u64>,
-    /// `h_e` at an edge's share of `points`.
-    point_mass: Vec<f64>,
-    /// A gapped `g(v)` spread over its key span for the point kernel.
-    point_span: Vec<f64>,
+    /// Every arrival at a Return block `r` as `(t + c_r, mass)`.
+    ends: SparsePmf,
+    /// The duration PMF: `ends`, coalesced.
+    duration: Pmf,
+    /// Per key of `duration`: its weight `w(d)`.
+    weight: Vec<f64>,
     counts: Vec<f64>,
 }
 
@@ -298,42 +374,56 @@ impl FbScratch {
         FbScratch::default()
     }
 
-    /// The tables the last call filled (partly stale after an error).
-    pub fn tables(&self) -> &FbTables {
-        &self.tables
-    }
-
     /// The expected edge counts of the last successful [`e_step_planned`].
     pub fn counts(&self) -> &[f64] {
         &self.counts
     }
 
-    /// Empties the frontiers and accumulators, sized for `n` blocks.
-    fn reset_frontiers(&mut self, n: usize) {
-        for v in [&mut self.cur, &mut self.next, &mut self.acc] {
-            v.resize_with(n, Vec::new);
-            v.iter_mut().for_each(Vec::clear);
+    /// Checks the cost vectors against `plan` and fills the per-edge
+    /// probabilities and steps for `probs`.
+    fn prepare(
+        &mut self,
+        plan: &FbPlan,
+        block_costs: &[u64],
+        edge_costs: &[u64],
+        probs: &BranchProbs,
+    ) -> Result<(), FbError> {
+        let n = plan.terms.len();
+        if block_costs.len() != n {
+            return Err(FbError::Shape(format!(
+                "expected {n} block costs, got {}",
+                block_costs.len()
+            )));
         }
-    }
-
-    /// Coalesces every accumulator into `tables[b]` through the reused
-    /// dense window, bitwise as [`pmf::coalesce`] would (see
-    /// [`fill_tables`]).
-    fn finish(
-        acc: &mut [SparsePmf],
-        tables: &mut Vec<Pmf>,
-        window: &mut Vec<f64>,
-        merge: &mut SparsePmf,
-    ) {
-        tables.resize_with(acc.len(), Pmf::new);
-        for (a, t) in acc.iter_mut().zip(tables.iter_mut()) {
-            pmf::coalesce_dense(a, window, merge);
-            t.refill_sorted(a);
+        if edge_costs.len() != plan.edges.len() {
+            return Err(FbError::Shape(format!(
+                "expected {} edge costs, got {}",
+                plan.edges.len(),
+                edge_costs.len()
+            )));
         }
+        plan.fill_edge_probs(probs, &mut self.edge_probs);
+        self.step.clear();
+        self.step.extend(
+            plan.edges
+                .iter()
+                .zip(edge_costs)
+                .map(|(&(u, _), &c_e)| block_costs[u] + c_e),
+        );
+        Ok(())
     }
 }
 
-/// Computes forward and backward tables (a one-call plan and scratch).
+/// Computes forward and backward tables (a one-call plan and scratch):
+///
+/// - the forward table by one propagation from the entry block;
+/// - all backward tables by one propagation over the in-edges, seeded at
+///   the Return blocks with `g(r) = {(c_r, 1.0)}`: `g(u)` receives
+///   `p_e · (c_u + c_e ⊕ g(v))` along each edge `u → v`, so every path
+///   suffix is walked once instead of once per starting block.
+///
+/// Each table is its block's runs across the layers, coalesced, over the
+/// full support.
 ///
 /// # Errors
 ///
@@ -346,117 +436,42 @@ pub fn compute_tables(
     probs: &BranchProbs,
     params: FbParams,
 ) -> Result<FbTables, FbError> {
-    let mut scratch = FbScratch::new();
-    fill_tables(
-        &FbPlan::new(cfg),
-        &mut scratch,
-        block_costs,
-        edge_costs,
-        probs,
-        params,
-        u64::MAX,
-    )?;
-    Ok(scratch.tables)
-}
-
-/// Fills `s.tables` for `probs`:
-///
-/// - the forward table by one propagation from the entry block;
-/// - all backward tables by one propagation over the reversed graph, seeded
-///   at the Return blocks with `g(r) = {(c_r, 1.0)}`.
-///
-/// Each propagation leaves every arrival at a block in that block's
-/// accumulator, in push order; [`FbScratch::finish`] turns the
-/// accumulators into tables. It adds each list's masses in push order
-/// into a window seeded with `-0.0` over the list's key span and reads the
-/// touched cells back in key order. Since `-0.0 + x == x` bitwise for
-/// every `x`, that is the stable sort's left-to-right sum at every key, so
-/// the tables keep their bits. The window serves a list whose keys span
-/// at most [`pmf::DENSE_SPAN_FACTOR`] (8) × its length — the same bound
-/// the point path puts on `g(v)`'s span — and any wider list is sorted.
-///
-/// Both propagations keep only time keys up to `time_cap` (inclusive);
-/// entries beyond it are dropped **silently** (not counted as truncated —
-/// they are not lost to approximation, they are provably unreachable by
-/// the caller). [`compute_tables`] keeps the full support (`u64::MAX`);
-/// [`e_step_planned`] caps at its observation horizon.
-fn fill_tables(
-    plan: &FbPlan,
-    s: &mut FbScratch,
-    block_costs: &[u64],
-    edge_costs: &[u64],
-    probs: &BranchProbs,
-    params: FbParams,
-    time_cap: u64,
-) -> Result<(), FbError> {
+    let plan = FbPlan::new(cfg);
+    let s = &mut FbScratch::new();
+    s.prepare(&plan, block_costs, edge_costs, probs)?;
     let n = plan.terms.len();
-    if block_costs.len() != n {
-        return Err(FbError::Shape(format!(
-            "expected {n} block costs, got {}",
-            block_costs.len()
-        )));
+    s.trellis.seed(n, |b| (b == plan.entry).then_some(0));
+    propagate(&plan.out_edges, s, params, u64::MAX)?;
+    let forward = s.trellis.fold(n, &mut s.merge);
+    let truncated = s.trellis.truncated;
+    let mut in_edges = vec![Vec::new(); n];
+    for (ei, &(u, v)) in plan.edges.iter().enumerate() {
+        in_edges[v].push((ei, u));
     }
-    if edge_costs.len() != plan.edges.len() {
-        return Err(FbError::Shape(format!(
-            "expected {} edge costs, got {}",
-            plan.edges.len(),
-            edge_costs.len()
-        )));
-    }
-    plan.fill_edge_probs(probs, &mut s.edge_probs);
-    s.step.clear();
-    s.step.extend(
-        plan.edges
-            .iter()
-            .zip(edge_costs)
-            .map(|(&(u, _), &c_e)| block_costs[u] + c_e),
-    );
-    s.tables.truncated = 0.0;
-
-    s.reset_frontiers(n);
-    s.cur[plan.entry].push((0, 1.0));
-    s.acc[plan.entry].push((0, 1.0));
-    propagate(&plan.out_edges, s, params, time_cap)?;
-    FbScratch::finish(
-        &mut s.acc,
-        &mut s.tables.forward,
-        &mut s.window,
-        &mut s.merge,
-    );
-
-    s.reset_frontiers(n);
-    for b in (0..n).filter(|&b| plan.terms[b] == Terminator::Return) {
-        let c = block_costs[b];
-        if c > time_cap {
-            continue; // past the observation horizon: unreachable by any score
-        }
-        s.cur[b].push((c, 1.0));
-        s.acc[b].push((c, 1.0));
-    }
-    propagate(&plan.in_edges, s, params, time_cap)?;
-    FbScratch::finish(
-        &mut s.acc,
-        &mut s.tables.backward,
-        &mut s.window,
-        &mut s.merge,
-    );
-    Ok(())
+    let returns = |b: usize| (plan.terms[b] == Terminator::Return).then(|| block_costs[b]);
+    s.trellis.seed(n, returns);
+    propagate(&in_edges, s, params, u64::MAX)?;
+    Ok(FbTables {
+        forward,
+        backward: s.trellis.fold(n, &mut s.merge),
+        truncated: truncated + s.trellis.truncated,
+    })
 }
 
 /// Frontier propagation over `adj` (`(edge, neighbor)` lists per block)
-/// from the seeded `cur`/`acc`, accumulating every arrival into `acc`.
+/// from the trellis' seeded first layer, appending each step's coalesced
+/// frontier as the next layer.
 ///
-/// Over the out-edges this is the forward table: arrival at `v` at
-/// `t + c_u + c_e`; Return blocks have no out-edges, so mass is absorbed
-/// there once its arrival is recorded. Over the in-edges it is every backward table at once:
-/// when `g(v)` gains mass `m` at remaining time `t`, each in-edge `u → v`
-/// contributes `(t + c_u + c_e, m·p)` to `g(u)` — the same step, walked
-/// against the edges — so every path suffix is walked once instead of once
-/// per starting block. Mass in cycles decays by the branch probabilities
-/// each lap and is pruned at `mass_eps`.
+/// Over the out-edges a state `(u, t)` reaches `(v, t + c_u + c_e)`;
+/// Return blocks have no out-edges, so mass is absorbed there. Over the
+/// in-edges the same step is walked against the edges. Mass in cycles
+/// decays by the branch probabilities each lap and is pruned at
+/// `mass_eps`; arrivals past `time_cap` are dropped **silently** (not
+/// counted as truncated — they are not lost to approximation, they are
+/// provably unreachable by the caller).
 ///
-/// Blocks are visited in index order and frontier entries in ascending time,
-/// and merged masses are summed in contribution order — the same enumeration
+/// Blocks are visited in index order and states in ascending time, and
+/// merged masses are summed in contribution order — the same enumeration
 /// and summation order as the reference `BTreeMap` engine.
 fn propagate(
     adj: &[Vec<(usize, usize)>],
@@ -465,58 +480,48 @@ fn propagate(
     time_cap: u64,
 ) -> Result<(), FbError> {
     let FbScratch {
-        cur,
+        trellis: tr,
         next,
-        acc,
+        merge,
         edge_probs,
         step,
-        tables,
-        merge,
         ..
     } = s;
-    // The two frontier sets trade roles every step by reference, never by
-    // swapping a block's buffers, so every call on a problem finds each
-    // buffer in the same role at the same step, and the capacities one
-    // call grew serve the next.
-    let (mut cur, mut next) = (cur, next);
-    let mut processed: usize = 0;
+    let n = adj.len();
+    next.resize_with(n, Vec::new);
+    next.iter_mut().for_each(Vec::clear);
+    let (mut base, mut processed) = (0, 0usize);
     loop {
-        let frontier_len: usize = cur.iter().map(Vec::len).sum();
-        if frontier_len == 0 {
+        let layer = tr.start[base]..tr.start[base + n];
+        if layer.is_empty() {
             return Ok(());
         }
-        processed += frontier_len;
+        processed += layer.len();
         if processed > params.max_entries {
             return Err(FbError::SupportExplosion {
                 max_entries: params.max_entries,
             });
         }
         for (b, edges) in adj.iter().enumerate() {
-            for &(t, mass) in &cur[b] {
+            for i in tr.run(base, b) {
+                let (t, mass) = (tr.time[i], tr.mass[i]);
                 for &(ei, v) in edges {
                     let p = edge_probs[ei];
-                    if p <= 0.0 {
-                        continue;
+                    match transition(t, mass, p, step[ei], params.mass_eps, time_cap) {
+                        Ok(arrival) => next[v].push(arrival),
+                        Err(lost) => tr.truncated += lost,
                     }
-                    let m = mass * p;
-                    if m < params.mass_eps {
-                        tables.truncated += m;
-                        continue;
-                    }
-                    let t2 = t + step[ei];
-                    if t2 > time_cap {
-                        continue; // past the observation horizon: unreachable by any score
-                    }
-                    next[v].push((t2, m));
-                    acc[v].push((t2, m));
                 }
             }
-            cur[b].clear();
         }
-        for frontier in next.iter_mut().filter(|f| f.len() > 1) {
+        for frontier in next.iter_mut() {
             pmf::coalesce_sort(frontier, merge);
+            tr.time.extend(frontier.iter().map(|&(t, _)| t));
+            tr.mass.extend(frontier.iter().map(|&(_, m)| m));
+            tr.start.push(tr.time.len());
+            frontier.clear();
         }
-        std::mem::swap(&mut cur, &mut next);
+        base += n;
     }
 }
 
@@ -532,9 +537,13 @@ pub struct EdgeExpectations {
     pub unexplained: usize,
 }
 
-/// Runs one E-step: builds tables for `probs` and computes posterior expected
-/// edge-traversal counts for `samples` (a one-call plan and scratch; EM
-/// runs [`e_step_planned`]).
+/// Runs one E-step: posterior expected edge-traversal counts for `samples`
+/// under `probs` (a one-call plan and scratch; EM runs [`e_step_planned`],
+/// and a caller that needs the tables calls [`compute_tables`]).
+///
+/// # Errors
+///
+/// As [`e_step_planned`].
 pub fn e_step<S: DurationSamples + ?Sized>(
     cfg: &Cfg,
     block_costs: &[u64],
@@ -542,7 +551,7 @@ pub fn e_step<S: DurationSamples + ?Sized>(
     probs: &BranchProbs,
     samples: &S,
     params: FbParams,
-) -> Result<(EdgeExpectations, FbTables), FbError> {
+) -> Result<EdgeExpectations, FbError> {
     let stats = samples.suff_stats();
     let mut scratch = FbScratch::new();
     let (loglik, unexplained) = e_step_planned(
@@ -555,46 +564,30 @@ pub fn e_step<S: DurationSamples + ?Sized>(
         stats.cycles_per_tick(),
         params,
     )?;
-    let expectations = EdgeExpectations {
+    Ok(EdgeExpectations {
         counts: scratch.counts,
         loglik,
         unexplained,
-    };
-    Ok((expectations, scratch.tables))
+    })
 }
 
 /// The E-step of an EM iteration over a pre-built distinct-tick histogram
 /// `counted` (ascending, as [`crate::stream::SuffStats::counted`] returns
 /// it) observed at `cpt` cycles per tick. Returns the log-likelihood and the
-/// unexplained sample count; the counts and tables stay in `scratch`
-/// ([`FbScratch::counts`], [`FbScratch::tables`]).
+/// unexplained sample count; the counts stay in `scratch`
+/// ([`FbScratch::counts`]).
 ///
-/// Per edge `e = (u → v)` this convolves `f(u) ⊗ g(v)` **once** over the
-/// union of the explained ticks' duration windows,
-/// `h_e(d) = Σ_t f(u,t) · g(v, d − t − c_u − c_e)`, then scores every
-/// distinct tick against `h_e` — instead of rescanning the product per
-/// `(sample, edge)` pair. A convolution that takes its dense path leaves
-/// `h_e` as a window of cells, one per duration, and each tick is scored
-/// straight from its own cells of that window ([`convolved_tick_score`]):
-/// the nonzero ones in ascending duration, the cells and order the
-/// compacted PMF would hold, so no output bit depends on skipping the
-/// compaction. A sparse-path `h_e` is a PMF and is scored as one.
-///
-/// The scores read `h_e` only at durations inside some explained tick's
-/// window. When those durations number less than a quarter of the union
-/// window's width, they are listed once, and an edge whose share of them
-/// times 4 is below both its own window's width and `|g(v)|` — and whose
-/// `g(v)` spans at most 8× its support — evaluates `h_e` at them alone
-/// ([`pmf::convolve_points_into`]) instead of sweeping the window. Both
-/// paths sum the same products in the same order, so the choice changes
-/// no output bit; every other E-step sweeps exactly as before. The table
-/// build beneath follows the same 8× rule: an accumulator whose keys span
-/// at most [`pmf::DENSE_SPAN_FACTOR`] × its length is summed in a dense
-/// window, a wider one sorted (see `fill_tables`).
+/// Three passes over one trellis (see the module docs): the forward
+/// propagation from the entry; the duration PMF, each distinct tick's
+/// normalizer `z` and one weight `w(d)` per duration the explained ticks'
+/// windows cover; and one backward sweep that turns the weights into `β`
+/// and the counts. Every buffer is sized by the states and durations the
+/// forward pass reached, never by the span of the observed ticks.
 ///
 /// # Errors
 ///
-/// As [`compute_tables`].
+/// [`FbError::SupportExplosion`] when pruning cannot contain the forward
+/// pass, and [`FbError::Shape`] for mismatched cost vectors.
 #[allow(clippy::too_many_arguments)]
 pub fn e_step_planned(
     plan: &FbPlan,
@@ -606,173 +599,126 @@ pub fn e_step_planned(
     cpt: u64,
     params: FbParams,
 ) -> Result<(f64, usize), FbError> {
-    // Cap the DPs at the upper edge `hi` of the largest observed tick's
-    // window: a forward arrival `t`, a backward remainder `s` or a duration
-    // key `d` beyond it can never enter any tick score (`t ≤ d ≤ hi`,
-    // `s ≤ d ≤ hi`), so this changes no output bit — it only stops the DPs
+    // Cap the propagation at the upper edge `hi` of the largest explainable
+    // tick's window: a state past it can never end inside any tick's
+    // window, so this changes no count — it only stops the forward pass
     // from expanding support past the observation horizon, on long
-    // unrolled chains the majority of it.
+    // unrolled chains the majority of it. A degenerate tick (a corrupted
+    // record near the top of the counter) has no window and sets no cap.
     let time_cap = counted
-        .last()
-        .and_then(|&(t_max, _)| crate::quantize::try_duration_window(t_max, cpt).ok())
+        .iter()
+        .rev()
+        .find_map(|&(t, _)| try_duration_window(t, cpt).ok())
         .map_or(u64::MAX, |(_, hi)| hi);
-    fill_tables(
-        plan,
-        scratch,
-        block_costs,
-        edge_costs,
-        probs,
-        params,
-        time_cap,
-    )?;
+    scratch.prepare(plan, block_costs, edge_costs, probs)?;
+    let n = plan.terms.len();
+    scratch.trellis.seed(n, |b| (b == plan.entry).then_some(0));
+    propagate(&plan.out_edges, scratch, params, time_cap)?;
     let FbScratch {
-        tables,
+        trellis: tr,
+        beta,
+        merge,
         edge_probs,
         step,
-        conv,
-        conv_buf,
-        conv_terms,
-        explained,
-        points,
-        point_mass,
-        point_span,
+        ends,
+        duration,
+        weight,
         counts,
         ..
     } = scratch;
-    let duration = &tables.backward[plan.entry];
     counts.clear();
     counts.resize(plan.edges.len(), 0.0);
-    let mut loglik = 0.0;
-    let mut unexplained = 0;
+    let layers = tr.layers(n);
+    let is_return = |b: usize| plan.terms[b] == Terminator::Return;
 
-    // Normalizers per distinct tick, plus the union window over explained
-    // ticks — the support the per-edge convolutions are restricted to —
-    // and how many distinct durations the ticks' windows cover. Ticks
-    // ascend, so their windows' both ends do too.
-    explained.clear();
-    let (mut win_lo, mut win_hi) = (u64::MAX, 0u64);
-    let (mut covered, mut uncovered_from) = (0u64, 0u64);
-    for &(t_obs, n) in counted {
+    // The duration PMF: an arrival at Return block `r` at `t` ends the run
+    // at `t + c_r`.
+    ends.clear();
+    for base in (0..layers).map(|k| k * n) {
+        for r in (0..n).filter(|&b| is_return(b)) {
+            let c = block_costs[r];
+            ends.extend(tr.run(base, r).map(|i| (tr.time[i] + c, tr.mass[i])));
+        }
+    }
+    pmf::coalesce_sort(ends, merge);
+    duration.refill_sorted(ends);
+
+    // Normalizers, likelihood and the weight of each covered duration.
+    weight.clear();
+    weight.resize(duration.len(), 0.0);
+    let (mut loglik, mut unexplained, mut explained) = (0.0, 0, false);
+    for &(t_obs, n_obs) in counted {
         let z = pmf_tick_score_soa(duration, t_obs, cpt);
         if z <= 1e-300 {
-            unexplained += n;
+            unexplained += n_obs;
             continue;
         }
-        loglik += n as f64 * z.ln();
+        loglik += n_obs as f64 * z.ln();
+        explained = true;
         let (lo, hi) = duration_window(t_obs, cpt);
-        win_lo = win_lo.min(lo);
-        win_hi = win_hi.max(hi);
-        let from = lo.max(uncovered_from);
-        if hi >= from {
-            covered = covered.saturating_add(hi - from + 1);
-            uncovered_from = hi.saturating_add(1);
+        let (a, b) = duration.window(lo, hi);
+        let scale = n_obs as f64 / z;
+        for (w, &d) in weight[a..b].iter_mut().zip(&duration.keys()[a..b]) {
+            *w += scale * tick_likelihood(t_obs, d, cpt);
         }
-        explained.push((t_obs, n, z));
     }
-    if explained.is_empty() {
+    if !explained {
         return Ok((loglik, unexplained));
     }
-    // Few observed durations across a wide window: list them once, so an
-    // edge can evaluate `h_e` at them alone (see [`score_at_points`]).
-    let sparse = win_hi < u64::MAX && covered.saturating_mul(4) < win_hi - win_lo + 1;
-    points.clear();
-    if sparse {
-        let mut next = 0;
-        for &(t_obs, _, _) in explained.iter() {
-            let (lo, hi) = duration_window(t_obs, cpt);
-            points.extend(lo.max(next)..=hi);
-            next = next.max(hi + 1);
-        }
-    }
 
-    for (ei, &(u, v)) in plan.edges.iter().enumerate() {
-        let p_e = edge_probs[ei];
-        if p_e <= 0.0 {
-            continue;
-        }
-        let delta = step[ei];
-        let (f_u, g_v) = (&tables.forward[u], &tables.backward[v]);
-        if f_u.is_empty() || g_v.is_empty() {
-            continue;
-        }
-        // Tighten the union window to this edge's achievable support:
-        // no term of `f ⊗ g` shifted by `delta` lands outside
-        // [f.min + g.min + δ, f.max + g.max + δ], so clipping changes
-        // no output bit — it only shrinks the dense path's buffer from
-        // the full observed-duration range to the edge's own span.
-        let win_lo = win_lo.max(
-            f_u.keys()[0]
-                .saturating_add(g_v.keys()[0])
-                .saturating_add(delta),
-        );
-        let win_hi = win_hi.min(
-            f_u.keys()[f_u.len() - 1]
-                .saturating_add(g_v.keys()[g_v.len() - 1])
-                .saturating_add(delta),
-        );
-        if win_lo > win_hi {
-            continue;
-        }
-        // The point kernel reads a gapped `g(v)` through a buffer over its
-        // key span; a `g(v)` spanning more than 8× its support sweeps, so
-        // that buffer stays within a small multiple of the table.
-        let g_span = g_v.keys()[g_v.len() - 1] - g_v.keys()[0] + 1;
-        if sparse && g_span <= 8 * g_v.len() as u64 {
-            let a = points.partition_point(|&d| d < win_lo);
-            let b = points.partition_point(|&d| d <= win_hi);
-            let width = usize::try_from(win_hi - win_lo + 1).unwrap_or(usize::MAX);
-            if (b - a).saturating_mul(4) < width.min(g_v.len()) {
-                let pts = &points[a..b];
-                pmf::convolve_points_into(point_mass, point_span, f_u, g_v, delta, pts);
-                score_at_points(&mut counts[ei], pts, point_mass, explained, cpt, p_e);
+    // The backward sweep. Within a run, times ascend, and so do the keys
+    // each out-edge (or the duration PMF, at a Return block) is read at:
+    // one cursor per run and edge walks the next layer's run forward to
+    // every kept transition's target, which the forward pass put there.
+    beta.clear();
+    beta.resize(tr.mass.len(), 0.0);
+    for base in (0..layers).rev().map(|k| k * n) {
+        for (b, (out, &c)) in plan.out_edges.iter().zip(block_costs).enumerate() {
+            let run = tr.run(base, b);
+            if run.is_empty() {
                 continue;
             }
-        }
-        let h =
-            pmf::convolve_window_into(conv, conv_buf, conv_terms, f_u, g_v, delta, win_lo, win_hi);
-        for &(t_obs, n, z) in explained.iter() {
-            let acc = convolved_tick_score(h, t_obs, cpt);
-            counts[ei] += n as f64 * p_e * acc / z;
+            if is_return(b) {
+                let keys = duration.keys();
+                let mut j = keys.partition_point(|&d| d < tr.time[run.start] + c);
+                for i in run {
+                    let d = tr.time[i] + c;
+                    while keys[j] < d {
+                        j += 1;
+                    }
+                    beta[i] = weight[j];
+                }
+                continue;
+            }
+            for &(ei, x) in out {
+                let p = edge_probs[ei];
+                let mut j = tr.start[base + n + x];
+                let mut count = 0.0;
+                for i in run.clone() {
+                    let kept = transition(
+                        tr.time[i],
+                        tr.mass[i],
+                        p,
+                        step[ei],
+                        params.mass_eps,
+                        time_cap,
+                    );
+                    let Ok((t2, m)) = kept else {
+                        continue;
+                    };
+                    while tr.time[j] < t2 {
+                        j += 1;
+                    }
+                    debug_assert_eq!(tr.time[j], t2);
+                    let after = beta[j];
+                    beta[i] += p * after;
+                    count += m * after;
+                }
+                counts[ei] += count;
+            }
         }
     }
     Ok((loglik, unexplained))
-}
-
-/// The E-step's point path for one edge: adds to `count` what the
-/// explained ticks contribute, given `h_e` evaluated only at `pts` (the
-/// observed durations inside the edge's window) as `h`.
-///
-/// Bit-identical to scoring the swept `h_e`: every `h[i]` equals the
-/// sweep's mass at `pts[i]` ([`pmf::convolve_points_into`]), each tick sums
-/// the same nonzero `h_e(d) · tick_likelihood` terms in the same ascending
-/// `d` order as [`pmf_tick_score_soa`], and the ticks add to `count` in the
-/// same order.
-fn score_at_points(
-    count: &mut f64,
-    pts: &[u64],
-    h: &[f64],
-    explained: &[(u64, usize, f64)],
-    cpt: u64,
-    p_e: f64,
-) {
-    let (mut a, mut b) = (0, 0);
-    for &(t_obs, n, z) in explained {
-        let (lo, hi) = duration_window(t_obs, cpt);
-        while a < pts.len() && pts[a] < lo {
-            a += 1;
-        }
-        b = b.max(a);
-        while b < pts.len() && pts[b] <= hi {
-            b += 1;
-        }
-        let acc: f64 = pts[a..b]
-            .iter()
-            .zip(&h[a..b])
-            .filter(|&(_, &m)| m > 0.0)
-            .map(|(&d, &m)| m * tick_likelihood(t_obs, d, cpt))
-            .sum();
-        *count += n as f64 * p_e * acc / z;
-    }
 }
 
 #[cfg(test)]
@@ -831,7 +777,7 @@ mod tests {
         let mut ticks = vec![116u64; 30];
         ticks.extend(vec![217u64; 10]);
         let samples = TimingSamples::new(ticks, 1);
-        let (exp, _) = e_step(&cfg, &bc, &ec, &probs, &samples, FbParams::default()).unwrap();
+        let exp = e_step(&cfg, &bc, &ec, &probs, &samples, FbParams::default()).unwrap();
         // Edge 0 = cond→then: all 30 fast samples; edge 1 = cond→else: 10.
         assert!((exp.counts[0] - 30.0).abs() < 1e-9, "{:?}", exp.counts);
         assert!((exp.counts[1] - 10.0).abs() < 1e-9);
@@ -846,12 +792,12 @@ mod tests {
         // slow path 217 → ticks 2 (83%) or 3 (17%). Observed tick 3 must be
         // attributed fully to the slow path.
         let samples = TimingSamples::new(vec![3], 100);
-        let (exp, _) = e_step(&cfg, &bc, &ec, &probs, &samples, FbParams::default()).unwrap();
+        let exp = e_step(&cfg, &bc, &ec, &probs, &samples, FbParams::default()).unwrap();
         assert!(exp.counts[0].abs() < 1e-12, "{:?}", exp.counts);
         assert!((exp.counts[1] - 1.0).abs() < 1e-9);
         // Tick 1 is unambiguously fast.
         let samples = TimingSamples::new(vec![1], 100);
-        let (exp, _) = e_step(&cfg, &bc, &ec, &probs, &samples, FbParams::default()).unwrap();
+        let exp = e_step(&cfg, &bc, &ec, &probs, &samples, FbParams::default()).unwrap();
         assert!((exp.counts[0] - 1.0).abs() < 1e-9);
     }
 
@@ -859,9 +805,34 @@ mod tests {
     fn impossible_observation_is_unexplained() {
         let (cfg, bc, ec, probs) = diamond_setup(0.5);
         let samples = TimingSamples::new(vec![9999], 1);
-        let (exp, _) = e_step(&cfg, &bc, &ec, &probs, &samples, FbParams::default()).unwrap();
+        let exp = e_step(&cfg, &bc, &ec, &probs, &samples, FbParams::default()).unwrap();
         assert_eq!(exp.unexplained, 1);
         assert!(exp.counts.iter().all(|&c| c == 0.0));
+    }
+
+    #[test]
+    fn a_tick_near_the_top_of_the_counter_is_unexplained_and_moves_nothing() {
+        // While-loop durations 6 + 13k at 8 cycles/tick, plus a corrupted
+        // tick with no duration window: it counts as unexplained, sets no
+        // horizon, and the counts and likelihood are those of the E-step
+        // without it, bit for bit.
+        let cfg = while_loop();
+        let bc = vec![2, 3, 10, 1];
+        let ec = vec![0; cfg.edges().len()];
+        let probs = BranchProbs::from_vec(&cfg, vec![0.6]);
+        let good = vec![0u64, 2, 2, 4, 5, 7, 7, 7];
+        let far = [good.clone(), vec![u64::MAX - 3]].concat();
+        let run = |ticks: Vec<u64>| {
+            let samples = TimingSamples::new(ticks, 8);
+            e_step(&cfg, &bc, &ec, &probs, &samples, FbParams::default()).unwrap()
+        };
+        let (with, without) = (run(far), run(good));
+        assert_eq!(without.unexplained, 0);
+        assert_eq!(with.unexplained, 1);
+        assert!(without.counts.iter().all(|&c| c > 0.0));
+        assert_eq!(with.loglik.to_bits(), without.loglik.to_bits());
+        let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&with.counts), bits(&without.counts));
     }
 
     #[test]
@@ -889,7 +860,7 @@ mod tests {
         let probs = BranchProbs::from_vec(&cfg, vec![0.5]);
         // Observe a run with exactly 2 iterations: d = 6 + 26 = 32.
         let samples = TimingSamples::new(vec![32], 1);
-        let (exp, _) = e_step(&cfg, &bc, &ec, &probs, &samples, FbParams::default()).unwrap();
+        let exp = e_step(&cfg, &bc, &ec, &probs, &samples, FbParams::default()).unwrap();
         // Back edge (body→header) is edge index 2 (jump); header true edge
         // (continue) index 0 taken twice, false edge once.
         let edges = cfg.edges();

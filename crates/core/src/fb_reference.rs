@@ -10,7 +10,7 @@
 //!
 //! Asymptotics (the reason it was replaced): `O(|B|)` backward DPs per
 //! parameter vector and `O(samples · edges · |f|·|g|)` E-step work, versus
-//! one reversed-graph DP and one windowed convolution per edge in the
+//! one forward propagation and one backward sweep over its trellis in the
 //! current engine.
 
 use crate::fb::{EdgeExpectations, FbError, FbParams, FbTables, SparsePmf};
@@ -203,7 +203,7 @@ pub fn e_step(
     probs: &BranchProbs,
     samples: &TimingSamples,
     params: FbParams,
-) -> Result<(EdgeExpectations, FbTables), FbError> {
+) -> Result<EdgeExpectations, FbError> {
     let tables = compute_tables(cfg, block_costs, edge_costs, probs, params)?;
     let cpt = samples.cycles_per_tick();
     let edges = cfg.edges();
@@ -256,14 +256,11 @@ pub fn e_step(
         }
     }
 
-    Ok((
-        EdgeExpectations {
-            counts,
-            loglik,
-            unexplained,
-        },
-        tables,
-    ))
+    Ok(EdgeExpectations {
+        counts,
+        loglik,
+        unexplained,
+    })
 }
 
 fn pmf_slice(pmf: &SparsePmf, lo: u64, hi: u64) -> &[(u64, f64)] {

@@ -85,8 +85,7 @@ pub use gnt::{estimate_gnt, model_cf, GntError, GntResult};
 pub use incremental::IncrementalEm;
 pub use moments::{estimate_moments, model_moments, MomentsError, MomentsResult};
 pub use quantize::{
-    convolved_tick_score, duration_window, pmf_tick_score_soa, tick_likelihood,
-    try_duration_window, WindowError,
+    duration_window, pmf_tick_score_soa, tick_likelihood, try_duration_window, WindowError,
 };
 pub use samples::{DurationSamples, SampleIssue, TimingSamples, TrimPolicy};
 pub use stream::{BatchTag, ResolutionMismatch, SuffStats};

@@ -8,8 +8,6 @@
 //! is what lets the estimator use coarse timers *exactly* instead of
 //! pretending ticks are cycles.
 
-use ct_stats::pmf::Convolved;
-
 /// Probability of observing `ticks` given a true duration of `d` cycles on a
 /// timer with `cpt` cycles per tick, under a uniformly random start phase.
 ///
@@ -136,46 +134,6 @@ pub fn pmf_tick_score_soa(pmf: &ct_stats::pmf::Pmf, ticks: u64, cpt: u64) -> f64
                 .iter()
                 .zip(&pmf.masses()[a..b])
                 .map(|(&d, &m)| m * tick_likelihood(ticks, d, cpt))
-                .sum()
-        }
-        // Corrupted tick: no duration produces it, the sample scores zero.
-        Err(WindowError::DegenerateWindow { .. }) => 0.0,
-        Err(WindowError::ZeroResolution) => panic!("cycles per tick must be positive"),
-    }
-}
-
-/// Probability of observing `ticks` under a windowed convolution `h` as
-/// [`ct_stats::pmf::convolve_window_into`] leaves it, bit for bit the score
-/// [`pmf_tick_score_soa`] gives the compacted PMF
-/// ([`ct_stats::pmf::convolve_window_pmf`]).
-///
-/// A sparse-path `h` is a PMF and is scored as one. A dense-path `h` is
-/// read straight from its window: the cells of the tick's
-/// [`duration_window`] clipped to the window, in ascending duration, those
-/// with mass `> 0.0` only — exactly the cells the compaction keeps, in its
-/// order — summed left to right. A tick reads its own few cells; nothing
-/// visits the rest of the window.
-pub fn convolved_tick_score(h: Convolved<'_>, ticks: u64, cpt: u64) -> f64 {
-    let (lo, cells) = match h {
-        Convolved::Sparse(pmf) => return pmf_tick_score_soa(pmf, ticks, cpt),
-        Convolved::Dense { lo, cells } => (lo, cells),
-    };
-    match try_duration_window(ticks, cpt) {
-        Ok((a, b)) => {
-            // The tick's window as cell indices, clipped to the cells.
-            let n = cells.len() as u64;
-            let start = a.saturating_sub(lo).min(n);
-            let end = if b < lo {
-                0
-            } else {
-                (b - lo).saturating_add(1).min(n)
-            };
-            let first = lo + start;
-            cells[start as usize..end.max(start) as usize]
-                .iter()
-                .enumerate()
-                .filter(|&(_, &m)| m > 0.0)
-                .map(|(i, &m)| m * tick_likelihood(ticks, first + i as u64, cpt))
                 .sum()
         }
         // Corrupted tick: no duration produces it, the sample scores zero.

@@ -1,17 +1,15 @@
 //! Property-based tests of the estimation engine: consistency of the
-//! forward–backward tables, EM recovery, and estimator agreement.
+//! forward–backward tables, the E-step's flow conservation and its exact
+//! path-enumeration oracle, EM recovery, and estimator agreement.
 
 use ct_cfg::builder::{diamond, diamond_chain, while_loop};
-use ct_cfg::graph::Cfg;
+use ct_cfg::graph::{Cfg, Terminator};
 use ct_cfg::profile::BranchProbs;
-use ct_core::fb::{compute_tables, e_step_planned, FbError, FbParams, FbPlan, FbScratch};
-use ct_core::quantize::{
-    convolved_tick_score, duration_window, pmf_tick_score_soa, tick_likelihood,
-};
+use ct_core::fb::{compute_tables, e_step, e_step_planned, FbError, FbParams, FbPlan, FbScratch};
+use ct_core::quantize::{duration_window, tick_likelihood};
 use ct_core::samples::TimingSamples;
 use ct_core::unrolled::estimate_unrolled;
 use ct_core::{estimate, EstimateOptions};
-use ct_stats::pmf::{self, Convolved, Pmf};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,84 +75,6 @@ fn scratch_problem(shape: usize, seed: u64, cpt: u64) -> (Problem, BranchProbs, 
     ticks.sort_unstable();
     ticks.dedup_by_key(|t| t.0);
     ((cfg, bc, ec), probs, ticks)
-}
-
-/// A convolution operand: 1–30 support points above `base`, each 1 to
-/// `stride` past the last (1–3 keeps the product window under the dense
-/// cutoff, 40–400 takes it past), with ordinary, subnormal or zero masses.
-fn operand() -> impl Strategy<Value = Pmf> {
-    (
-        0u64..300,
-        prop_oneof![1u64..4, 40u64..400],
-        prop::collection::vec((0u8..8, 1e-3f64..1.0, 1u64..(1 << 52), any::<u64>()), 1..30),
-    )
-        .prop_map(|(base, stride, draws)| {
-            let mut key = base;
-            let entries = draws
-                .iter()
-                .map(|&(kind, x, bits, gap)| {
-                    key += 1 + gap % stride;
-                    let mass = match kind {
-                        0 => f64::from_bits(bits), // subnormal
-                        1 => 0.0,
-                        _ => x,
-                    };
-                    (key, mass)
-                })
-                .collect();
-            Pmf::from_sorted(entries)
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Scoring a tick straight from the convolution's dense window equals
-    /// compacting the window into a PMF and scoring that, bit for bit: at
-    /// 1, 2, 8 and 100 cycles per tick, for tick 0, ticks whose windows
-    /// cross either end of the convolution window or miss it, degenerate
-    /// ticks, and windows on both sides of the dense cutoff. The working
-    /// space is reused across windows, so later calls find it dirty.
-    #[test]
-    fn window_tick_score_matches_the_compacted_pmf_bitwise(
-        f in operand(),
-        g in operand(),
-        shift in 0u64..64,
-        ends in (0u64..64, 0u64..64, 0u64..64, 0u64..64),
-        picks in prop::collection::vec(any::<u64>(), 0..12),
-    ) {
-        let lo_full = f.keys()[0] + g.keys()[0] + shift;
-        let hi_full = f.keys()[f.len() - 1] + g.keys()[g.len() - 1] + shift;
-        let lo = (lo_full + ends.0).saturating_sub(ends.1);
-        let hi = (hi_full + ends.2).saturating_sub(ends.3);
-        let (mut out, mut buf, mut terms) = (Pmf::new(), Vec::new(), Vec::new());
-        for (lo, hi) in [(lo_full, hi_full), (lo, hi)] {
-            prop_assume!(lo <= hi);
-            let compacted = pmf::convolve_window_pmf(&f, &g, shift, lo, hi);
-            let h =
-                pmf::convolve_window_into(&mut out, &mut buf, &mut terms, &f, &g, shift, lo, hi);
-            let width = hi - lo + 1;
-            let pairs = (f.len() * g.len()) as u64;
-            let dense = width <= (4 * pairs).max(1024) && width <= 1 << 22;
-            prop_assert_eq!(matches!(h, Convolved::Dense { .. }), dense);
-            for cpt in [1u64, 2, 8, 100] {
-                let mut ticks = vec![0, 1, hi / cpt + 1000, u64::MAX - 1, u64::MAX];
-                for edge in [lo / cpt, hi / cpt] {
-                    ticks.extend(edge.saturating_sub(1)..=edge + 1);
-                }
-                ticks.extend(picks.iter().map(|&p| p % (hi / cpt + 3)));
-                for t in ticks {
-                    let want = pmf_tick_score_soa(&compacted, t, cpt);
-                    let got = convolved_tick_score(h, t, cpt);
-                    prop_assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "tick {} at cpt {}: {} vs {}", t, cpt, got, want
-                    );
-                }
-            }
-        }
-    }
 }
 
 proptest! {
@@ -277,12 +197,172 @@ proptest! {
             prop_assert_eq!(unex_g, unex_w);
             let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(reused.counts()), bits(fresh.counts()));
-            let (tw, tg) = (fresh.tables(), reused.tables());
-            prop_assert_eq!(tg.truncated.to_bits(), tw.truncated.to_bits());
-            prop_assert_eq!(tg.forward.len(), tw.forward.len());
-            for (g, w) in tg.forward.iter().chain(&tg.backward).zip(tw.forward.iter().chain(&tw.backward)) {
-                prop_assert!(g.bits_eq(w));
+        }
+    }
+}
+
+/// The largest relative gap between a block's expected in-count and
+/// out-count under `counts`, over every block but the entry and the Return
+/// blocks.
+fn flow_gap(cfg: &Cfg, counts: &[f64]) -> f64 {
+    let (mut inflow, mut outflow) = (vec![0.0; cfg.len()], vec![0.0; cfg.len()]);
+    for e in cfg.edges() {
+        inflow[e.to.index()] += counts[e.index];
+        outflow[e.from.index()] += counts[e.index];
+    }
+    cfg.iter()
+        .filter(|&(b, block)| b != cfg.entry() && block.term != Terminator::Return)
+        .map(|(b, _)| {
+            let (i, o) = (inflow[b.index()], outflow[b.index()]);
+            if i == o {
+                0.0
+            } else {
+                (i - o).abs() / i.abs().max(o.abs())
             }
+        })
+        .fold(0.0, f64::max)
+}
+
+/// Every block but the entry and the Returns is entered as often as it is
+/// left, on every registry app (crc and sort included) at 1, 8 and 64
+/// cycles per tick: ticks spread over the duration support, plus one the
+/// model cannot produce.
+#[test]
+fn e_step_conserves_flow_on_every_registry_app() {
+    for app in ct_apps::all_apps() {
+        let mote = app.boot(Box::new(ct_mote::cost::AvrCost));
+        let pid = app.target_id(mote.program());
+        let cfg = &mote.program().procs[pid.index()].cfg;
+        let (bc, ec) = (mote.static_block_costs(pid), mote.static_edge_costs(pid));
+        let p = (0..cfg.branch_blocks().len())
+            .map(|i| 0.15 + 0.7 * ((i * 37) % 100) as f64 / 100.0)
+            .collect();
+        let probs = BranchProbs::from_vec(cfg, p);
+        let tables = compute_tables(cfg, bc, ec, &probs, FbParams::default()).unwrap();
+        let keys = tables.duration_pmf(cfg).keys();
+        for cpt in [1u64, 8, 64] {
+            let mut ticks: Vec<u64> = keys
+                .iter()
+                .step_by(keys.len().div_ceil(40))
+                .map(|d| d / cpt)
+                .collect();
+            ticks.push(keys[keys.len() - 1] / cpt + 1000);
+            let samples = TimingSamples::new(ticks, cpt);
+            let exp = e_step(cfg, bc, ec, &probs, &samples, FbParams::default()).unwrap();
+            assert!(exp.counts.iter().any(|&c| c > 0.0), "{}", app.name);
+            assert!(exp.unexplained >= 1, "{} at {cpt}", app.name);
+            let gap = flow_gap(cfg, &exp.counts);
+            assert!(gap <= 1e-12, "{} at {cpt}: flow gap {gap:e}", app.name);
+        }
+    }
+}
+
+/// Every path from the entry whose arrivals all lie within `horizon`
+/// cycles, as `(probability, duration, traversals per edge)`. A path ends
+/// where an arrival passes the horizon, as the E-step's forward pass drops
+/// it.
+fn enumerate_paths(
+    cfg: &Cfg,
+    bc: &[u64],
+    ec: &[u64],
+    probs: &BranchProbs,
+    horizon: u64,
+) -> Vec<(f64, u64, Vec<f64>)> {
+    let (edges, p) = (cfg.edges(), probs.edge_probs(cfg));
+    let mut paths = Vec::new();
+    let mut stack = vec![(cfg.entry(), 0u64, 1.0, vec![0.0; edges.len()])];
+    while let Some((b, t, prob, visits)) = stack.pop() {
+        if cfg.block(b).term == Terminator::Return {
+            paths.push((prob, t + bc[b.index()], visits));
+            continue;
+        }
+        for e in edges.iter().filter(|e| e.from == b) {
+            let arrival = t + bc[b.index()] + ec[e.index];
+            if arrival <= horizon {
+                let mut v = visits.clone();
+                v[e.index] += 1.0;
+                stack.push((e.to, arrival, prob * p[e.index], v));
+            }
+        }
+    }
+    paths
+}
+
+/// The E-step by exhaustive path enumeration: counts, log-likelihood and
+/// unexplained count of the distinct-tick histogram `ticks` (ascending).
+fn oracle_e_step(
+    cfg: &Cfg,
+    (bc, ec): (&[u64], &[u64]),
+    probs: &BranchProbs,
+    ticks: &[(u64, usize)],
+    cpt: u64,
+) -> (Vec<f64>, f64, usize) {
+    let horizon = duration_window(ticks[ticks.len() - 1].0, cpt).1;
+    let paths = enumerate_paths(cfg, bc, ec, probs, horizon);
+    let mut counts = vec![0.0; cfg.edges().len()];
+    let (mut loglik, mut unexplained) = (0.0, 0);
+    for &(t_obs, n) in ticks {
+        let z: f64 = paths
+            .iter()
+            .map(|(p, d, _)| p * tick_likelihood(t_obs, *d, cpt))
+            .sum();
+        if z <= 1e-300 {
+            unexplained += n;
+            continue;
+        }
+        loglik += n as f64 * z.ln();
+        for (p, d, visits) in &paths {
+            let w = n as f64 * p * tick_likelihood(t_obs, *d, cpt) / z;
+            for (c, v) in counts.iter_mut().zip(visits) {
+                *c += w * v;
+            }
+        }
+    }
+    (counts, loglik, unexplained)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The E-step conserves flow through every block but the entry and the
+    /// Returns on diamond chains, a while loop and the registry apps (crc
+    /// and sort aside), at 1, 8 and 64 cycles per tick.
+    #[test]
+    fn e_step_conserves_flow(shape in 0usize..11, seed in any::<u64>(), cpt in 0usize..3) {
+        let cpt = [1u64, 8, 64][cpt];
+        let ((cfg, bc, ec), probs, ticks) = scratch_problem(shape, seed, cpt);
+        let mut s = FbScratch::new();
+        let plan = FbPlan::new(&cfg);
+        e_step_planned(&plan, &mut s, &bc, &ec, &probs, &ticks, cpt, FbParams::default()).unwrap();
+        let gap = flow_gap(&cfg, s.counts());
+        prop_assert!(gap <= 1e-12, "flow gap {:e}", gap);
+    }
+
+    /// Unpruned (`mass_eps = 0`), the E-step equals exhaustive enumeration
+    /// of every path up to the observation horizon, to 1e-12: on a diamond,
+    /// diamond chains and a while loop, at 1, 8 and 64 cycles per tick.
+    #[test]
+    fn e_step_matches_path_enumeration(shape in 0usize..6, seed in any::<u64>(), cpt in 0usize..3) {
+        let cpt = [1u64, 8, 64][cpt];
+        let ((cfg, bc, ec), probs, ticks) = if shape == 5 {
+            let ((_, bc, ec), _, ticks) = scratch_problem(0, seed, cpt);
+            let probs = BranchProbs::from_vec(&diamond(), vec![0.05 + (seed % 90) as f64 / 100.0]);
+            ((diamond(), bc, ec), probs, ticks)
+        } else {
+            scratch_problem(shape, seed, cpt)
+        };
+        let params = FbParams { mass_eps: 0.0, ..FbParams::default() };
+        let mut s = FbScratch::new();
+        let plan = FbPlan::new(&cfg);
+        let (loglik, unexplained) =
+            e_step_planned(&plan, &mut s, &bc, &ec, &probs, &ticks, cpt, params).unwrap();
+        let (counts, want_loglik, want_unexplained) = oracle_e_step(&cfg, (&bc, &ec), &probs, &ticks, cpt);
+        prop_assert_eq!(unexplained, want_unexplained);
+        prop_assert!((loglik - want_loglik).abs() <= 1e-12 * (1.0 + want_loglik.abs()),
+            "loglik {} vs {}", loglik, want_loglik);
+        for (e, (&got, &want)) in s.counts().iter().zip(&counts).enumerate() {
+            prop_assert!((got - want).abs() <= 1e-12 * (1.0 + want.abs()),
+                "counts[{}] {} vs {}", e, got, want);
         }
     }
 }

@@ -33,8 +33,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet \
 echo "== stats, core, service, pipeline and obs tests (every target) =="
 # ct-stats' unit and property tests hold the LU and QR solvers (a reused
 # `Lu::refactor` == a fresh `Lu::factor`, bitwise). ct-core's unit and
-# property tests hold the E-step, EM and incremental contracts (planned
-# E-step == fresh scratch, bitwise). ct-pipeline's targets include the merge
+# property tests hold the E-step, EM and incremental contracts: a reused
+# scratch answers like a fresh one (counts, log-likelihood, unexplained,
+# bitwise), the E-step conserves flow through every interior block, and
+# unpruned it equals exhaustive path enumeration to 1e-12. ct-pipeline's targets include the merge
 # properties, the one checkpoint restore path and the unrolled-first golden
 # equivalence. ct-obs' targets hold the manifest and diff code behind the
 # e4/e16/e18 determinism gates below.
@@ -81,8 +83,8 @@ echo "== perfbench service smoke (served bits, dedup, drained staleness) =="
 # drained service reports zero staleness; any failed check exits non-zero.
 python3 perfbench/run.py --workload service --seed 1 --seconds 3 --trace 0 > /dev/null
 
-echo "== perfbench pipeline smoke (unrolled EM, point-path E-step, placement) =="
-# The only workload that runs unrolled EM and the point-path E-step, and
+echo "== perfbench pipeline smoke (unrolled EM, cycle-accurate E-step, placement) =="
+# The only workload that runs unrolled EM and cycle-accurate E-steps, and
 # the only one that reads Method::EmUnrolled. Every flow's replay PMU (the
 # mote's own classification of its placed image, folded over its per-edge
 # hits) must equal the layout cost model (ct-cfg's classification over the

@@ -17,9 +17,9 @@ use code_tomography::service::checkpoint::fnv1a64;
 use code_tomography::service::{EstimationService, ServiceConfig, ServiceCore};
 use std::path::PathBuf;
 
-const SERVICE_CORE_DIGEST: u64 = 0xb9d1_3bd2_ae77_33db;
+const SERVICE_CORE_DIGEST: u64 = 0x2b2c_319c_8450_94bf;
 const ESTIMATION_SERVICE_DIGEST: u64 = 0xa46a_32b1_1c8a_d2bc;
-const FLEET_DIGEST: u64 = 0xf890_ae80_615c_8288;
+const FLEET_DIGEST: u64 = 0x1e2c_2c2b_97f4_5393;
 
 const FINGERPRINT: u64 = 0x5EED_C0DE;
 

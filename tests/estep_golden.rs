@@ -3,8 +3,7 @@
 //! It records, bit for bit:
 //!
 //! - per app, at 1 and 8 cycles/tick and under two probability vectors:
-//!   `e_step`'s expected edge counts, log-likelihood and unexplained count,
-//!   and the tables' truncated mass;
+//!   `e_step`'s expected edge counts, log-likelihood and unexplained count;
 //! - per app, two `estimate_em_from` runs at 8 cycles/tick, one at the
 //!   default pruning and one pruned coarsely enough that the likelihood
 //!   watchdog rewinds on some apps: probabilities, log-likelihood,
@@ -105,7 +104,7 @@ fn app_record(app: &str, seed: u64) -> String {
         .unwrap_or_else(|e| panic!("{app} at {cpt}: collection failed: {e}"));
         let cfg = run.cfg();
         for (k, probs) in prob_vectors(cfg).iter().enumerate() {
-            let (exp, tables) = e_step(
+            let exp = e_step(
                 cfg,
                 &run.block_costs,
                 &run.edge_costs,
@@ -118,7 +117,6 @@ fn app_record(app: &str, seed: u64) -> String {
             let _ = writeln!(out, "  counts {}", hexes(&exp.counts));
             let _ = writeln!(out, "  loglik {}", hex(exp.loglik));
             let _ = writeln!(out, "  unexplained {}", exp.unexplained);
-            let _ = writeln!(out, "  truncated {}", hex(tables.truncated));
         }
         if cpt == 8 {
             for mass_eps in [FbParams::default().mass_eps, COARSE_MASS_EPS] {

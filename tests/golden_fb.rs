@@ -1,14 +1,18 @@
-//! Golden-equivalence tests: the flat single-pass forward–backward engine
-//! (`ct_core::fb`) must reproduce the reference `BTreeMap` engine
-//! (`ct_core::fb_reference`) on every app in the registry, to 1e-9.
+//! Golden-equivalence tests: the flat forward–backward engine (`ct_core::fb`)
+//! must reproduce the reference `BTreeMap` engine (`ct_core::fb_reference`)
+//! on every app in the registry, to 1e-9.
 //!
 //! The reference runs one independent time-expanded DP per block and rescans
-//! the `f ⊗ g` product per `(sample, edge)` pair; the current engine runs one
-//! reversed-graph propagation for all blocks and one windowed convolution per
-//! edge. Pruning decisions are made against different intermediate merges, so
-//! the suites run at `mass_eps = 1e-12` — any pruning disagreement is then
-//! orders of magnitude below the 1e-9 comparison tolerance.
+//! the `f ⊗ g` product per `(sample, edge)` pair; the current engine's tables
+//! come from one propagation per direction, and its E-step from one backward
+//! sweep over the forward trellis. Pruning decisions are made against
+//! different intermediate merges, so the suites run at `mass_eps = 1e-12` —
+//! any pruning disagreement is then orders of magnitude below the 1e-9
+//! comparison tolerance, except where the reference's per-block pruning
+//! breaks flow conservation itself ([`REFERENCE_BREAKS_FLOW`]); there the
+//! engine is held to conservation instead.
 
+use ct_cfg::graph::Terminator;
 use ct_cfg::profile::BranchProbs;
 use ct_core::fb::{compute_tables, e_step, FbParams};
 use ct_core::fb_reference;
@@ -16,6 +20,10 @@ use ct_core::samples::TimingSamples;
 use ct_mote::cost::AvrCost;
 
 const TOL: f64 = 1e-9;
+
+/// Relative flow-conservation tolerance: the most a block's expected
+/// in-count and out-count may differ by.
+const FLOW_TOL: f64 = 1e-12;
 
 fn params() -> FbParams {
     FbParams {
@@ -132,8 +140,37 @@ fn tables_match_reference_on_app_registry() {
     }
 }
 
+/// The largest relative gap between a block's expected in-count and
+/// out-count under `counts`, over every block but the entry and the Return
+/// blocks.
+fn flow_gap(cfg: &ct_cfg::graph::Cfg, counts: &[f64]) -> f64 {
+    let (mut inflow, mut outflow) = (vec![0.0; cfg.len()], vec![0.0; cfg.len()]);
+    for e in cfg.edges() {
+        inflow[e.to.index()] += counts[e.index];
+        outflow[e.from.index()] += counts[e.index];
+    }
+    cfg.iter()
+        .filter(|&(b, block)| b != cfg.entry() && block.term != Terminator::Return)
+        .map(|(b, _)| {
+            let (i, o) = (inflow[b.index()], outflow[b.index()]);
+            if i == o {
+                0.0
+            } else {
+                (i - o).abs() / i.abs().max(o.abs())
+            }
+        })
+        .fold(0.0, f64::max)
+}
+
+/// The cells where the reference E-step breaks flow conservation by more
+/// than 1e-12 relative, with its own gap: its backward tables are pruned
+/// per block, so some paths' suffixes are cut where their prefixes are not.
+/// Its counts are no oracle there; the engine's are held to conservation.
+const REFERENCE_BREAKS_FLOW: [(&str, u64); 2] = [("surge", 8), ("surge", 64)];
+
 #[test]
 fn e_step_matches_reference_on_app_registry() {
+    let mut breaks = Vec::new();
     for (name, cfg, bc, ec) in registry_problems() {
         let probs = probs_for(&cfg);
         let tables = fb_reference::compute_tables(&cfg, &bc, &ec, &probs, params())
@@ -144,11 +181,13 @@ fn e_step_matches_reference_on_app_registry() {
         // Cycle-accurate and two coarse timers.
         for cpt in [1u64, 8, 64] {
             let samples = ticks_covering(&duration, cpt);
-            let (new, _) = e_step(&cfg, &bc, &ec, &probs, &samples, params())
+            let new = e_step(&cfg, &bc, &ec, &probs, &samples, params())
                 .unwrap_or_else(|e| panic!("{name}: new e_step failed: {e}"));
-            let (old, _) = fb_reference::e_step(&cfg, &bc, &ec, &probs, &samples, params())
+            let old = fb_reference::e_step(&cfg, &bc, &ec, &probs, &samples, params())
                 .unwrap_or_else(|e| panic!("{name}: reference e_step failed: {e}"));
 
+            let gap = flow_gap(&cfg, &new.counts);
+            assert!(gap <= FLOW_TOL, "{name} cpt={cpt}: flow gap {gap:e}");
             let scale = 1.0 + old.loglik.abs();
             assert!(
                 (new.loglik - old.loglik).abs() < TOL * scale,
@@ -161,6 +200,10 @@ fn e_step_matches_reference_on_app_registry() {
                 "{name} cpt={cpt}: unexplained"
             );
             assert_eq!(new.counts.len(), old.counts.len());
+            if flow_gap(&cfg, &old.counts) > FLOW_TOL {
+                breaks.push((name.clone(), cpt));
+                continue;
+            }
             for (i, (cn, co)) in new.counts.iter().zip(&old.counts).enumerate() {
                 let scale = 1.0 + co.abs();
                 assert!(
@@ -170,6 +213,11 @@ fn e_step_matches_reference_on_app_registry() {
             }
         }
     }
+    let want: Vec<(String, u64)> = REFERENCE_BREAKS_FLOW
+        .iter()
+        .map(|&(name, cpt)| (name.to_string(), cpt))
+        .collect();
+    assert_eq!(breaks, want, "cells where the reference breaks flow");
 }
 
 #[test]
