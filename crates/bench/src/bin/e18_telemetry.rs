@@ -12,9 +12,10 @@
 //! 2. **Overhead**: the best-of-N telemetry-on wall time stays within the
 //!    overhead bound of the best-of-N telemetry-off wall time (5% full,
 //!    35% smoke; min-of-N with alternating reps absorbs scheduler noise).
-//!    In full mode each rep replays the delivery stream, a fresh service
-//!    each time, until it lasts at least half a second: a bound of a few
-//!    percent cannot be read off cells of a few hundredths of a second.
+//!    Each rep replays the delivery stream, a fresh service each time,
+//!    until it lasts at least half a second (50 ms in smoke mode): a bound
+//!    of a few percent cannot be read off cells of a few hundredths of a
+//!    second, nor one of 35% off a smoke cell of under a millisecond.
 //! 3. **Coverage**: the `svc.ingest.enqueue_ns`, `svc.reduce.latency_ns`
 //!    and `svc.serve.latency_ns` histograms all report a nonzero p99 at
 //!    every shard count, and the per-shard `svc.shard.<i>.accepted` /
@@ -44,8 +45,9 @@ use std::time::Duration;
 /// per-batch overhead — the regime where telemetry cost would show).
 const BATCH_LEN: usize = 4;
 
-/// The least wall time of one timed full-mode rep.
+/// The least wall time of one timed rep, in full and in smoke mode.
 const MIN_REP: Duration = Duration::from_millis(500);
+const MIN_SMOKE_REP: Duration = Duration::from_millis(50);
 
 /// Switches the optional telemetry paths (event stream + flight recorder)
 /// together. Histogram/counter aggregates are always on — they are part of
@@ -90,6 +92,7 @@ fn main() {
     let producers = env.threads.max(1);
     let reps = env.pick(9usize, 2);
     let bound = env.pick(0.05f64, 0.35);
+    let min_rep = env.pick(MIN_REP, MIN_SMOKE_REP);
 
     let (cfg, bc, ec, truth) = diamond_chain_problem(2, seed);
     let samples = synth_samples(&cfg, &bc, &ec, &truth, motes * BATCH_LEN, seed);
@@ -132,19 +135,16 @@ fn main() {
         let mut best = [Duration::MAX, Duration::MAX]; // [off, on]
         let mut resps: [Option<ct_service::EstimateResponse>; 2] = [None, None];
         let mut on_snap: Option<ct_obs::Snapshot> = None;
-        // Streams per timed rep: enough that a rep lasts `MIN_REP` at the
-        // fastest stream an untimed telemetry-off warm-up of `MIN_REP`
+        // Streams per timed rep: enough that a rep lasts `min_rep` at the
+        // fastest stream an untimed telemetry-off warm-up of `min_rep`
         // saw (its first streams run cold).
-        let mut streams = 1;
-        if !env.smoke {
-            set_telemetry(false);
-            let (mut warm, mut fastest) = (Duration::ZERO, Duration::MAX);
-            while warm < MIN_REP {
-                let took = run_cell(&config, producers, &deliveries, cpt, &cfg, &bc, &ec, None).1;
-                (warm, fastest) = (warm + took, fastest.min(took));
-            }
-            streams = MIN_REP.as_nanos().div_ceil(fastest.as_nanos().max(1)) as u32;
+        set_telemetry(false);
+        let (mut warm, mut fastest) = (Duration::ZERO, Duration::MAX);
+        while warm < min_rep {
+            let took = run_cell(&config, producers, &deliveries, cpt, &cfg, &bc, &ec, None).1;
+            (warm, fastest) = (warm + took, fastest.min(took));
         }
+        let streams = min_rep.as_nanos().div_ceil(fastest.as_nanos().max(1)) as u32;
 
         // Alternating off/on reps, each mode first in every other rep:
         // thermal and scheduler drift, and whatever the first mode of a
@@ -272,8 +272,8 @@ fn main() {
          diamond_chain(2), {motes} motes x {BATCH_LEN} ticks/batch, ~25% duplicated\n\
          deliveries, seed {seed}, {producers} producer thread(s), best of {reps}\n\
          alternating reps per mode, each rep the delivery stream replayed on\n\
-         fresh services `streams/rep` times (at least {:.1} s a rep outside\n\
-         smoke mode). Exit-status-enforced claims: telemetry-on\n\
+         fresh services `streams/rep` times (at least {:.2} s a rep).\n\
+         Exit-status-enforced claims: telemetry-on\n\
          serves bitwise the telemetry-off and monolithic-reference estimate at\n\
          every shard count, best-of-N overhead stays under {}%, the three\n\
          service latency histograms report nonzero p99s, per-shard counters sum\n\
@@ -281,7 +281,7 @@ fn main() {
          across shard counts and modes. The flight-recorder Dump verb and the\n\
          metrics pump both produced schema-valid JSONL.\n\
          {}\n\n{}",
-        MIN_REP.as_secs_f64(),
+        min_rep.as_secs_f64(),
         f2(bound * 100.0),
         env.banner(),
         table.to_markdown()
