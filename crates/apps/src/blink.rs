@@ -74,6 +74,7 @@ mod tests {
     fn target_proc_exists_and_is_structured() {
         let p = program();
         let pid = p.proc_id(TARGET_PROC).expect("target exists");
-        assert!(ct_cfg::structure::decompose(&p.proc(pid).cfg).is_ok());
+        assert!(ct_cfg::loops::is_reducible(&p.proc(pid).cfg));
+        assert_eq!(p.proc(pid).cfg.exit_blocks().len(), 1);
     }
 }

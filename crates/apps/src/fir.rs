@@ -3,7 +3,6 @@
 //! Markov geometric-loop assumption is deliberately misspecified here) while
 //! the alarm branch is input-driven.
 
-use ct_ir::instr::ProcId;
 use ct_ir::program::Program;
 use ct_mote::devices::SineAdc;
 use ct_mote::interp::Mote;
@@ -67,11 +66,6 @@ pub fn configure(mote: &mut Mote) {
     mote.call(init, &[], &mut NullProfiler).expect("init runs");
 }
 
-/// The target procedure's id in the compiled program.
-pub fn target_proc_id(program: &Program) -> ProcId {
-    program.proc_id(TARGET_PROC).expect("step exists")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,7 +80,7 @@ mod tests {
         configure(&mut mote);
         mote.devices.adc = Box::new(ConstantAdc(800));
         for _ in 0..16 {
-            mote.call(target_proc_id(&p), &[], &mut NullProfiler)
+            mote.call(p.proc_id(TARGET_PROC).unwrap(), &[], &mut NullProfiler)
                 .unwrap();
         }
         // After ≥8 steps of constant 800 input: output = 8·800/8 = 800.
@@ -100,7 +94,7 @@ mod tests {
         let mut mote = Mote::new(p.clone(), Box::new(AvrCost));
         configure(&mut mote);
         let mut gt = GroundTruthProfiler::new(&p);
-        let pid = target_proc_id(&p);
+        let pid = p.proc_id(TARGET_PROC).unwrap();
         mote.call(pid, &[], &mut gt).unwrap();
         let cfg = &p.proc(pid).cfg;
         // Loop header visited 9 times (8 continues + exit).
@@ -114,7 +108,7 @@ mod tests {
         let mut mote = Mote::new(p.clone(), Box::new(AvrCost));
         configure(&mut mote);
         let mut gt = GroundTruthProfiler::new(&p);
-        let pid = target_proc_id(&p);
+        let pid = p.proc_id(TARGET_PROC).unwrap();
         for _ in 0..512 {
             mote.call(pid, &[], &mut gt).unwrap();
         }

@@ -155,11 +155,9 @@ mod tests {
         for app in all_apps() {
             let p = app.compile();
             let pid = app.target_id(&p);
-            assert!(
-                ct_cfg::structure::decompose(&p.proc(pid).cfg).is_ok(),
-                "{}",
-                app.name
-            );
+            let cfg = &p.proc(pid).cfg;
+            assert!(ct_cfg::loops::is_reducible(cfg), "{}", app.name);
+            assert_eq!(cfg.exit_blocks().len(), 1, "{}", app.name);
         }
     }
 

@@ -149,7 +149,7 @@ pub fn random_program(seed: u64, config: GenConfig) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ct_cfg::structure::decompose;
+    use ct_cfg::loops::is_reducible;
 
     #[test]
     fn diamond_chain_problem_is_well_formed() {
@@ -175,7 +175,8 @@ mod tests {
             let p = random_program(seed, GenConfig::default());
             let proc = &p.procs[0];
             assert!(proc.cfg.validate().is_ok(), "seed {seed}");
-            assert!(decompose(&proc.cfg).is_ok(), "seed {seed}");
+            assert!(is_reducible(&proc.cfg), "seed {seed}");
+            assert_eq!(proc.cfg.exit_blocks().len(), 1, "seed {seed}");
         }
     }
 

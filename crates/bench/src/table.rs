@@ -67,16 +67,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", self.headers.join(","));
-        for r in &self.rows {
-            let _ = writeln!(out, "{}", r.join(","));
-        }
-        out
-    }
 }
 
 /// Writes `content` under `results/<name>` (creating the directory), best
@@ -143,13 +133,6 @@ mod tests {
         assert!(md.contains("|---|---|"));
         assert!(md.contains("| 3 | 4 |"));
         assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let mut t = Table::new(vec!["x"]);
-        t.row(vec!["7"]);
-        assert_eq!(t.to_csv(), "x\n7\n");
     }
 
     #[test]

@@ -111,24 +111,6 @@ impl Dominators {
             }
         }
     }
-
-    /// The dominator-tree path from `b` up to the entry, inclusive on both
-    /// ends. Empty if `b` is unreachable.
-    pub fn dominator_chain(&self, b: BlockId) -> Vec<BlockId> {
-        let mut chain = Vec::new();
-        let mut cur = b;
-        if self.idom[cur.index()].is_none() && cur != self.entry {
-            return chain;
-        }
-        loop {
-            chain.push(cur);
-            match self.idom[cur.index()] {
-                Some(d) if d != cur => cur = d,
-                _ => break,
-            }
-        }
-        chain
-    }
 }
 
 #[cfg(test)]
@@ -184,16 +166,6 @@ mod tests {
         // Neither a nor b dominates the other; both idoms are the entry.
         assert_eq!(dom.idom(BlockId(1)), Some(BlockId(0)));
         assert_eq!(dom.idom(BlockId(2)), Some(BlockId(0)));
-    }
-
-    #[test]
-    fn dominator_chain_walks_to_entry() {
-        let cfg = linear(3);
-        let dom = Dominators::compute(&cfg);
-        assert_eq!(
-            dom.dominator_chain(BlockId(2)),
-            vec![BlockId(2), BlockId(1), BlockId(0)]
-        );
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Graphviz DOT rendering of CFGs, for documentation and debugging.
 
 use crate::graph::{Cfg, EdgeKind};
-use crate::profile::EdgeProfile;
 use std::fmt::Write as _;
 
 /// Renders `cfg` as a Graphviz `digraph`.
@@ -18,15 +17,6 @@ use std::fmt::Write as _;
 /// assert!(dot.contains("label=\"T\""));
 /// ```
 pub fn to_dot(cfg: &Cfg) -> String {
-    render(cfg, None)
-}
-
-/// Renders `cfg` with edge counts from `profile` appended to edge labels.
-pub fn to_dot_with_profile(cfg: &Cfg, profile: &EdgeProfile) -> String {
-    render(cfg, Some(profile))
-}
-
-fn render(cfg: &Cfg, profile: Option<&EdgeProfile>) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "digraph \"{}\" {{", cfg.name());
     let _ = writeln!(out, "  node [shape=box, fontname=\"monospace\"];");
@@ -34,22 +24,11 @@ fn render(cfg: &Cfg, profile: Option<&EdgeProfile>) -> String {
         let _ = writeln!(out, "  {} [label=\"{}\\n{}\"];", id, id, b.name);
     }
     for e in cfg.edges() {
-        let mut label = match e.kind {
-            EdgeKind::BranchTrue => "T".to_string(),
-            EdgeKind::BranchFalse => "F".to_string(),
-            EdgeKind::Jump => String::new(),
+        let _ = match e.kind {
+            EdgeKind::BranchTrue => writeln!(out, "  {} -> {} [label=\"T\"];", e.from, e.to),
+            EdgeKind::BranchFalse => writeln!(out, "  {} -> {} [label=\"F\"];", e.from, e.to),
+            EdgeKind::Jump => writeln!(out, "  {} -> {};", e.from, e.to),
         };
-        if let Some(p) = profile {
-            if !label.is_empty() {
-                label.push(' ');
-            }
-            let _ = write!(label, "×{}", p.count(e.index));
-        }
-        if label.is_empty() {
-            let _ = writeln!(out, "  {} -> {};", e.from, e.to);
-        } else {
-            let _ = writeln!(out, "  {} -> {} [label=\"{}\"];", e.from, e.to, label);
-        }
     }
     out.push_str("}\n");
     out
@@ -75,14 +54,5 @@ mod tests {
         let dot = to_dot(&linear(3));
         assert!(!dot.contains("label=\"T\""));
         assert!(dot.contains("b0 -> b1;"));
-    }
-
-    #[test]
-    fn profile_counts_appear() {
-        let cfg = diamond();
-        let prof = EdgeProfile::from_counts(&cfg, vec![7, 3, 7, 3]);
-        let dot = to_dot_with_profile(&cfg, &prof);
-        assert!(dot.contains("×7"));
-        assert!(dot.contains("T ×7"));
     }
 }

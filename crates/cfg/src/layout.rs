@@ -171,19 +171,6 @@ impl Layout {
         self.order.get(p + 1).copied()
     }
 
-    /// Extra cycles charged when control flows along `from → to` given this
-    /// layout: `0` for fall-throughs, the taken penalty for taken branches,
-    /// the jump cost for materialized jumps. See [`Layout::transfer_kind`].
-    pub fn transfer_cost(
-        &self,
-        cfg: &Cfg,
-        penalties: &PenaltyModel,
-        from: BlockId,
-        to: BlockId,
-    ) -> u64 {
-        penalties.cost(self.transfer_kind(cfg, from, to))
-    }
-
     /// Classifies the machine-level transfer realizing CFG edge `from → to`
     /// under this layout.
     ///

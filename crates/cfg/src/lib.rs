@@ -9,8 +9,6 @@
 //! - [`builder`] — common shapes (diamond, loops, chains) for tests and
 //!   synthetic workloads.
 //! - [`dominators`] / [`loops`] — dominator tree, natural loops, reducibility.
-//! - [`structure`] — decomposition of structured CFGs into region trees,
-//!   which the duration model in `ct-core` composes over.
 //! - [`paths`] — DAG path enumeration for path-mixture models and Ball–Larus
 //!   profiling.
 //! - [`profile`] — edge counts, block visits and branch probabilities (the
@@ -43,11 +41,9 @@ pub mod layout;
 pub mod loops;
 pub mod paths;
 pub mod profile;
-pub mod structure;
 pub mod unroll;
 
 pub use graph::{Block, BlockId, Cfg, CfgError, Edge, EdgeKind, Terminator};
 pub use layout::{BranchPredictor, EdgeTransfer, Layout, LayoutCost, PenaltyModel, TransferKind};
 pub use profile::{BranchProbs, EdgeProfile};
-pub use structure::{decompose, Region, StructureError};
 pub use unroll::{unroll, UnrollError, Unrolled};

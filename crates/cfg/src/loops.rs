@@ -148,20 +148,6 @@ impl LoopForest {
         self.loops.is_empty()
     }
 
-    /// Index of the innermost loop containing `b`, if any.
-    pub fn innermost_loop_of(&self, b: BlockId) -> Option<usize> {
-        self.innermost[b.index()]
-    }
-
-    /// Index of the parent loop of loop `i`, if nested.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn parent_of(&self, i: usize) -> Option<usize> {
-        self.parent[i]
-    }
-
     /// Nesting depth of block `b`: 0 outside any loop, 1 in a top-level loop,
     /// and so on.
     pub fn depth_of(&self, b: BlockId) -> usize {
@@ -236,31 +222,11 @@ mod tests {
         let cfg = nested_loops();
         let forest = LoopForest::compute(&cfg);
         assert_eq!(forest.len(), 2);
-        // Outer loop headed at b1 contains inner loop headed at b2.
-        let outer = forest
-            .loops()
-            .iter()
-            .position(|l| l.header == BlockId(1))
-            .unwrap();
-        let inner = forest
-            .loops()
-            .iter()
-            .position(|l| l.header == BlockId(2))
-            .unwrap();
-        assert_eq!(forest.parent_of(inner), Some(outer));
-        assert_eq!(forest.parent_of(outer), None);
+        // Outer loop headed at b1 contains inner loop headed at b2:
         // inner_body (b3) is at depth 2; outer_latch (b4) at depth 1.
         assert_eq!(forest.depth_of(BlockId(3)), 2);
         assert_eq!(forest.depth_of(BlockId(4)), 1);
         assert_eq!(forest.depth_of(BlockId(0)), 0);
-    }
-
-    #[test]
-    fn innermost_loop_of_header_is_own_loop() {
-        let cfg = nested_loops();
-        let forest = LoopForest::compute(&cfg);
-        let inner = forest.innermost_loop_of(BlockId(2)).unwrap();
-        assert_eq!(forest.loops()[inner].header, BlockId(2));
     }
 
     #[test]

@@ -8,7 +8,6 @@ use ct_cfg::layout::{Layout, PenaltyModel};
 use ct_cfg::loops::{is_reducible, LoopForest};
 use ct_cfg::paths::{count_paths, enumerate_paths};
 use ct_cfg::profile::EdgeProfile;
-use ct_cfg::structure::decompose;
 use proptest::prelude::*;
 
 /// Generates a random structured CFG by interpreting a byte script as nested
@@ -74,13 +73,14 @@ fn structured_cfg(script: &[u8]) -> Cfg {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Generated structured graphs validate, are reducible, and decompose.
+    /// Generated structured graphs validate, are reducible, and have
+    /// exactly one Return block.
     #[test]
-    fn structured_graphs_decompose(script in proptest::collection::vec(0u8..=255, 0..12)) {
+    fn structured_graphs_are_reducible_with_one_exit(script in proptest::collection::vec(0u8..=255, 0..12)) {
         let cfg = structured_cfg(&script);
         prop_assert!(cfg.validate().is_ok());
         prop_assert!(is_reducible(&cfg));
-        prop_assert!(decompose(&cfg).is_ok());
+        prop_assert_eq!(cfg.exit_blocks().len(), 1);
     }
 
     /// The dominator of every block's predecessors set includes the idom.

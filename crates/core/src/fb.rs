@@ -1,31 +1,26 @@
-//! Forward–backward analysis of the per-procedure Markov chain over the
-//! time-expanded state space.
+//! The E-step: posterior expected edge counts of the per-procedure Markov
+//! chain over the time-expanded state space.
 //!
 //! This is the inference engine behind the EM estimator. For the chain with
-//! parameters `θ` and static block/edge cycle costs:
-//!
-//! - the **forward** table `f(b, t)` is the probability of arriving at block
-//!   `b` (before executing it) having consumed exactly `t` cycles;
-//! - the **backward** table `g(b, t)` is the probability that the total
-//!   remaining duration (including executing `b`) is exactly `t`.
-//!
-//! The procedure's duration distribution is `g(entry, ·)`, and the posterior
-//! expected traversal count of edge `(u → v)` given an observed duration
-//! decomposes as `p_e · Σ_t f(u,t) · g(v, d − t − c_u − c_e) / D(d)` — the
-//! Baum–Welch statistics, computed here against the quantization kernel so
-//! coarse-timer observations are handled exactly.
+//! parameters `θ` and static block/edge cycle costs, a state `(b, t)` is an
+//! arrival at block `b` (before executing it) after exactly `t` cycles. Its
+//! forward mass `f(b, t)` is the probability of reaching it; its backward
+//! weight `β(b, t)` is the weighted probability of what follows it. The
+//! posterior expected traversal count of edge `(u → v)` is
+//! `Σ_t f(u, t) · p_e · β(v, t + c_u + c_e)` — the Baum–Welch statistics,
+//! computed against the quantization kernel so coarse-timer observations are
+//! handled exactly.
 //!
 //! ## Engine layout
 //!
 //! One frontier propagation over flat sorted-vec PMFs (`ct_stats::pmf`)
-//! walks the time-expanded chain a step at a time and keeps each step's
-//! coalesced frontier as one layer of a trellis of `(block, t, mass)`
-//! states. Both entry points run on it:
+//! walks the time-expanded chain a step at a time from the entry, over the
+//! out-edges, and keeps each step's coalesced frontier as one layer of a
+//! trellis of `(block, t, mass)` states. [`e_step_planned`] runs on it:
 //!
-//! - the E-step ([`e_step_planned`]) propagates once from the entry over
-//!   the out-edges. It reads the duration PMF off the layers' arrivals at
-//!   the Return blocks (`t + c_r`), scores each distinct tick against it,
-//!   and folds the ticks into one weight per covered duration,
+//! - it reads the duration PMF off the layers' arrivals at the Return
+//!   blocks (`t + c_r`; [`FbScratch::duration`]), scores each distinct tick
+//!   against it, and folds the ticks into one weight per covered duration,
 //!   `w(d) = Σ n · L(tick, d) / z(tick)`. One backward sweep over the
 //!   layers in reverse then gives each state `β(r, t) = w(t + c_r)` at a
 //!   Return block and `β(u, t) = Σ_e p_e · β(x, t + c_u + c_e)` elsewhere,
@@ -38,11 +33,6 @@
 //!   the exact posterior of the chain the forward pass walked: every block
 //!   but the entry and the Returns is entered as often as it is left, to
 //!   rounding.
-//! - [`compute_tables`] runs the same propagation from the entry, and over
-//!   the in-edges from the Return blocks seeded at `c_r`, and folds each
-//!   block's runs across the layers into its forward and backward tables
-//!   (the first generation ran an independent DP per block; that engine
-//!   survives as [`crate::fb_reference`]).
 //!
 //! What an EM run does not change — edges, adjacency, return blocks, branch
 //! slots and the parameter each slot shares — is an [`FbPlan`], built once
@@ -63,8 +53,7 @@ use std::ops::Range;
 /// Tuning knobs for the time-expanded dynamic programs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FbParams {
-    /// Probability mass below which a DP entry is dropped (and accounted as
-    /// truncated).
+    /// Probability mass below which a DP entry is dropped.
     pub mass_eps: f64,
     /// Cap on total `(block, time)` expansions per dynamic program
     /// (runaway-loop guard).
@@ -116,28 +105,10 @@ impl fmt::Display for FbError {
 
 impl Error for FbError {}
 
-/// Sparse probability table per block: sorted `(cycles, probability)` pairs.
-/// This is the raw (array-of-structs) layout the propagation frontiers use;
-/// finished tables are stored structure-of-arrays as [`Pmf`].
+/// Sparse probability list: `(cycles, probability)` pairs. This is the raw
+/// (array-of-structs) layout the propagation frontiers use; the duration
+/// PMF is stored structure-of-arrays as [`Pmf`].
 pub type SparsePmf = Vec<(u64, f64)>;
-
-/// Forward and backward tables for one parameter vector.
-#[derive(Debug, Clone, Default)]
-pub struct FbTables {
-    /// `forward[b]`: arrival distribution at block `b`.
-    pub forward: Vec<Pmf>,
-    /// `backward[b]`: remaining-duration distribution from block `b`.
-    pub backward: Vec<Pmf>,
-    /// Probability mass lost to `mass_eps` pruning (upper bound across DPs).
-    pub truncated: f64,
-}
-
-impl FbTables {
-    /// The procedure's end-to-end duration distribution (`g(entry, ·)`).
-    pub fn duration_pmf(&self, cfg: &Cfg) -> &Pmf {
-        &self.backward[cfg.entry().index()]
-    }
-}
 
 /// What never changes while EM iterates on one CFG: its edges, out-edge
 /// adjacency, return blocks, branch slots and which slots share one
@@ -260,26 +231,19 @@ struct Trellis {
     time: Vec<u64>,
     /// Per state: its mass.
     mass: Vec<f64>,
-    /// Probability mass lost to `mass_eps` pruning.
-    truncated: f64,
 }
 
 impl Trellis {
     /// Empties the trellis and makes its first layer over `n` blocks mass
-    /// 1 at time `seed(b)` in each block `b` where that is `Some`.
-    fn seed(&mut self, n: usize, seed: impl Fn(usize) -> Option<u64>) {
+    /// 1 at time 0 in block `entry`.
+    fn seed(&mut self, n: usize, entry: usize) {
         self.start.clear();
         self.time.clear();
         self.mass.clear();
-        self.truncated = 0.0;
         self.start.push(0);
-        for b in 0..n {
-            if let Some(t) = seed(b) {
-                self.time.push(t);
-                self.mass.push(1.0);
-            }
-            self.start.push(self.time.len());
-        }
+        self.start.extend((0..n).map(|b| usize::from(b >= entry)));
+        self.time.push(0);
+        self.mass.push(1.0);
     }
 
     /// Block `b`'s states in the layer that starts at run `base`.
@@ -291,30 +255,14 @@ impl Trellis {
     fn layers(&self, n: usize) -> usize {
         (self.start.len() - 1) / n
     }
-
-    /// Each block's table: its runs across the layers, in layer order,
-    /// coalesced ([`pmf::coalesce_dense`]).
-    fn fold(&self, n: usize, merge: &mut SparsePmf) -> Vec<Pmf> {
-        let mut window = Vec::new();
-        (0..n)
-            .map(|b| {
-                let mut acc: SparsePmf = (0..self.layers(n))
-                    .flat_map(|k| self.run(k * n, b))
-                    .map(|i| (self.time[i], self.mass[i]))
-                    .collect();
-                pmf::coalesce_dense(&mut acc, &mut window, merge);
-                Pmf::from_sorted(acc)
-            })
-            .collect()
-    }
 }
 
 /// Where a state at time `t` with mass `mass` goes over an edge of
-/// probability `p` and cost `step`: `Ok((t + step, mass · p))` when the
-/// transition is kept, `Err(lost)` when it is not — `lost` is the mass
-/// pruned below `mass_eps`, and 0 for an edge never taken or an arrival past
-/// `time_cap`. The propagation and the E-step's backward sweep both decide
-/// here, so the sweep walks exactly the transitions the trellis holds.
+/// probability `p` and cost `step`: `Some((t + step, mass · p))` when the
+/// transition is kept, `None` for an edge never taken, a mass pruned below
+/// `mass_eps` or an arrival past `time_cap`. The propagation and the
+/// E-step's backward sweep both decide here, so the sweep walks exactly the
+/// transitions the trellis holds.
 #[inline]
 fn transition(
     t: u64,
@@ -323,19 +271,19 @@ fn transition(
     step: u64,
     mass_eps: f64,
     time_cap: u64,
-) -> Result<(u64, f64), f64> {
+) -> Option<(u64, f64)> {
     if p <= 0.0 {
-        return Err(0.0);
+        return None;
     }
     let m = mass * p;
     if m < mass_eps {
-        return Err(m);
+        return None;
     }
     let t2 = t + step;
     if t2 > time_cap {
-        return Err(0.0); // past the observation horizon: unreachable by any score
+        return None; // past the observation horizon: unreachable by any score
     }
-    Ok((t2, m))
+    Some((t2, m))
 }
 
 /// Everything an E-step writes: the trellis and its `β`, the next layer's
@@ -379,6 +327,13 @@ impl FbScratch {
         &self.counts
     }
 
+    /// The duration PMF the last [`e_step_planned`] read off the Return
+    /// arrivals. An E-step on an empty tick list walks the whole chain, so
+    /// it leaves the model's duration distribution here.
+    pub fn duration(&self) -> &Pmf {
+        &self.duration
+    }
+
     /// Checks the cost vectors against `plan` and fills the per-edge
     /// probabilities and steps for `probs`.
     fn prepare(
@@ -414,67 +369,20 @@ impl FbScratch {
     }
 }
 
-/// Computes forward and backward tables (a one-call plan and scratch):
+/// Frontier propagation over `plan`'s out-edges from the trellis' seeded
+/// first layer, appending each step's coalesced frontier as the next layer.
 ///
-/// - the forward table by one propagation from the entry block;
-/// - all backward tables by one propagation over the in-edges, seeded at
-///   the Return blocks with `g(r) = {(c_r, 1.0)}`: `g(u)` receives
-///   `p_e · (c_u + c_e ⊕ g(v))` along each edge `u → v`, so every path
-///   suffix is walked once instead of once per starting block.
-///
-/// Each table is its block's runs across the layers, coalesced, over the
-/// full support.
-///
-/// # Errors
-///
-/// [`FbError::SupportExplosion`] when pruning cannot contain the DP, and
-/// [`FbError::Shape`] for mismatched cost vectors.
-pub fn compute_tables(
-    cfg: &Cfg,
-    block_costs: &[u64],
-    edge_costs: &[u64],
-    probs: &BranchProbs,
-    params: FbParams,
-) -> Result<FbTables, FbError> {
-    let plan = FbPlan::new(cfg);
-    let s = &mut FbScratch::new();
-    s.prepare(&plan, block_costs, edge_costs, probs)?;
-    let n = plan.terms.len();
-    s.trellis.seed(n, |b| (b == plan.entry).then_some(0));
-    propagate(&plan.out_edges, s, params, u64::MAX)?;
-    let forward = s.trellis.fold(n, &mut s.merge);
-    let truncated = s.trellis.truncated;
-    let mut in_edges = vec![Vec::new(); n];
-    for (ei, &(u, v)) in plan.edges.iter().enumerate() {
-        in_edges[v].push((ei, u));
-    }
-    let returns = |b: usize| (plan.terms[b] == Terminator::Return).then(|| block_costs[b]);
-    s.trellis.seed(n, returns);
-    propagate(&in_edges, s, params, u64::MAX)?;
-    Ok(FbTables {
-        forward,
-        backward: s.trellis.fold(n, &mut s.merge),
-        truncated: truncated + s.trellis.truncated,
-    })
-}
-
-/// Frontier propagation over `adj` (`(edge, neighbor)` lists per block)
-/// from the trellis' seeded first layer, appending each step's coalesced
-/// frontier as the next layer.
-///
-/// Over the out-edges a state `(u, t)` reaches `(v, t + c_u + c_e)`;
-/// Return blocks have no out-edges, so mass is absorbed there. Over the
-/// in-edges the same step is walked against the edges. Mass in cycles
-/// decays by the branch probabilities each lap and is pruned at
-/// `mass_eps`; arrivals past `time_cap` are dropped **silently** (not
-/// counted as truncated — they are not lost to approximation, they are
+/// A state `(u, t)` reaches `(v, t + c_u + c_e)`; Return blocks have no
+/// out-edges, so mass is absorbed there. Mass in cycles decays by the
+/// branch probabilities each lap and is pruned at `mass_eps`; arrivals past
+/// `time_cap` are dropped too (they are not lost to approximation, they are
 /// provably unreachable by the caller).
 ///
 /// Blocks are visited in index order and states in ascending time, and
 /// merged masses are summed in contribution order — the same enumeration
 /// and summation order as the reference `BTreeMap` engine.
 fn propagate(
-    adj: &[Vec<(usize, usize)>],
+    plan: &FbPlan,
     s: &mut FbScratch,
     params: FbParams,
     time_cap: u64,
@@ -487,7 +395,7 @@ fn propagate(
         step,
         ..
     } = s;
-    let n = adj.len();
+    let n = plan.out_edges.len();
     next.resize_with(n, Vec::new);
     next.iter_mut().for_each(Vec::clear);
     let (mut base, mut processed) = (0, 0usize);
@@ -502,14 +410,15 @@ fn propagate(
                 max_entries: params.max_entries,
             });
         }
-        for (b, edges) in adj.iter().enumerate() {
+        for (b, edges) in plan.out_edges.iter().enumerate() {
             for i in tr.run(base, b) {
                 let (t, mass) = (tr.time[i], tr.mass[i]);
                 for &(ei, v) in edges {
                     let p = edge_probs[ei];
-                    match transition(t, mass, p, step[ei], params.mass_eps, time_cap) {
-                        Ok(arrival) => next[v].push(arrival),
-                        Err(lost) => tr.truncated += lost,
+                    if let Some(arrival) =
+                        transition(t, mass, p, step[ei], params.mass_eps, time_cap)
+                    {
+                        next[v].push(arrival);
                     }
                 }
             }
@@ -538,8 +447,7 @@ pub struct EdgeExpectations {
 }
 
 /// Runs one E-step: posterior expected edge-traversal counts for `samples`
-/// under `probs` (a one-call plan and scratch; EM runs [`e_step_planned`],
-/// and a caller that needs the tables calls [`compute_tables`]).
+/// under `probs` (a one-call plan and scratch; EM runs [`e_step_planned`]).
 ///
 /// # Errors
 ///
@@ -612,8 +520,8 @@ pub fn e_step_planned(
         .map_or(u64::MAX, |(_, hi)| hi);
     scratch.prepare(plan, block_costs, edge_costs, probs)?;
     let n = plan.terms.len();
-    scratch.trellis.seed(n, |b| (b == plan.entry).then_some(0));
-    propagate(&plan.out_edges, scratch, params, time_cap)?;
+    scratch.trellis.seed(n, plan.entry);
+    propagate(plan, scratch, params, time_cap)?;
     let FbScratch {
         trellis: tr,
         beta,
@@ -703,7 +611,7 @@ pub fn e_step_planned(
                         params.mass_eps,
                         time_cap,
                     );
-                    let Ok((t2, m)) = kept else {
+                    let Some((t2, m)) = kept else {
                         continue;
                     };
                     while tr.time[j] < t2 {
@@ -727,7 +635,7 @@ mod tests {
     use crate::samples::TimingSamples;
     use ct_cfg::builder::{diamond, while_loop};
 
-    fn diamond_setup(p: f64) -> (ct_cfg::graph::Cfg, Vec<u64>, Vec<u64>, BranchProbs) {
+    fn diamond_setup(p: f64) -> (Cfg, Vec<u64>, Vec<u64>, BranchProbs) {
         let cfg = diamond();
         let block_costs = vec![10, 100, 200, 5];
         let edge_costs = vec![1, 2, 0, 0];
@@ -735,39 +643,34 @@ mod tests {
         (cfg, block_costs, edge_costs, probs)
     }
 
+    /// The model's duration PMF: what an E-step on no ticks leaves behind.
+    fn duration_pmf(cfg: &Cfg, bc: &[u64], ec: &[u64], probs: &BranchProbs) -> Vec<(u64, f64)> {
+        let mut scratch = FbScratch::new();
+        let plan = FbPlan::new(cfg);
+        e_step_planned(
+            &plan,
+            &mut scratch,
+            bc,
+            ec,
+            probs,
+            &[],
+            1,
+            FbParams::default(),
+        )
+        .unwrap();
+        scratch.duration().entries()
+    }
+
     #[test]
     fn duration_pmf_of_diamond_is_two_point() {
         let (cfg, bc, ec, probs) = diamond_setup(0.7);
-        let t = compute_tables(&cfg, &bc, &ec, &probs, FbParams::default()).unwrap();
-        let d = t.duration_pmf(&cfg).entries();
+        let d = duration_pmf(&cfg, &bc, &ec, &probs);
         // true path: 10+1+100+0+5 = 116; false: 10+2+200+0+5 = 217.
         assert_eq!(d.len(), 2);
         assert_eq!(d[0].0, 116);
         assert!((d[0].1 - 0.7).abs() < 1e-12);
         assert_eq!(d[1].0, 217);
         assert!((d[1].1 - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn forward_table_arrivals() {
-        let (cfg, bc, ec, probs) = diamond_setup(0.7);
-        let t = compute_tables(&cfg, &bc, &ec, &probs, FbParams::default()).unwrap();
-        // Arrive at then (b1) at t = 10+1 = 11 with mass 0.7.
-        assert_eq!(t.forward[1].entries(), vec![(11, 0.7)]);
-        // Arrive at join (b3) from both arms.
-        assert_eq!(t.forward[3].len(), 2);
-        let total: f64 = t.forward[3].masses().iter().sum();
-        assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn backward_tables_cover_every_block() {
-        let (cfg, bc, ec, probs) = diamond_setup(0.7);
-        let t = compute_tables(&cfg, &bc, &ec, &probs, FbParams::default()).unwrap();
-        // g(then) = {100+0+5}, g(else) = {200+0+5}, g(join) = {5}.
-        assert_eq!(t.backward[1].entries(), vec![(105, 1.0)]);
-        assert_eq!(t.backward[2].entries(), vec![(205, 1.0)]);
-        assert_eq!(t.backward[3].entries(), vec![(5, 1.0)]);
     }
 
     #[test]
@@ -842,8 +745,7 @@ mod tests {
         let ec = vec![0; cfg.edges().len()];
         let mut probs = BranchProbs::uniform(&cfg, 0.5);
         probs.set_prob_true(ct_cfg::graph::BlockId(1), 0.5);
-        let t = compute_tables(&cfg, &bc, &ec, &probs, FbParams::default()).unwrap();
-        let d = t.duration_pmf(&cfg).entries();
+        let d = duration_pmf(&cfg, &bc, &ec, &probs);
         // k iterations: 2 + 3(k+1) + 10k + 1 = 6 + 13k, each w.p. 0.5^{k+1}.
         assert_eq!(d[0], (6, 0.5));
         assert_eq!(d[1].0, 19);
@@ -892,8 +794,9 @@ mod tests {
             mass_eps: 1e-300,
             max_entries: 4,
         };
+        let samples = TimingSamples::new(vec![32], 1);
         assert!(matches!(
-            compute_tables(&cfg, &bc, &ec, &probs, params),
+            e_step(&cfg, &bc, &ec, &probs, &samples, params),
             Err(FbError::SupportExplosion { .. })
         ));
     }
@@ -902,39 +805,10 @@ mod tests {
     fn shape_errors_detected() {
         let (cfg, bc, _, probs) = diamond_setup(0.5);
         let bad_ec = vec![0u64; 1];
+        let samples = TimingSamples::new(vec![116], 1);
         assert!(matches!(
-            compute_tables(&cfg, &bc, &bad_ec, &probs, FbParams::default()),
+            e_step(&cfg, &bc, &bad_ec, &probs, &samples, FbParams::default()),
             Err(FbError::Shape(_))
         ));
-    }
-
-    #[test]
-    fn matches_reference_engine_on_loop() {
-        let cfg = while_loop();
-        let bc = vec![2, 3, 10, 1];
-        let ec = vec![0; cfg.edges().len()];
-        let probs = BranchProbs::from_vec(&cfg, vec![0.7]);
-        let params = FbParams {
-            mass_eps: 1e-12,
-            ..FbParams::default()
-        };
-        let new = compute_tables(&cfg, &bc, &ec, &probs, params).unwrap();
-        let old = crate::fb_reference::compute_tables(&cfg, &bc, &ec, &probs, params).unwrap();
-        for b in 0..cfg.len() {
-            assert_eq!(new.forward[b].len(), old.forward[b].len(), "forward[{b}]");
-            for (x, y) in new.forward[b].iter().zip(old.forward[b].iter()) {
-                assert_eq!(x.0, y.0);
-                assert!((x.1 - y.1).abs() < 1e-12);
-            }
-            assert_eq!(
-                new.backward[b].len(),
-                old.backward[b].len(),
-                "backward[{b}]"
-            );
-            for (x, y) in new.backward[b].iter().zip(old.backward[b].iter()) {
-                assert_eq!(x.0, y.0);
-                assert!((x.1 - y.1).abs() < 1e-12);
-            }
-        }
     }
 }

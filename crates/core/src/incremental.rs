@@ -11,7 +11,7 @@
 //!   converges in a handful of sweeps per batch instead of a full run; and
 //! - keeps one [`FbPlan`] and one [`FbScratch`] across batches, so a
 //!   re-estimation neither rebuilds the CFG's adjacency nor reallocates the
-//!   E-step's tables.
+//!   E-step's trellis.
 //!
 //! ## Convergence contract
 //!

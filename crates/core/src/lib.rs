@@ -59,8 +59,6 @@ mod chain;
 pub mod em;
 pub mod estimator;
 pub mod fb;
-#[doc(hidden)]
-pub mod fb_reference;
 pub mod flow_nnls;
 pub mod gnt;
 pub mod incremental;
@@ -77,9 +75,7 @@ pub use estimator::{
     estimate, estimate_robust, Estimate, EstimateError, EstimateOptions, Method, RobustEstimate,
     RobustOptions, Rung, RungAttempt,
 };
-pub use fb::{
-    compute_tables, e_step, e_step_planned, FbError, FbParams, FbPlan, FbScratch, FbTables,
-};
+pub use fb::{e_step, e_step_planned, FbError, FbParams, FbPlan, FbScratch};
 pub use flow_nnls::{estimate_flow, FlowResult};
 pub use gnt::{estimate_gnt, model_cf, GntError, GntResult};
 pub use incremental::IncrementalEm;

@@ -112,13 +112,6 @@ pub fn duration_window(ticks: u64, cpt: u64) -> (u64, u64) {
     raw_window(ticks, cpt)
 }
 
-/// Expected observed ticks for duration `d`: `d / cpt` exactly (the kernel is
-/// unbiased in expectation).
-pub fn expected_ticks(d: u64, cpt: u64) -> f64 {
-    assert!(cpt > 0, "cycles per tick must be positive");
-    d as f64 / cpt as f64
-}
-
 /// Probability of observing `ticks` under a duration PMF:
 /// `Σ_d p(d) · tick_likelihood(ticks, d, cpt)`, summed left to right.
 ///
@@ -181,7 +174,7 @@ mod tests {
         let cpt = 100;
         for d in [37u64, 150, 249, 980] {
             let mean: f64 = (0..20).map(|t| t as f64 * tick_likelihood(t, d, cpt)).sum();
-            assert!((mean - expected_ticks(d, cpt)).abs() < 1e-12, "d={d}");
+            assert!((mean - d as f64 / cpt as f64).abs() < 1e-12, "d={d}");
         }
     }
 

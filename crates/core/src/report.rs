@@ -1,7 +1,7 @@
 //! Human-readable estimation reports.
 
 use crate::accuracy::AccuracyReport;
-use crate::estimator::{Estimate, RobustEstimate};
+use crate::estimator::Estimate;
 use ct_cfg::graph::Cfg;
 use ct_cfg::profile::BranchProbs;
 use std::fmt::Write as _;
@@ -52,31 +52,10 @@ pub fn summary_line(name: &str, est: &Estimate, acc: &AccuracyReport) -> String 
     )
 }
 
-/// One-line summary of a degradation-ladder estimate: the accepted rung and
-/// confidence, then the regular estimate summary, then the rejection reasons
-/// of every stronger rung so logs show *why* the answer degraded.
-pub fn robust_summary_line(name: &str, r: &RobustEstimate, acc: &AccuracyReport) -> String {
-    let mut line = format!(
-        "{} [rung={} confidence={:.2}{}]",
-        summary_line(name, &r.estimate, acc),
-        r.rung,
-        r.confidence,
-        if r.trimmed > 0 {
-            format!(" trimmed={}", r.trimmed)
-        } else {
-            String::new()
-        }
-    );
-    for a in r.attempts.iter().filter(|a| !a.accepted) {
-        let _ = write!(line, " !{}: {}", a.rung, a.detail);
-    }
-    line
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::{Method, Rung, RungAttempt};
+    use crate::estimator::Method;
     use ct_cfg::builder::diamond;
 
     #[test]
@@ -109,43 +88,5 @@ mod tests {
         let line = summary_line("sense", &est, &acc);
         assert!(line.contains("method=em"));
         assert!(line.contains("unexplained=2"));
-    }
-
-    #[test]
-    fn robust_summary_mentions_rung_and_rejections() {
-        let cfg = diamond();
-        let r = RobustEstimate {
-            estimate: Estimate {
-                probs: BranchProbs::uniform(&cfg, 0.5),
-                method: Method::Em,
-                iterations: 5,
-                converged: true,
-                final_delta: 1e-7,
-                loglik: Some(-10.0),
-                unexplained: 0,
-            },
-            rung: Rung::TrimmedEm,
-            confidence: 0.63,
-            trimmed: 20,
-            attempts: vec![
-                RungAttempt {
-                    rung: Rung::FullEm,
-                    accepted: false,
-                    detail: "tick value overflows".into(),
-                },
-                RungAttempt {
-                    rung: Rung::TrimmedEm,
-                    accepted: true,
-                    detail: "converged".into(),
-                },
-            ],
-        };
-        let acc = AccuracyReport::default();
-        let line = robust_summary_line("sense", &r, &acc);
-        assert!(line.contains("rung=trimmed-em"));
-        assert!(line.contains("confidence=0.63"));
-        assert!(line.contains("trimmed=20"));
-        assert!(line.contains("!full-em: tick value overflows"));
-        assert!(!line.contains("!trimmed-em"));
     }
 }

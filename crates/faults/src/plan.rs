@@ -65,12 +65,6 @@ pub struct FaultChain {
 }
 
 impl FaultChain {
-    /// Builds a chain directly from models (for custom, non-canonical
-    /// compositions; prefer [`FaultPlan::build`] for sweeps).
-    pub fn from_models(seed: u64, models: Vec<Box<dyn FaultModel>>) -> FaultChain {
-        FaultChain { seed, models }
-    }
-
     /// Applies every model in order. Deterministic: the same chain and input
     /// always produce the same output, independent of the environment.
     pub fn apply(&self, samples: &TimingSamples) -> TimingSamples {

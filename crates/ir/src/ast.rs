@@ -16,8 +16,8 @@
 //! }
 //! ```
 //!
-//! Design restrictions that keep lowered CFGs structured (and therefore
-//! decomposable by `ct_cfg::structure`):
+//! Design restrictions that keep lowered CFGs structured (reducible, with
+//! one Return block):
 //!
 //! - no `goto`, `break` or `continue`;
 //! - `return` may appear only as the final statement of a procedure body;

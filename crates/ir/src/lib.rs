@@ -11,9 +11,9 @@
 //!
 //! Language restrictions (all checked by sema) guarantee that every lowered
 //! procedure is *structured*: reducible, single-exit, header-controlled
-//! single-latch loops. `ct_cfg::structure::decompose` therefore always
-//! succeeds on NLC output, which is what lets the Code Tomography duration
-//! model compose sequence/branch/loop distributions exactly.
+//! single-latch loops. One Return block gives each run one end-to-end
+//! duration, and a header-controlled single-latch loop with a known trip
+//! count is the shape `ct_cfg::unroll` expands for the unrolled estimator.
 //!
 //! ## Example
 //!
@@ -32,7 +32,8 @@
 //! "#).unwrap();
 //! let check = &program.procs[0];
 //! assert_eq!(check.cfg.branch_blocks().len(), 1);
-//! assert!(ct_cfg::structure::decompose(&check.cfg).is_ok());
+//! assert!(ct_cfg::loops::is_reducible(&check.cfg));
+//! assert_eq!(check.cfg.exit_blocks().len(), 1);
 //! ```
 
 pub mod ast;

@@ -7,8 +7,8 @@
 //! - every procedure has **exactly one** `Return` block (sema's
 //!   return-as-last-statement rule plus the implicit trailing return);
 //! - every loop is header-controlled with a single latch;
-//! - consequently `ct_cfg::structure::decompose` always succeeds on lowered
-//!   procedures.
+//! - consequently every lowered procedure is reducible
+//!   (`ct_cfg::loops::is_reducible`).
 
 use crate::ast::*;
 use crate::error::IrError;
@@ -325,7 +325,7 @@ pub use crate::instr::ValKind as LoweredValKind;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ct_cfg::structure::decompose;
+    use ct_cfg::loops::is_reducible;
 
     fn compile(src: &str) -> Program {
         compile_source(src).unwrap()
@@ -360,14 +360,15 @@ mod tests {
         assert!(proc.cfg.validate().is_ok());
         assert_eq!(proc.cfg.branch_blocks().len(), 1);
         assert_eq!(proc.cfg.exit_blocks().len(), 1);
-        assert!(decompose(&proc.cfg).is_ok());
+        assert!(is_reducible(&proc.cfg));
     }
 
     #[test]
     fn if_without_else_still_valid() {
         let p = compile("module M { var a: u16; proc f(x: u16) { if (x > 5) { a = 1; } } }");
         assert!(p.procs[0].cfg.validate().is_ok());
-        assert!(decompose(&p.procs[0].cfg).is_ok());
+        assert!(is_reducible(&p.procs[0].cfg));
+        assert_eq!(p.procs[0].cfg.exit_blocks().len(), 1);
     }
 
     #[test]
@@ -389,7 +390,8 @@ mod tests {
         assert!(!proc.cfg.is_acyclic());
         let forest = ct_cfg::loops::LoopForest::compute(&proc.cfg);
         assert_eq!(forest.len(), 1);
-        assert!(decompose(&proc.cfg).is_ok());
+        assert!(is_reducible(&proc.cfg));
+        assert_eq!(proc.cfg.exit_blocks().len(), 1);
     }
 
     #[test]
@@ -410,7 +412,7 @@ mod tests {
         );
         for proc in &p.procs {
             assert_eq!(proc.cfg.exit_blocks().len(), 1, "{}", proc.name);
-            assert!(decompose(&proc.cfg).is_ok(), "{}", proc.name);
+            assert!(is_reducible(&proc.cfg), "{}", proc.name);
         }
     }
 
@@ -437,7 +439,8 @@ mod tests {
         let proc = &p.procs[0];
         let forest = ct_cfg::loops::LoopForest::compute(&proc.cfg);
         assert_eq!(forest.len(), 2);
-        assert!(decompose(&proc.cfg).is_ok());
+        assert!(is_reducible(&proc.cfg));
+        assert_eq!(proc.cfg.exit_blocks().len(), 1);
     }
 
     #[test]

@@ -39,11 +39,6 @@ impl Ty {
         })
     }
 
-    /// True for the integer types.
-    pub fn is_integer(self) -> bool {
-        !matches!(self, Ty::Bool)
-    }
-
     /// Wraps a 64-bit computation result into this type's value range.
     ///
     /// Booleans normalize to 0/1.
@@ -130,11 +125,5 @@ mod tests {
         assert_eq!(Ty::U16.size_bytes(), 2);
         assert_eq!(Ty::I32.size_bytes(), 4);
         assert_eq!(Ty::Bool.size_bytes(), 1);
-    }
-
-    #[test]
-    fn integer_classification() {
-        assert!(Ty::U16.is_integer());
-        assert!(!Ty::Bool.is_integer());
     }
 }

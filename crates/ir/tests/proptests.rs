@@ -75,7 +75,8 @@ proptest! {
         let src = format!("module T {{ var g: u32; proc f(x: u16) {{ {body} }} }}");
         let program = ct_ir::compile_source(&src).unwrap();
         prop_assert_eq!(program.procs[0].cfg.branch_blocks().len(), depth);
-        prop_assert!(ct_cfg::structure::decompose(&program.procs[0].cfg).is_ok());
+        prop_assert!(ct_cfg::loops::is_reducible(&program.procs[0].cfg));
+        prop_assert_eq!(program.procs[0].cfg.exit_blocks().len(), 1);
     }
 
     /// Counted-loop detection finds exactly the loops with literal bounds.

@@ -111,12 +111,6 @@ impl AbsorbingAnalysis {
         out
     }
 
-    /// Expected number of steps before absorption from `start` (each visit
-    /// counts one step).
-    pub fn expected_steps(&self, start: usize, n_states: usize) -> f64 {
-        self.expected_visits(start, n_states).iter().sum()
-    }
-
     /// Probability of being absorbed in each absorbing state, starting from
     /// `start`. Indexed parallel to [`Self::absorbing`].
     pub fn absorption_probs(&self, start: usize) -> Vec<f64> {
@@ -174,7 +168,6 @@ mod tests {
         assert!((v[0] - 1.0).abs() < 1e-12);
         assert!((v[1] - 0.5).abs() < 1e-12);
         assert_eq!(v[2], 0.0);
-        assert!((a.expected_steps(0, 3) - 1.5).abs() < 1e-12);
     }
 
     #[test]

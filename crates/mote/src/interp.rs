@@ -13,7 +13,7 @@ use crate::devices::Devices;
 use crate::memory::GlobalStore;
 use crate::pmu::Pmu;
 use crate::trace::{GroundTruth, Profiler};
-use ct_cfg::graph::{BlockId, Cfg, Terminator};
+use ct_cfg::graph::{BlockId, Terminator};
 use ct_cfg::layout::{EdgeTransfer, Layout, TransferKind};
 use ct_cfg::profile::EdgeProfile;
 use ct_ir::ast::{BinOp, UnOp};
@@ -441,11 +441,6 @@ impl Mote {
         self.rng = StdRng::seed_from_u64(seed);
     }
 
-    /// Resets RAM to the program's initial values (cycle counter continues).
-    pub fn reset_memory(&mut self) {
-        self.globals.reset(&self.program);
-    }
-
     /// Calls `proc` with `args`, observing through `profiler`.
     ///
     /// Generic over the profiler so a concrete one (say, a
@@ -838,11 +833,6 @@ enum ControlFlow {
     Return(Option<i64>),
 }
 
-/// Convenience: the CFG of `proc` inside a mote's program.
-pub fn proc_cfg(mote: &Mote, proc: ProcId) -> &Cfg {
-    &mote.program().procs[proc.index()].cfg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -962,11 +952,6 @@ mod tests {
             let r = mote.call(ProcId(0), &[], &mut NullProfiler).unwrap();
             assert_eq!(r, Some(expected));
         }
-        mote.reset_memory();
-        assert_eq!(
-            mote.call(ProcId(0), &[], &mut NullProfiler).unwrap(),
-            Some(1)
-        );
     }
 
     #[test]

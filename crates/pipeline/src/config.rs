@@ -232,16 +232,6 @@ impl RunConfig {
         self
     }
 
-    /// Applies the process environment ([`EnvConfig`]): `CT_SEED`
-    /// overrides the configured seed when set.
-    pub fn from_env(self) -> RunConfig {
-        let env = EnvConfig::load();
-        match env.seed {
-            Some(seed) => self.seeded(seed),
-            None => self,
-        }
-    }
-
     /// The configured measurement timer.
     pub fn timer(&self) -> VirtualTimer {
         VirtualTimer::new(self.cycles_per_tick)

@@ -56,15 +56,6 @@ impl Summary {
     pub fn std_dev(&self) -> f64 {
         self.variance.sqrt()
     }
-
-    /// Standard error of the mean; `0.0` for an empty sample.
-    pub fn std_err(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.std_dev() / (self.n as f64).sqrt()
-        }
-    }
 }
 
 /// Arithmetic mean; `0.0` for an empty slice.
@@ -159,13 +150,6 @@ mod tests {
         let s = Summary::of(&[42.0]);
         assert_eq!(s.variance, 0.0);
         assert_eq!(s.mean, 42.0);
-    }
-
-    #[test]
-    fn std_err_shrinks_with_n() {
-        let small = Summary::of(&[1.0, 3.0]);
-        let large = Summary::of(&[1.0, 3.0, 1.0, 3.0, 1.0, 3.0, 1.0, 3.0]);
-        assert!(large.std_err() < small.std_err());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Small probability-distribution helpers used across the workspace.
 //!
 //! These cover exactly the needs of the Markov machinery and the workload
-//! generators: categorical draws over branch successors, geometric loop
-//! counts, and simplex utilities for estimator parameter vectors.
+//! generators: categorical draws over branch successors and simplex
+//! projection for estimator parameter vectors.
 
 use rand::Rng;
 
@@ -93,34 +93,6 @@ impl Categorical {
     }
 }
 
-/// Draws from a geometric distribution: the number of failures before the
-/// first success with success probability `p` (support `0, 1, 2, ...`).
-///
-/// Loop iteration counts under a Markov model are geometric: a loop with
-/// back-edge probability `q` runs `Geometric(1-q)` extra iterations.
-///
-/// # Panics
-///
-/// Panics if `p` is not in `(0, 1]`.
-pub fn sample_geometric<R: Rng + ?Sized>(rng: &mut R, p: f64) -> u64 {
-    assert!(p > 0.0 && p <= 1.0, "geometric parameter must be in (0,1]");
-    if p >= 1.0 {
-        return 0;
-    }
-    let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-    (u.ln() / (1.0 - p).ln()).floor() as u64
-}
-
-/// Probability mass function of the geometric distribution at `k`.
-///
-/// # Panics
-///
-/// Panics if `p` is not in `(0, 1]`.
-pub fn geometric_pmf(k: u64, p: f64) -> f64 {
-    assert!(p > 0.0 && p <= 1.0, "geometric parameter must be in (0,1]");
-    (1.0 - p).powi(k as i32) * p
-}
-
 /// Projects an arbitrary vector onto the probability simplex
 /// (`xᵢ ≥ 0`, `Σxᵢ = 1`) in Euclidean distance (Duchi et al. 2008).
 ///
@@ -147,11 +119,6 @@ pub fn project_to_simplex(v: &[f64]) -> Vec<f64> {
     }
     let _ = rho;
     v.iter().map(|&x| (x - theta).max(0.0)).collect()
-}
-
-/// Clamps a probability into `[eps, 1-eps]` to keep likelihoods finite.
-pub fn clamp_prob(p: f64, eps: f64) -> f64 {
-    p.max(eps).min(1.0 - eps)
 }
 
 #[cfg(test)]
@@ -198,30 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn geometric_mean_matches_theory() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let p = 0.25;
-        let n = 50_000;
-        let total: u64 = (0..n).map(|_| sample_geometric(&mut rng, p)).sum();
-        let mean = total as f64 / n as f64;
-        let expected = (1.0 - p) / p; // 3.0
-        assert!((mean - expected).abs() < 0.1, "got {mean}");
-    }
-
-    #[test]
-    fn geometric_p_one_is_always_zero() {
-        let mut rng = StdRng::seed_from_u64(5);
-        assert_eq!(sample_geometric(&mut rng, 1.0), 0);
-    }
-
-    #[test]
-    fn geometric_pmf_sums_to_one() {
-        let p = 0.3;
-        let total: f64 = (0..200).map(|k| geometric_pmf(k, p)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn simplex_projection_of_feasible_point_is_identity() {
         let v = [0.2, 0.3, 0.5];
         let p = project_to_simplex(&v);
@@ -237,12 +180,5 @@ mod tests {
         assert!(p.iter().all(|&x| x >= 0.0));
         let s: f64 = p.iter().sum();
         assert!((s - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn clamp_prob_bounds() {
-        assert_eq!(clamp_prob(-0.5, 1e-6), 1e-6);
-        assert_eq!(clamp_prob(1.5, 1e-6), 1.0 - 1e-6);
-        assert_eq!(clamp_prob(0.5, 1e-6), 0.5);
     }
 }

@@ -104,15 +104,6 @@ impl Matrix {
         Matrix::from_vec(v.len(), 1, v.to_vec())
     }
 
-    /// Builds a diagonal matrix from the given diagonal entries.
-    pub fn diag(d: &[f64]) -> Self {
-        let mut m = Matrix::zeros(d.len(), d.len());
-        for (i, &x) in d.iter().enumerate() {
-            m[(i, i)] = x;
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -153,11 +144,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning the row-major data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -187,16 +173,6 @@ impl Matrix {
             out[i] = acc;
         }
         out
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Maximum absolute entry.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
     }
 
     /// Scales every entry by `s`, returning a new matrix.
@@ -416,20 +392,6 @@ mod tests {
         let b = Matrix::from_rows(&[&[3.0, 5.0]]);
         assert_eq!(&a + &b, Matrix::from_rows(&[&[4.0, 7.0]]));
         assert_eq!(&b - &a, Matrix::from_rows(&[&[2.0, 3.0]]));
-    }
-
-    #[test]
-    fn frobenius_norm_of_unit_axis() {
-        let m = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn diag_builds_diagonal() {
-        let m = Matrix::diag(&[1.0, 2.0]);
-        assert_eq!(m[(0, 0)], 1.0);
-        assert_eq!(m[(1, 1)], 2.0);
-        assert_eq!(m[(0, 1)], 0.0);
     }
 
     #[test]

@@ -108,12 +108,6 @@ pub fn total_variation(a: &[f64], b: &[f64]) -> f64 {
     0.5 * a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f64>()
 }
 
-/// Relative error `|est − truth| / max(|truth|, floor)`, with a floor to keep
-/// the ratio meaningful near zero.
-pub fn relative_error(estimated: f64, truth: f64, floor: f64) -> f64 {
-    (estimated - truth).abs() / truth.abs().max(floor)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,12 +172,6 @@ mod tests {
     fn total_variation_bounds() {
         assert_eq!(total_variation(&[1.0, 0.0], &[0.0, 1.0]), 1.0);
         assert_eq!(total_variation(&[0.5, 0.5], &[0.5, 0.5]), 0.0);
-    }
-
-    #[test]
-    fn relative_error_uses_floor_near_zero() {
-        assert_eq!(relative_error(0.1, 0.0, 1.0), 0.1);
-        assert_eq!(relative_error(2.0, 1.0, 0.001), 1.0);
     }
 
     #[test]

@@ -32,84 +32,10 @@ pub fn coalesce(entries: &mut Vec<Entry>) {
     sum_sorted_duplicates(entries);
 }
 
-/// The widest key span, as a multiple of the list length, that
-/// [`coalesce_dense`] sums in its window; a list spanning more keys is
-/// sorted instead ([`coalesce_sort`]), so the window stays within a small
-/// multiple of the list.
-pub const DENSE_SPAN_FACTOR: u64 = 8;
-
 /// The longest list the standard library's stable sort orders in its 4 KiB
 /// of stack scratch (16-byte entries); it takes heap scratch for any longer
 /// list.
 const STACK_SORT_MAX: usize = 256;
-
-/// The bits of `-0.0`, the dense window's untouched-cell seed.
-const NEG_ZERO_BITS: u64 = (-0.0f64).to_bits();
-/// The quiet bit of an `f64` NaN.
-const QUIET_NAN_BIT: u64 = 0x0008_0000_0000_0000;
-
-/// [`coalesce`], bit for bit, without sorting a list whose key window
-/// `[min key, max key]` holds at most [`DENSE_SPAN_FACTOR`] × its length
-/// keys: each mass is added, in list order, into the cell of its key in
-/// `window`, and the touched cells are read back in ascending key order.
-/// Any other list goes to [`coalesce_sort`]. `window` and `merge` are
-/// working space; reused across calls, neither reallocates once it has
-/// grown to the widest span and the longest list.
-///
-/// Why the bits match: the stable sort keeps list order among equal keys,
-/// so `coalesce` sums each key's masses left to right — the window's order.
-/// The window is seeded with `-0.0`, and `-0.0 + x == x` bitwise for every
-/// `x` (`+0.0`, subnormals and quiet NaNs included), so a cell's first add
-/// is the sort's first assignment. A cell is touched when its bits are no
-/// longer `-0.0`, so zero-mass entries survive. The two masses that break
-/// this — `-0.0` itself (a key it alone reaches would look untouched) and a
-/// signalling NaN (the add quiets it) — send the list to the sort after
-/// all.
-pub fn coalesce_dense(entries: &mut Vec<Entry>, window: &mut Vec<f64>, merge: &mut Vec<Entry>) {
-    let (Some(&(first, _)), Some(&(last, _))) = (entries.first(), entries.last()) else {
-        return;
-    };
-    let limit = DENSE_SPAN_FACTOR.saturating_mul(entries.len() as u64);
-    // Arrival lists grow roughly in key order, so their two ends usually
-    // show a span too wide for the window without a scan.
-    if first.abs_diff(last) >= limit {
-        coalesce_sort(entries, merge);
-        return;
-    }
-    let (mut lo, mut hi, mut prev, mut sorted) = (first, first, first, true);
-    for &(d, _) in entries.iter() {
-        sorted &= prev <= d;
-        prev = d;
-        lo = lo.min(d);
-        hi = hi.max(d);
-    }
-    if sorted {
-        sum_sorted_duplicates(entries);
-        return;
-    }
-    if hi - lo >= limit {
-        coalesce_sort(entries, merge);
-        return;
-    }
-    window.clear();
-    window.resize((hi - lo + 1) as usize, -0.0);
-    let mut addable = true;
-    for &(d, m) in entries.iter() {
-        let bits = m.to_bits();
-        addable &= bits != NEG_ZERO_BITS && !(m.is_nan() && bits & QUIET_NAN_BIT == 0);
-        window[(d - lo) as usize] += m;
-    }
-    if !addable {
-        coalesce_sort(entries, merge);
-        return;
-    }
-    entries.clear();
-    for (i, &m) in window.iter().enumerate() {
-        if m.to_bits() != NEG_ZERO_BITS {
-            entries.push((lo + i as u64, m));
-        }
-    }
-}
 
 /// [`coalesce`], bit for bit, without heap allocation once `merge` has
 /// grown to the longest list: a list of at most 256 entries is sorted by

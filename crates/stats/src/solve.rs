@@ -76,8 +76,6 @@ pub struct Lu {
     lu: Matrix,
     /// Row permutation: `perm[i]` is the original row now in position `i`.
     perm: Vec<usize>,
-    /// Parity of the permutation, used for the determinant sign.
-    sign: f64,
 }
 
 /// Pivot threshold below which a matrix is treated as singular.
@@ -95,7 +93,6 @@ impl Lu {
         let mut lu = Lu {
             lu: a.clone(),
             perm: Vec::new(),
-            sign: 1.0,
         };
         lu.eliminate()?;
         Ok(lu)
@@ -117,7 +114,7 @@ impl Lu {
         self.eliminate()
     }
 
-    /// Factors `self.lu` in place, replacing the permutation and its sign.
+    /// Factors `self.lu` in place, replacing the permutation.
     fn eliminate(&mut self) -> Result<(), SolveError> {
         let n = self.lu.rows();
         if self.lu.cols() != n {
@@ -128,7 +125,6 @@ impl Lu {
         }
         self.perm.clear();
         self.perm.extend(0..n);
-        self.sign = 1.0;
         // Work on the row-major data as a plain slice: a store into it then
         // provably leaves the matrix's own fields alone, so the row loops
         // stay tight.
@@ -152,7 +148,6 @@ impl Lu {
                 let (upper, lower) = lu.split_at_mut(pivot_row * n);
                 upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
                 self.perm.swap(k, pivot_row);
-                self.sign = -self.sign;
             }
             let (upper, lower) = lu.split_at_mut((k + 1) * n);
             let row_k = &upper[k * n..];
@@ -249,15 +244,6 @@ impl Lu {
             }
         }
         Ok(out)
-    }
-
-    /// Returns the determinant of the factored matrix.
-    pub fn det(&self) -> f64 {
-        let mut d = self.sign;
-        for i in 0..self.lu.rows() {
-            d *= self.lu[(i, i)];
-        }
-        d
     }
 
     /// Returns the inverse of the factored matrix.
@@ -405,13 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn lu_det_matches_known_value() {
-        let a = Matrix::from_rows(&[&[3.0, 8.0], &[4.0, 6.0]]);
-        let lu = Lu::factor(&a).unwrap();
-        assert!((lu.det() - (-14.0)).abs() < 1e-10);
-    }
-
-    #[test]
     fn lu_inverse_times_matrix_is_identity() {
         let a = Matrix::from_rows(&[&[2.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[0.0, 1.0, 4.0]]);
         let inv = Lu::factor(&a).unwrap().inverse().unwrap();
@@ -460,7 +439,6 @@ mod tests {
             let want = fresh.solve(&rhs).unwrap();
             let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&out), bits(&want));
-            assert_eq!(reused.det().to_bits(), fresh.det().to_bits());
         }
         assert!(matches!(
             reused.solve_into(&rhs, &mut [0.0; 2]),

@@ -14,9 +14,8 @@ fn small_vec(n: usize) -> impl Strategy<Value = Vec<f64>> {
 }
 
 /// One raw contribution mass of palette `palette`: 0 draws ordinary masses
-/// only; 1 adds `+0.0`, subnormals, quiet NaNs and negatives, which the
-/// dense window must sum bit for bit; 2 adds `-0.0` and signalling NaNs,
-/// which send the list to the sort.
+/// only; 1 adds `+0.0`, subnormals, quiet NaNs and negatives; 2 adds `-0.0`
+/// and signalling NaNs. The sort must sum every one of them bit for bit.
 fn raw_mass(palette: u8, kind: u8, x: f64, bits: u64) -> f64 {
     match (palette, kind) {
         (1.., 0) => 0.0,
@@ -29,10 +28,9 @@ fn raw_mass(palette: u8, kind: u8, x: f64, bits: u64) -> f64 {
     }
 }
 
-/// A raw contribution list as propagation frontiers and table folds hold
-/// them: 0–400 entries whose keys sit on a spread of 1–7 (many duplicate
-/// keys), up to 2,000 (either side of the dense span rule) or up to 2^40
-/// (the sort fallback), above a base that is sometimes near `u64::MAX`.
+/// A raw contribution list as propagation frontiers hold them: 0–400
+/// entries whose keys sit on a spread of 1–7 (many duplicate keys), up to
+/// 2,000 or up to 2^40, above a base that is sometimes near `u64::MAX`.
 /// `order` leaves the draw as it is, sorts it stably in chunks (ascending
 /// runs, as a frontier holds) or sorts it whole.
 fn raw_list() -> impl Strategy<Value = Vec<(u64, f64)>> {
@@ -160,19 +158,16 @@ proptest! {
         }
     }
 
-    /// The dense coalesce and the allocation-free sort equal `coalesce` bit
-    /// for bit, with their buffers reused across three lists (the third is
-    /// the first reversed), so later calls find them dirty and oversized.
+    /// The allocation-free sort equals `coalesce` bit for bit, with its
+    /// buffer reused across three lists (the third is the first reversed),
+    /// so later calls find it dirty and oversized.
     #[test]
-    fn dense_and_sort_coalesce_match_coalesce_bitwise(a in raw_list(), b in raw_list()) {
-        let (mut window, mut merge) = (Vec::new(), Vec::new());
+    fn sort_coalesce_matches_coalesce_bitwise(a in raw_list(), b in raw_list()) {
+        let mut merge = Vec::new();
         let reversed: Vec<(u64, f64)> = a.iter().rev().copied().collect();
         for list in [&a, &b, &reversed] {
             let mut want = list.clone();
             pmf::coalesce(&mut want);
-            let mut dense = list.clone();
-            pmf::coalesce_dense(&mut dense, &mut window, &mut merge);
-            prop_assert_eq!(list_bits(&dense), list_bits(&want));
             let mut sorted = list.clone();
             pmf::coalesce_sort(&mut sorted, &mut merge);
             prop_assert_eq!(list_bits(&sorted), list_bits(&want));

@@ -1,11 +1,11 @@
 //! NLC language tour: compile a program exercising every language feature,
 //! dump the lowered stack-machine IR and the CFG as Graphviz, and show the
-//! structural decomposition the duration model builds on.
+//! natural loops and the counted loops the estimators build on.
 //!
 //! Run with: `cargo run --example language_tour`
 
 use code_tomography::cfg::dot::to_dot;
-use code_tomography::cfg::structure::decompose;
+use code_tomography::cfg::loops::LoopForest;
 use code_tomography::ir::pretty::dump_procedure;
 
 fn main() {
@@ -59,13 +59,18 @@ fn main() {
     println!("== CFG (Graphviz) ==");
     println!("{}", to_dot(&proc.cfg));
 
-    println!("== structural decomposition ==");
-    let region = decompose(&proc.cfg).expect("NLC output is always structured");
-    println!("{region:#?}");
+    println!("== natural loops ==");
+    for l in LoopForest::compute(&proc.cfg).loops() {
+        println!(
+            "header {:?}, latches {:?}, body {:?}",
+            l.header, l.latches, l.body
+        );
+    }
+    println!("counted loops (header, trips): {:?}", proc.counted_loops);
+    let decisions = proc.cfg.branch_blocks();
     println!(
-        "\n{} decision blocks drive the Markov model: {:?}",
-        region.decision_count(),
-        region.decision_blocks()
+        "\n{} decision blocks drive the Markov model: {decisions:?}",
+        decisions.len()
     );
 
     // Run it to show semantics.

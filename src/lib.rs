@@ -15,7 +15,7 @@
 //! |---|---|---|
 //! | [`core`] | `ct-core` | the estimators (quantization-aware EM, moments, flow-NNLS, loop-unrolled EM) |
 //! | [`ir`] | `ct-ir` | the NLC language front end + trip-count analysis |
-//! | [`cfg`](mod@cfg) | `ct-cfg` | CFGs, dominators, loops, structure, layouts, unrolling |
+//! | [`cfg`](mod@cfg) | `ct-cfg` | CFGs, dominators, loops, reducibility, layouts, unrolling |
 //! | [`mote`] | `ct-mote` | the simulated sensor mote (CPU, timers, devices, OS, energy) |
 //! | [`markov`] | `ct-markov` | absorbing-chain analysis and duration distributions |
 //! | [`profilers`] | `ct-profilers` | baselines: edge counters, Ball–Larus, sampling |

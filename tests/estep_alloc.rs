@@ -12,7 +12,7 @@ use ct_cfg::graph::Cfg;
 use ct_cfg::profile::BranchProbs;
 use ct_cfg::unroll::unroll;
 use ct_core::em::EmOptions;
-use ct_core::fb::{compute_tables, e_step_planned, FbPlan, FbScratch};
+use ct_core::fb::{e_step_planned, FbPlan, FbScratch};
 use ct_core::samples::TimingSamples;
 use ct_pipeline::{RunConfig, Session};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -67,7 +67,9 @@ struct Problem<'a> {
 
 /// Sizes a scratch with one planned E-step on `p`, then checks that five
 /// warm calls allocate nothing and return the same log-likelihood bits.
-fn assert_warm_e_step_allocates_nothing(p: &Problem) {
+/// Returns the length of the E-step's duration PMF: a lower bound on the
+/// Return-arrival list it sorts.
+fn assert_warm_e_step_allocates_nothing(p: &Problem) -> usize {
     let counted = p.samples.counted();
     let cpt = p.samples.cycles_per_tick();
     let plan = FbPlan::new(p.cfg);
@@ -101,24 +103,11 @@ fn assert_warm_e_step_allocates_nothing(p: &Problem) {
     }
     let allocations = ALLOCATIONS.with(Cell::get) - before;
     assert_eq!(allocations, 0, "a warm E-step allocated");
-}
-
-/// The longest forward table of `p`: the most distinct arrival times one
-/// block collects over all steps.
-fn longest_forward_table(p: &Problem) -> usize {
-    let tables = compute_tables(
-        p.cfg,
-        &p.block_costs,
-        &p.edge_costs,
-        &p.probs,
-        EmOptions::default().fb,
-    )
-    .expect("tables");
-    tables.forward.iter().map(|t| t.len()).max().unwrap_or(0)
+    scratch.duration().len()
 }
 
 /// Checks the warm E-step of unrolled `app` at 1 cycle/tick from the
-/// uniform start, and returns its longest forward table.
+/// uniform start, and returns the length of its duration PMF.
 fn unrolled_problem(app: &str, invocations: usize) -> usize {
     let run = Session::new(
         RunConfig::new(app)
@@ -136,8 +125,7 @@ fn unrolled_problem(app: &str, invocations: usize) -> usize {
         probs: BranchProbs::uniform(&unrolled.cfg, 0.5),
         samples: &run.samples,
     };
-    assert_warm_e_step_allocates_nothing(&problem);
-    longest_forward_table(&problem)
+    assert_warm_e_step_allocates_nothing(&problem)
 }
 
 #[test]
@@ -162,10 +150,11 @@ fn warm_planned_e_step_allocates_nothing() {
     });
 
     // Loop-heavy unrolled models, cycle-accurate: crc's hundreds of
-    // unrolled blocks, and sort, whose blocks collect arrivals at more
-    // than 256 distinct times, the longest list the standard library's
+    // unrolled blocks, and sort, whose Return arrivals fall at more than
+    // 256 distinct times, so the E-step sorts them through the merge sort's
+    // own buffer: 256 entries is the longest list the standard library's
     // stable sort orders without heap scratch.
     unrolled_problem("crc", 300);
-    let longest = unrolled_problem("sort", 300);
-    assert!(longest > 256, "unrolled sort's tables stay short");
+    let durations = unrolled_problem("sort", 300);
+    assert!(durations > 256, "unrolled sort's durations stay few");
 }

@@ -21,14 +21,15 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every generated structured program compiles, validates, decomposes
-    /// and runs trap-free.
+    /// Every generated structured program compiles, validates, is
+    /// reducible with one Return block, and runs trap-free.
     #[test]
     fn generated_programs_compile_and_run(seed in 0u64..500) {
         let program = random_program(seed, GenConfig::default());
         let proc = &program.procs[0];
         prop_assert!(proc.cfg.validate().is_ok());
-        prop_assert!(code_tomography::cfg::structure::decompose(&proc.cfg).is_ok());
+        prop_assert!(code_tomography::cfg::loops::is_reducible(&proc.cfg));
+        prop_assert_eq!(proc.cfg.exit_blocks().len(), 1);
         let mut mote = Mote::new(program, Box::new(AvrCost));
         mote.devices.adc = Box::new(UniformAdc { lo: 0, hi: 1023 });
         mote.reseed(seed);
